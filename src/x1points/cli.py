@@ -326,7 +326,9 @@ def cmd_tables(cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=None, help="group closure element cap")
+    common.add_argument(
+        "--cap", type=int, default=None, help="bounds the elements a group computation stores"
+    )
     common.add_argument(
         "--format",
         choices=("json", "csv", "markdown"),

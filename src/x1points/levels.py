@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import HypothesisFailed, StageTooLow
 from .matgroup import MatGroup, is_full_preimage, project
-from .modarith import divisors, gl2_order, valuation
+from .modarith import divisors, gl2_order, is_prime, valuation
 
 # Smallest single-prime levels M_1({l}) of l-adic images of non-CM elliptic
 # curves over Q, assuming no l-adic level exceeds 169 for 2 < l <= 37.
@@ -233,6 +233,9 @@ class BoundInput:
         tau: dict[int, int] | None = None,
     ) -> "BoundInput":
         ps = frozenset(int(p) for p in primes)
+        composite = sorted(p for p in ps if not is_prime(p))
+        if composite:
+            raise ValueError(f"prime set must contain only primes, got {composite}")
         m1_full = {p: M1_LEVELS[p] for p in ps if p in M1_LEVELS}
         if m1:
             m1_full.update(m1)

@@ -1,10 +1,16 @@
 """Finite subgroups of GL2(Z/nZ) given by generators.
 
-Closure is breadth-first multiplication into a hash set of raw 4-tuples;
-membership beyond the element cap is a hard error rather than an attempt at
-Schreier-Sims machinery.  Full preimages of a group at a smaller modulus and
-CRT direct products carry structure hints so that their orders and
-projections are computed by bookkeeping instead of materialization.
+Order and membership come from a stabilizer chain with base {e1, e2}.  Only
+the identity fixes both basis vectors, so |G| = |G.e1| * |Stab(e1)|, and
+Stab(e1) is a group of matrices [[1, b], [0, d]] stored by its keys (b, d).
+The chain is the orbit G.e1 with a transversal, plus Stab(e1) closed
+Dimino-style from the Schreier generators: Schreier-Sims with a base of
+length 2 (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005; Seress, Permutation Group Algorithms, 2003).  Its size grows with the
+orbit (about n^2), not with |G| (up to n^4).  The element set is built by
+breadth-first closure, and only on an explicit `elements()` call.  The cap
+bounds what either engine stores (orbit plus stabilizer entries, or the
+element set); going past it is a hard error.
 """
 
 from __future__ import annotations
@@ -14,22 +20,27 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, ModulusMismatch, NonCoprimeModuli, NotInvertible
+from .errors import CapExceeded, ModulusMismatch, NonCoprimeModuli
 from .modarith import (
     MatTuple,
     Mat2ModN,
     Modulus,
+    VecTuple,
     crt_join,
     gl2_order,
     identity,
     inv_raw,
-    mat2,
     modulus,
     mul_raw,
     unit_group_generators,
 )
 
 DEFAULT_CAP = 2**24
+
+# Stab(e1) element [[1, b], [0, d]] as its key (b, d); (b, d) * (b', d') = (b' + b d', d d').
+StabKey = tuple[int, int]
+# inverse transversal {v: u_v^-1} of the orbit G.e1, and Stab(e1) by keys
+Chain = tuple[dict[VecTuple, MatTuple], set[StabKey]]
 
 
 def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
@@ -53,22 +64,70 @@ def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
     return frozenset(seen)
 
 
-def _small_generating_set(n: int, elements: frozenset[MatTuple], cap: int) -> list[MatTuple]:
-    """Greedy generating subset; also validates that `elements` is a subgroup."""
-    gens: list[MatTuple] = []
-    span: frozenset[MatTuple] = frozenset({(1 % n, 0, 0, 1 % n)})
-    for x in sorted(elements):
-        if x in span:
-            continue
-        gens.append(x)
-        span = _bfs_closure(n, gens, cap)
-    if len(span) != len(elements):
-        raise ValueError("element set is not closed under the group operation")
-    return gens
+def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
+    """Inverse transversal {v: u_v^-1} of the orbit G.e1, and Stab(e1) by keys.
+
+    u_v maps e1 to v.  Each orbit edge v -> w = g.v gives the Schreier
+    generator u_w^-1 g u_v of Stab(e1); its first column is e1, so only the
+    second one is computed.  A generator that is not yet a member is kept
+    and the stabilizer is re-closed.  Raises CapExceeded once the orbit and
+    the stabilizer together would hold more than `cap` entries.
+    """
+    one = 1 % n
+    e1 = (one, 0)
+    column = {e1: (0, one)}  # second column of u_v
+    inverse = {e1: (one, 0, 0, one)}
+    stab = {(0, one)}
+    stab_gens: list[StabKey] = []
+    queue = [e1]
+    for v in queue:
+        x0, x1 = v
+        y0, y1 = column[v]
+        for ga, gb, gc, gd in gens:
+            w = ((ga * x0 + gb * x1) % n, (gc * x0 + gd * x1) % n)
+            p = (ga * y0 + gb * y1) % n
+            q = (gc * y0 + gd * y1) % n
+            t = inverse.get(w)
+            if t is None:
+                if len(inverse) + len(stab) >= cap:
+                    raise CapExceeded(cap, len(inverse) + len(stab) + 1)
+                column[w] = (p, q)
+                inverse[w] = inv_raw((w[0], p, w[1], q), n)
+                queue.append(w)
+                continue
+            ia, ib, ic, id_ = t
+            key = ((ia * p + ib * q) % n, (ic * p + id_ * q) % n)
+            if key not in stab:
+                stab_gens.append(key)
+                _dimino_extend(n, stab, stab_gens, cap, len(inverse))
+    return inverse, stab
+
+
+def _dimino_extend(
+    n: int, stab: set[StabKey], stab_gens: list[StabKey], cap: int, stored: int
+) -> None:
+    """Close the subgroup `stab` under `stab_gens`, one right coset at a time.
+
+    The right cosets H r of the old group H are reached by multiplying known
+    representatives by every generator, and each new coset is added whole.
+    `stored` entries held elsewhere count against `cap` too.
+    """
+    old = list(stab)
+    reps = [(0, 1 % n)]
+    for rb, rd in reps:
+        for gb, gd in stab_gens:
+            xb, xd = (gb + rb * gd) % n, (rd * gd) % n
+            if (xb, xd) in stab:
+                continue
+            found = stored + len(stab) + len(old)
+            if found > cap:
+                raise CapExceeded(cap, found)
+            reps.append((xb, xd))
+            stab.update([((xb + hb * xd) % n, (hd * xd) % n) for hb, hd in old])
 
 
 class MatGroup:
-    """Subgroup of GL2(Z/nZ) with lazily materialized element set and order."""
+    """Subgroup of GL2(Z/nZ): lazily built stabilizer chain and element set."""
 
     def __init__(self, mod: Modulus, gens: list[MatTuple], cap: int = DEFAULT_CAP):
         self.modulus = mod
@@ -82,18 +141,26 @@ class MatGroup:
         self.cap = cap
         self._elements: frozenset[MatTuple] | None = None
         self._order: int | None = None
-        # structure: None | ("preimage", base MatGroup) | ("product", left, right)
-        self._structure = None
+        self._chain: Chain | None = None
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_elements(cls, n: int, elements, cap: int = DEFAULT_CAP) -> "MatGroup":
+        """Group on a given element set, with a greedy generating subset.
+
+        The elements are scanned in sorted order and each one that is not in
+        the span of those kept so far is kept.  Raises ValueError unless the
+        set is a subgroup.
+        """
         els = frozenset(tuple(e % n for e in x) for x in elements)
-        gens = _small_generating_set(n, els, cap)
-        grp = cls(modulus(n), gens, cap)
+        grp = cls(modulus(n), [], cap)
+        for x in sorted(els):
+            if not grp.contains(x):
+                grp = cls(modulus(n), [*grp._gens, x], cap)
+        if grp.order != len(els):
+            raise ValueError("element set is not closed under the group operation")
         grp._elements = els
-        grp._order = len(els)
         return grp
 
     # -- basic accessors ----------------------------------------------------
@@ -110,67 +177,35 @@ class MatGroup:
     def is_materialized(self) -> bool:
         return self._elements is not None
 
+    def _get_chain(self) -> Chain:
+        if self._chain is None:
+            self._chain = _stabilizer_chain(self.modulus.n, self._gens, self.cap)
+        return self._chain
+
     @property
     def order(self) -> int:
         if self._order is None:
-            if self._structure is not None:
-                kind = self._structure[0]
-                if kind == "preimage":
-                    base = self._structure[1]
-                    ratio = self.modulus.n // base.modulus.n
-                    self._order = base.order * ratio**4
-                else:
-                    left, right = self._structure[1], self._structure[2]
-                    self._order = left.order * right.order
-            else:
-                self._order = len(self.elements())
+            inverse, stab = self._get_chain()
+            self._order = len(inverse) * len(stab)
         return self._order
 
     def elements(self) -> frozenset[MatTuple]:
         if self._elements is None:
-            n = self.modulus.n
-            if self._structure is not None and self._structure[0] == "preimage":
-                base = self._structure[1]
-                m = base.modulus.n
-                ratio = n // m
-                if base.order * ratio**4 > self.cap:
-                    raise CapExceeded(self.cap, 0)
-                offs = range(ratio)
-                els = set()
-                for b in base.elements():
-                    a0, b0, c0, d0 = b
-                    for i in offs:
-                        for j in offs:
-                            for k in offs:
-                                for l in offs:
-                                    els.add(
-                                        (
-                                            (a0 + m * i) % n,
-                                            (b0 + m * j) % n,
-                                            (c0 + m * k) % n,
-                                            (d0 + m * l) % n,
-                                        )
-                                    )
-                self._elements = frozenset(els)
-            elif self._structure is not None and self._structure[0] == "product":
-                left, right = self._structure[1], self._structure[2]
-                if left.order * right.order > self.cap:
-                    raise CapExceeded(self.cap, 0)
-                n1, n2 = left.modulus.n, right.modulus.n
-                els = set()
-                for x in left.elements():
-                    gx = mat2(n1, *x)
-                    for y in right.elements():
-                        els.add(crt_join((gx, mat2(n2, *y))).entries)
-                self._elements = frozenset(els)
-            else:
-                self._elements = _bfs_closure(n, list(self._gens), self.cap)
+            self._elements = _bfs_closure(self.modulus.n, list(self._gens), self.cap)
             self._order = len(self._elements)
         return self._elements
 
     def contains(self, A) -> bool:
-        raw = A.entries if isinstance(A, Mat2ModN) else tuple(e % self.modulus.n for e in A)
-        return raw in self.elements()
+        """Membership by sifting: A e1 must lie in the orbit G.e1, and
+        u^-1 A (u from the transversal) in Stab(e1)."""
+        n = self.modulus.n
+        a, b, c, d = A.entries if isinstance(A, Mat2ModN) else (e % n for e in A)
+        inverse, stab = self._get_chain()
+        t = inverse.get((a, c))
+        if t is None:
+            return False
+        ia, ib, ic, id_ = t
+        return ((ia * b + ib * d) % n, (ic * b + id_ * d) % n) in stab
 
     def __repr__(self):
         order = self._order if self._order is not None else "?"
@@ -207,22 +242,6 @@ def project(G: MatGroup, m: int) -> MatGroup:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
-    if G._structure is not None and G._structure[0] == "preimage":
-        base = G._structure[1]
-        g = gcd(m, base.modulus.n)
-        inner = project(base, g)
-        if m == g:
-            return inner
-        return full_preimage(inner, m, cap=G.cap)
-    if G._structure is not None and G._structure[0] == "product":
-        left, right = G._structure[1], G._structure[2]
-        d1 = gcd(m, left.modulus.n)
-        d2 = gcd(m, right.modulus.n)
-        if d1 == 1:
-            return project(right, d2)
-        if d2 == 1:
-            return project(left, d1)
-        return crt_product(project(left, d1), project(right, d2), cap=G.cap)
     reduced = [tuple(e % m for e in g) for g in G._gens]
     out = MatGroup(modulus(m), reduced, G.cap)
     if G.is_materialized:
@@ -274,7 +293,9 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
     """Full preimage of `base` (mod m) under GL2(Z/nZ) -> GL2(Z/mZ).
 
     Requires Supp(n) = Supp(m) so that every entrywise lift of an invertible
-    matrix stays invertible; order and projections are then exact bookkeeping.
+    matrix stays invertible.  Generated by the lifted base generators and a
+    few generators of the congruence kernel, so its order is
+    |base| * (n/m)^4.
     """
     m = base.modulus.n
     if n % m != 0:
@@ -283,20 +304,14 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
         raise ValueError(f"prime support of {n} differs from base modulus {m}")
     if n == m:
         return base
-    ratio = n // m
     gens: list[MatTuple] = [tuple(int(e) for e in g) for g in base.raw_generators]
-    # the four elementary I + m*e_ij do not generate the congruence kernel in
-    # general (their determinants miss units when m is even), so use all of it
-    for i in range(ratio):
-        for j in range(ratio):
-            for k in range(ratio):
-                for l in range(ratio):
-                    if (i, j, k, l) == (0, 0, 0, 0):
-                        continue
-                    gens.append(((1 + m * i) % n, (m * j) % n, (m * k) % n, (1 + m * l) % n))
-    grp = MatGroup(modulus(n), gens, cap)
-    grp._structure = ("preimage", base)
-    return grp
+    # The congruence kernel {I + mX} is L*D*U: every (1,1) entry 1 + m*x is a
+    # unit because Supp(n) = Supp(m).  So I + m*E21, I + m*E12 and the
+    # diagonals diag(u, 1), diag(1, u) with u = 1 mod m generate it.
+    gens += [(1, m, 0, 1), (1, 0, m, 1)]
+    for u in unit_group_generators(n, m):
+        gens += [(u, 0, 0, 1), (1, 0, 0, u)]
+    return MatGroup(modulus(n), gens, cap)
 
 
 def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatGroup:
@@ -308,9 +323,7 @@ def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatG
     i1, i2 = identity(n1), identity(n2)
     gens = [crt_join((Mat2ModN(left.modulus, *g), i2)).entries for g in left.raw_generators]
     gens += [crt_join((i1, Mat2ModN(right.modulus, *g))).entries for g in right.raw_generators]
-    grp = MatGroup(modulus(n), gens, cap)
-    grp._structure = ("product", left, right)
-    return grp
+    return MatGroup(modulus(n), gens, cap)
 
 
 def gl2_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:

@@ -300,13 +300,15 @@ def vec_order(v: Vec2ModN) -> int:
     return n // gcd(n, gcd(v.x, v.y))
 
 
-def unit_group_generators(n: int) -> list[int]:
-    """A small generating set of (Z/nZ)^*, found greedily in increasing order."""
-    if n <= 2:
-        return []
+def unit_group_generators(n: int, m: int = 1) -> list[int]:
+    """A small generating set of the units u = 1 mod m of Z/nZ (all of
+    (Z/nZ)^* for m = 1), found greedily in increasing order."""
+    size = euler_phi(n) // euler_phi(m)
     gens: list[int] = []
     span = {1}
-    for u in range(2, n):
+    for u in range(1 + m, n, m):
+        if len(span) == size:
+            break
         if gcd(u, n) != 1 or u in span:
             continue
         gens.append(u)
@@ -316,6 +318,4 @@ def unit_group_generators(n: int) -> list[int]:
             while x not in span:
                 span.add(x)
                 x = (x * u) % n
-        if len(span) == euler_phi(n):
-            break
     return gens

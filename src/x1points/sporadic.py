@@ -211,10 +211,12 @@ def cm_threshold(O: CmOrder) -> tuple[Fraction, int]:
 def cm_point_degree(O: CmOrder, ell: int) -> tuple[int, SporadicCertificate]:
     """Degree 2h(ell-1)/w of the CM point of order ell, plus its certificate.
 
-    Requires ell split and above the threshold; the resulting
+    Requires ell prime, split and above the threshold; the resulting
     lifting_certificate is then always issued (the strict inequality
     2h(ell-1)/w < (7/1600)*mu(ell) is equivalent to ell > threshold).
     """
+    if not is_prime(ell):
+        raise PreconditionFailed(f"{ell} is not prime; the CM point degree needs a prime ell")
     threshold, _ = cm_threshold(O)
     if not splits(O, ell):
         raise PreconditionFailed(f"{ell} does not split for discriminant {O.discriminant}")

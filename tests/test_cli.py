@@ -70,6 +70,19 @@ def test_level_command(capsys, tmp_path):
     assert data["detections"][0]["certified"]
 
 
+def test_level_command_at_3_to_the_4(capsys, tmp_path, monkeypatch):
+    from x1points.matgroup import borel_group, full_preimage
+
+    monkeypatch.delenv("X1POINTS_CAP", raising=False)
+    path = tmp_path / "pre81.json"
+    save_group(full_preimage(borel_group(3), 81), str(path))
+    code, out, _ = run(capsys, ["level", "--in", str(path)])
+    data = json.loads(out)
+    assert code == 0
+    assert data["minimal_level"] == 3
+    assert data["order"] == 12 * 27**4
+
+
 def test_level_bound_command(capsys):
     code, out, _ = run(
         capsys,
@@ -78,6 +91,12 @@ def test_level_bound_command(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["bound"] == 15
+
+
+def test_level_bound_rejects_composite_prime(capsys):
+    code, out, err = run(capsys, ["level-bound", "--primes", "2,3,4", "--ell", "2"])
+    assert code == 2 and out == ""
+    assert "prime" in err
 
 
 def test_curve_command(capsys):
@@ -133,6 +152,13 @@ def test_cm_bad_prime_is_input_error(capsys):
     code, _, err = run(capsys, ["cm", "--disc", "-4", "--ell", "13"])
     assert code == 2
     assert "threshold" in err
+
+
+def test_cm_composite_ell_exit_2(capsys):
+    # 341 = 11 * 31 is an Euler pseudoprime for -4: no certificate may issue
+    code, out, err = run(capsys, ["cm", "--disc", "-4", "--ell", "341", "--require"])
+    assert code == 2 and out == ""
+    assert "prime" in err
 
 
 def test_classify_command(capsys, profile_37_file):

@@ -173,6 +173,21 @@ def test_level_bound_examples():
         level_bound(B, 7)
 
 
+def test_detect_full_preimage_mod_169():
+    # the paper's single-prime level 13^2: |G| = 53,466,192, never materialized
+    G = full_preimage(borel_group(13), 169)
+    det = detect_ladic_level(G)
+    assert det.certified and det.level_bound == 13
+    assert det.kernel_order == det.full_kernel == 13**4
+    assert minimize_level(G) == 13
+
+
+def test_bound_input_rejects_non_primes():
+    for primes in ({2, 3, 4}, {1, 2}):
+        with pytest.raises(ValueError, match="prime"):
+            BoundInput.build(primes)
+
+
 def test_level_bound_tau_override():
     B = BoundInput.build({2, 3}, tau={2: 0})
     assert level_bound(B, 2) == 5  # just max(v2(32), v2(4))

@@ -64,6 +64,20 @@ def test_closure_cap_exceeded():
     assert info.value.partial_count == 100
 
 
+def test_cap_exceeded_from_chain_reports_true_count():
+    # orbit and stabilizer entries both count against the cap
+    with pytest.raises(CapExceeded) as info:
+        gl2_group(8, cap=10).contains((1, 1, 0, 1))  # orbit of e1 has 48 vectors
+    assert info.value.partial_count == 11
+    with pytest.raises(CapExceeded) as info:
+        borel_group(25, cap=100).order  # orbit 20, stabilizer 500
+    assert info.value.partial_count > 100
+    with pytest.raises(CapExceeded) as info:
+        full_preimage(borel_group(3), 81, cap=1000).order
+    assert info.value.partial_count > 1000
+    assert "(0 found)" not in str(info.value)
+
+
 def test_lagrange_for_materialized_subgroups():
     for G in (borel_group(7), sl2_group(9), split_cartan_group(8), fiber_product_group(5, 3)):
         n = G.modulus.n

@@ -1,17 +1,26 @@
-"""Cross-module consistency sweep over random subgroups (seeded)."""
+"""Cross-module consistency over random subgroups: a seeded sweep, and
+hypothesis properties of the stabilizer chain against breadth-first closure."""
 
 import random
 from math import gcd
 
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from x1points.levels import minimize_level
 from x1points.matgroup import (
+    DEFAULT_CAP,
+    MatGroup,
+    _bfs_closure,
     closure,
+    full_preimage,
     goursat,
     is_full_preimage,
     kernel_of_projection,
     project,
 )
-from x1points.modarith import divisors, gl2_order
+from x1points.modarith import divisors, gl2_order, modulus
 from x1points.orbits import degree_spectrum, exact_order_vector_count
 from x1points.sporadic import pushforward_degree_check
 
@@ -71,3 +80,91 @@ def test_random_subgroup_consistency_sweep():
                     data.left_image.order * data.right_kernel.order
                     == data.right_image.order * data.left_kernel.order
                 )
+
+
+# -- stabilizer chain against breadth-first closure ----------------------------
+
+PROPERTY_SETTINGS = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# (m, n) with Supp(m) = Supp(n), so full_preimage applies
+PREIMAGE_PAIRS = [
+    (2, 4), (2, 8), (2, 16), (3, 9), (3, 27), (4, 8), (4, 16), (5, 25),
+    (6, 12), (6, 18), (6, 36), (7, 49), (10, 20), (12, 24), (12, 36),
+]
+
+# above this many elements a preimage is checked by its order formula only
+BFS_CHECK_LIMIT = 100_000
+
+
+def invertible(n):
+    return st.tuples(*[st.integers(0, n - 1)] * 4).filter(
+        lambda g: gcd((g[0] * g[3] - g[1] * g[2]) % n, n) == 1
+    )
+
+
+@st.composite
+def subgroup_gens(draw, moduli=st.integers(1, 30)):
+    n = draw(moduli)
+    return n, draw(st.lists(invertible(n), min_size=1, max_size=3))
+
+
+@st.composite
+def preimage_cases(draw):
+    m, n = draw(st.sampled_from(PREIMAGE_PAIRS))
+    return m, n, draw(st.lists(invertible(m), min_size=0, max_size=2))
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens())
+@example((1, []))
+@example((30, [(1, 1, 0, 1), (1, 0, 1, 1), (7, 0, 0, 1), (11, 0, 0, 1)]))
+def test_chain_order_matches_bfs(case):
+    n, gens = case
+    assert MatGroup(modulus(n), gens).order == len(_bfs_closure(n, gens, DEFAULT_CAP))
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(), st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), max_size=50))
+def test_chain_contains_matches_set_membership(case, others):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    assert all(G.contains(x) for x in members)
+    for x in others:
+        x = tuple(e % n for e in x)
+        assert G.contains(x) == (x in members), x
+
+
+@PROPERTY_SETTINGS
+@given(preimage_cases())
+@example((2, 8, [(1, 1, 0, 1)]))
+@example((2, 16, [(0, 1, 1, 1), (0, 1, 1, 0)]))
+@example((6, 18, [(5, 0, 0, 1)]))
+def test_full_preimage_order(case):
+    m, n, gens = case
+    base = MatGroup(modulus(m), gens)
+    pre = full_preimage(base, n)
+    expected = base.order * (n // m) ** 4
+    assert pre.order == expected
+    if expected <= BFS_CHECK_LIMIT:
+        assert len(_bfs_closure(n, list(pre.raw_generators), DEFAULT_CAP)) == expected
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(st.integers(1, 12)))
+def test_from_elements_keeps_greedy_generators(case):
+    n, gens = case
+    els = _bfs_closure(n, gens, DEFAULT_CAP)
+    expected, span = [], {(1 % n, 0, 0, 1 % n)}
+    for x in sorted(els):
+        if x not in span:
+            expected.append(x)
+            span = _bfs_closure(n, expected, DEFAULT_CAP)
+    G = MatGroup.from_elements(n, els)
+    assert list(G.raw_generators) == expected
+    assert G.order == len(els)
+    if len(els) > 2:  # |G| - 1 elements never form a subgroup then
+        with pytest.raises(ValueError):
+            MatGroup.from_elements(n, els - {max(els - {(1 % n, 0, 0, 1 % n)})})

@@ -140,6 +140,14 @@ def test_cm_point_degree_below_threshold_rejected():
         cm_point_degree(cm_order(-4), 227)  # prime above 226 but 227 = 3 mod 4
 
 
+def test_cm_point_degree_rejects_euler_pseudoprime():
+    # 341 = 11 * 31 passes Euler's criterion for -4 and lies above the threshold
+    O = cm_order(-4)
+    assert splits(O, 341) and 341 > cm_threshold(O)[0]
+    with pytest.raises(PreconditionFailed, match="prime"):
+        cm_point_degree(O, 341)
+
+
 def test_cm_certificate_always_issued_for_small_ratio():
     # every shipped order has h/w <= 10; a few synthetic ones stretch it
     orders = [cm_order(D) for D in CM_CLASS_NUMBERS]
