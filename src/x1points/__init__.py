@@ -79,7 +79,6 @@ from .modarith import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_vec,
     modulus,
     reduce_mat,
     sl2_order,

@@ -16,7 +16,7 @@ from math import gcd
 from .curveinv import MapDegree, known_gonality, map_degree
 from .errors import InconsistentProfile
 from .levels import M1_LEVELS, classification_table
-from .modarith import factorize, valuation
+from .modarith import divisors, factorize, is_prime, valuation
 
 IMAGE_TYPES = (
     "borel",
@@ -51,7 +51,7 @@ class NonsurjectivePrime:
     def __post_init__(self):
         if self.image_type not in IMAGE_TYPES:
             raise ValueError(f"unknown image type {self.image_type!r}")
-        if self.prime < 2:
+        if not is_prime(self.prime):
             raise ValueError(f"not a prime: {self.prime}")
 
 
@@ -86,16 +86,37 @@ class GaloisProfile:
         return None
 
 
+# The keys a profile file may use: top level, per nonsurjective entry, flags.
+PROFILE_KEYS = frozenset({"field_degree", "nonsurjective", "flags"})
+ENTRY_KEYS = frozenset({"prime", "type", "level"})
+FLAG_KEYS = frozenset({"assume_sz"})
+
+
+def _check_keys(data, allowed: frozenset[str], where: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key {unknown[0]!r}; allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def profile_from_dict(data: dict) -> GaloisProfile:
+    _check_keys(data, PROFILE_KEYS, "profile")
+    raw_entries = data.get("nonsurjective", ())
+    for e in raw_entries:
+        _check_keys(e, ENTRY_KEYS, "nonsurjective entry")
     entries = tuple(
         NonsurjectivePrime(
             prime=int(e["prime"]),
             image_type=str(e.get("type", "unknown")),
             level=int(e["level"]) if "level" in e else None,
         )
-        for e in data.get("nonsurjective", ())
+        for e in raw_entries
     )
     flags = data.get("flags", {})
+    _check_keys(flags, FLAG_KEYS, "flags")
     return GaloisProfile(
         field_degree=int(data.get("field_degree", 1)),
         nonsurjective=entries,
@@ -134,7 +155,7 @@ def _case4_candidates(n: int, p: int, p_cap: int) -> tuple[int, ...]:
     table = {row.p: row for row in classification_table()}
     row = table[p]
     out = []
-    for d in _divisors(n):
+    for d in divisors(n):
         rest = d
         a = valuation(d, 2)
         rest //= 2**a
@@ -151,12 +172,6 @@ def _case4_candidates(n: int, p: int, p_cap: int) -> tuple[int, ...]:
         if a <= row.a_p and b <= row.b_p and p_power <= min(p_cap, 169):
             out.append(d)
     return tuple(out)
-
-
-def _divisors(n: int) -> list[int]:
-    from .modarith import divisors
-
-    return divisors(n)
 
 
 def classify_profile(P: GaloisProfile, n: int) -> ClassificationVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modarith import euler_phi, factorize
+from .modarith import divisors, euler_phi, factorize
 
 GONALITY_BOUND_FACTOR = Fraction(7, 800)
 
@@ -77,15 +77,9 @@ def cusp_count(N: int) -> int:
         raise ValueError(f"level must be positive, got {N}")
     if N <= 4:
         return {1: 1, 2: 2, 3: 2, 4: 3}[N]
-    total = sum(euler_phi(d) * euler_phi(N // d) for d in _divisors(N))
+    total = sum(euler_phi(d) * euler_phi(N // d) for d in divisors(N))
     assert total % 2 == 0
     return total // 2
-
-
-def _divisors(N: int) -> list[int]:
-    from .modarith import divisors
-
-    return divisors(N)
 
 
 def genus_x1(N: int) -> int:

@@ -43,25 +43,31 @@ StabKey = tuple[int, int]
 Chain = tuple[dict[VecTuple, MatTuple], set[StabKey]]
 
 
-def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
-    ident = (1 % n, 0, 0, 1 % n)
-    start = []
-    for g in gens:
-        start.append(g)
-        start.append(inv_raw(g, n))  # raises NotInvertible on bad input
-    start = list(dict.fromkeys(start))
+def _closure(ident, gens, mul, inv, cap: int) -> frozenset:
+    """Breadth-first closure of `gens` and their inverses from `ident`.
+
+    `mul(x, g)` multiplies and `inv(g)` inverts (raising NotInvertible on bad
+    input); raises CapExceeded once the set would outgrow `cap`.
+    """
+    start = list(dict.fromkeys(x for g in gens for x in (g, inv(g))))
     seen = {ident}
     queue = deque([ident])
     while queue:
         x = queue.popleft()
         for g in start:
-            y = mul_raw(x, g, n)
+            y = mul(x, g)
             if y not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(cap, len(seen))
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
+
+
+def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
+    return _closure(
+        (1 % n, 0, 0, 1 % n), gens, lambda x, g: mul_raw(x, g, n), lambda g: inv_raw(g, n), cap
+    )
 
 
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
@@ -383,27 +389,6 @@ class GoursatData:
     graph_pairs: tuple[tuple[Mat2ModN, Mat2ModN], ...]
 
 
-def _pair_closure(n1: int, n2: int, gens: list[PairTuple], cap: int) -> frozenset[PairTuple]:
-    ident = ((1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2))
-    start = []
-    for x, y in gens:
-        start.append((x, y))
-        start.append((inv_raw(x, n1), inv_raw(y, n2)))
-    start = list(dict.fromkeys(start))
-    seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x1, x2 = queue.popleft()
-        for g1, g2 in start:
-            y = (mul_raw(x1, g1, n1), mul_raw(x2, g2, n2))
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(cap, len(seen))
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
-
-
 def _goursat_from_pairs(
     n1: int,
     n2: int,
@@ -504,7 +489,13 @@ def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
         raise ValueError("generator pairs must be Mat2ModN instances")
     n1 = first[0].modulus.n
     n2 = first[1].modulus.n
-    elements = _pair_closure(n1, n2, raw, cap)
+    elements = _closure(
+        ((1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)),
+        raw,
+        lambda x, g: (mul_raw(x[0], g[0], n1), mul_raw(x[1], g[1], n2)),
+        lambda g: (inv_raw(g[0], n1), inv_raw(g[1], n2)),
+        cap,
+    )
     return _goursat_from_pairs(n1, n2, elements, raw, cap)
 
 

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z/nZ: 2x2 matrices, column vectors, CRT, GL2/SL2 orders.
+"""Exact arithmetic in Z/nZ: 2x2 matrices, column vectors, CRT, GL2/SL2 orders,
+and exact factorization and primality for moduli up to 2^63 - 1.
 
 All values are immutable and reduced to the canonical range [0, n) on
 construction, so equality and hashing are bit-exact.
@@ -8,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd
+from itertools import count
+from math import gcd, isqrt
 
 from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible
 
@@ -20,24 +22,71 @@ MatTuple = tuple[int, int, int, int]
 VecTuple = tuple[int, int]
 
 
+# Every prime below _TRIAL_BOUND is divided out by trial division; a cofactor
+# below _TRIAL_BOUND^2 is then prime, and larger ones are split by Pollard rho.
+_TRIAL_BOUND = 100
+
+# The first 13 primes are a deterministic Miller-Rabin base set for every
+# n below _MR_LIMIT (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division, primes strictly increasing."""
+    """Prime factorization, primes strictly increasing.
+
+    Exact for every n: a cofactor is declared prime only by `is_prime`.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    out = []
+    counts: dict[int, int] = {}
     m = n
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
+    while p < _TRIAL_BOUND and p * p <= m:
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
         p = 3 if p == 2 else p + 2
-    if m > 1:
-        out.append((m, 1))
-    return tuple(out)
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return tuple(sorted(counts.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below _TRIAL_BOUND.
+
+    Brent's variant of Pollard rho on x -> x^2 + c from x = 2, with c = 1,
+    2, ... in turn until one splits n, so the answer is deterministic.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)
@@ -168,22 +217,10 @@ def mat_inv(A: Mat2ModN) -> Mat2ModN:
     return Mat2ModN(A.modulus, *inv_raw(A.entries, A.modulus.n))
 
 
-def mat_vec(A: Mat2ModN, v: Vec2ModN) -> Vec2ModN:
-    if A.modulus.n != v.modulus.n:
-        raise ModulusMismatch(f"moduli differ: {A.modulus.n} vs {v.modulus.n}")
-    return Vec2ModN(A.modulus, *apply_raw(A.entries, v.entries, A.modulus.n))
-
-
 def reduce_mat(A: Mat2ModN, m: int) -> Mat2ModN:
     if A.modulus.n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {A.modulus.n}")
     return mat2(m, A.a, A.b, A.c, A.d)
-
-
-def reduce_vec(v: Vec2ModN, m: int) -> Vec2ModN:
-    if v.modulus.n % m != 0:
-        raise ModulusMismatch(f"{m} does not divide {v.modulus.n}")
-    return vec2(m, v.x, v.y)
 
 
 def _check_coprime_cover(n: int, factors: tuple[int, ...]) -> None:
@@ -240,17 +277,6 @@ def crt_join(parts: tuple[Mat2ModN, ...]) -> Mat2ModN:
     return mat2(n, *entries)
 
 
-def crt_join_vec(parts: tuple[Vec2ModN, ...]) -> Vec2ModN:
-    moduli = tuple(P.modulus.n for P in parts)
-    n = 1
-    for m in moduli:
-        n *= m
-    _check_coprime_cover(n, moduli)
-    x = crt_scalar(tuple(P.x for P in parts), moduli)
-    y = crt_scalar(tuple(P.y for P in parts), moduli)
-    return vec2(n, x, y)
-
-
 def euler_phi(n: int) -> int:
     out = n
     for p, _ in factorize(n):
@@ -276,7 +302,30 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == ((n, 1),)
+    """Exact primality: deterministic Miller-Rabin below 3.3 * 10^24, trial
+    division from there on."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        return all(n % p for p in range(43, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -118,6 +118,8 @@ def _record_for_orbit(n: int, order: int, orbit: frozenset[VecTuple], field_degr
 
 def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     """G-orbits on exact-order-n vectors with their closed-point degrees."""
+    if field_degree < 1:
+        raise ValueError(f"field degree must be >= 1, got {field_degree}")
     n = G.modulus.n
     vectors = exact_order_vectors(n, n)
     orbits = vector_orbits(G, vectors)

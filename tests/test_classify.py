@@ -196,6 +196,26 @@ def test_profile_round_trip():
     assert profile_from_dict(profile_to_dict(prof)) == prof
 
 
+def test_nonsurjective_prime_must_be_prime():
+    for bad in (1, 15, 341):
+        with pytest.raises(ValueError, match="not a prime"):
+            NonsurjectivePrime(bad, "borel")
+    with pytest.raises(ValueError, match="not a prime: 15"):
+        profile_from_dict({"nonsurjective": [{"prime": 15, "type": "borel"}]})
+
+
+def test_profile_unknown_keys_rejected():
+    entry = {"prime": 37, "type": "borel"}
+    bad = (
+        ({"nonsurjectiv": [entry]}, "'nonsurjectiv'"),
+        ({"nonsurjective": [{**entry, "typ": "borel"}]}, "'typ'"),
+        ({"nonsurjective": [entry], "flags": {"assume_SZ": True}}, "'assume_SZ'"),
+    )
+    for data, key in bad:
+        with pytest.raises(ValueError, match=key):
+            profile_from_dict(data)
+
+
 def test_prime_level_screen_small_and_surjective():
     for ell in (2, 3, 5, 7, 11, 13):
         assert prime_level_screen(ell, "borel").no_sporadic

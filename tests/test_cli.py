@@ -58,6 +58,13 @@ def test_degrees_command(capsys, gl2_5_file):
     assert data["closed_point_degrees"] == [12]
 
 
+def test_degrees_field_degree_below_one_exit_2(capsys, gl2_5_file):
+    for bad in ("0", "-3"):
+        code, out, err = run(capsys, ["degrees", "--in", gl2_5_file, "--field-degree", bad])
+        assert code == 2 and out == ""
+        assert f"field degree must be >= 1, got {bad}" in err
+
+
 def test_level_command(capsys, tmp_path):
     from x1points.matgroup import closure, borel_group, full_preimage
 
@@ -168,6 +175,24 @@ def test_classify_command(capsys, profile_37_file):
     assert data["case"] == 4
     assert data["candidates"] == [1, 37]
     assert data["screen"]["candidate_j"] == "-7*11^3"
+
+
+def test_classify_profile_contracts_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad_profile.json"
+    path.write_text(json.dumps({"nonsurjective": [{"prime": 15, "type": "borel"}]}))
+    code, out, err = run(capsys, ["classify", "--profile", str(path), "--n", "15"])
+    assert code == 2 and out == ""
+    assert "profile file contract violated" in err and "not a prime: 15" in err
+    path.write_text(json.dumps({"nonsurjectiv": [{"prime": 37, "type": "borel"}]}))
+    code, out, err = run(capsys, ["classify", "--profile", str(path), "--n", "37"])
+    assert code == 2 and out == ""
+    assert "unknown profile key 'nonsurjectiv'" in err
+
+
+def test_curve_mersenne_61(capsys):
+    code, out, _ = run(capsys, ["curve", str(2**61 - 1)])
+    assert code == 0
+    assert json.loads(out)["cusps"] == 2**61 - 2
 
 
 def test_tables_classification(capsys):

@@ -32,3 +32,38 @@ def test_golden_invocation(case, capsys, monkeypatch):
     code = run_cli(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+# A corpus invocation (exit 0) of each subcommand that prints JSON only.
+JSON_ONLY = (
+    "group-gl2-5",
+    "orbits-gl2-5",
+    "degrees-borel-7",
+    "level-gl2-5",
+    "level-bound-17-image-order",
+    "sporadic-check-frey",
+    "cm-disc-4",
+    "classify-case-4",
+)
+
+
+@pytest.mark.parametrize("name", JSON_ONLY)
+def test_format_rejected_outside_curve_and_tables(name, capsys, monkeypatch):
+    case = next(c for c in CORPUS if c["name"] == name)
+    assert case["exit"] == 0
+    monkeypatch.chdir(GOLDEN)
+    assert run_cli([*case["argv"], "--format", "csv"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_corpus_covers_every_format_of_curve_and_tables():
+    covered = {
+        (c["argv"][0], c["argv"][c["argv"].index("--format") + 1])
+        for c in CORPUS
+        if "--format" in c["argv"]
+    }
+    assert covered == {(cmd, fmt) for cmd in ("curve", "tables") for fmt in ("json", "csv", "markdown")}
+    assert {c["argv"][0] for c in CORPUS} == {
+        "group", "orbits", "degrees", "level", "level-bound",
+        "curve", "sporadic-check", "cm", "classify", "tables",
+    }

@@ -14,6 +14,7 @@ from x1points.modarith import (
     factorize,
     gl2_order,
     identity,
+    is_prime,
     mat2,
     mat_det,
     mat_inv,
@@ -225,3 +226,55 @@ def test_unit_group_generators():
                     x = (x * g) % n
             span |= new
         assert len(span) == euler_phi(n)
+
+
+def _trial_division(n):
+    out, m, p = [], n, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def test_factorize_agrees_with_trial_division_below_20000():
+    for n in range(1, 20000):
+        assert factorize(n) == _trial_division(n), n
+        assert is_prime(n) == (_trial_division(n) == ((n, 1),)), n
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_mersenne_61_is_prime_quickly():
+    import time
+
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_semiprime_near_2_to_63_factors():
+    p, q = 3037000453, 3037000493  # both prime, p * q just below 2^63
+    assert p * q < 2**63
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * p * 4) == ((2, 2), (p, 2))
+    assert factorize(2**63 - 1) == ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))
+
+
+def test_pseudoprimes_rejected():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+    for n in carmichael:
+        assert not is_prime(n), n
+    # strong pseudoprimes to the first 9 and to the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert factorize(318665857834031151167461) == ((399165290221, 1), (798330580441, 1))
+    # past the deterministic Miller-Rabin range the answer comes from trial division
+    assert not is_prime(43**16)

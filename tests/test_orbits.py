@@ -80,6 +80,14 @@ def test_degree_spectrum_field_degree_scales():
     assert [r.degree for r in spec.records] == [3 * psl2_index(7)]
 
 
+def test_field_degree_below_one_rejected():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="field degree must be >= 1"):
+            degree_spectrum(gl2_group(5), bad)
+        with pytest.raises(ValueError, match="field degree must be >= 1"):
+            max_growth_check(gl2_group(35), 7, bad)
+
+
 def test_spectrum_sums_to_index_for_full_gl2():
     for n in range(3, 41):
         spec = degree_spectrum(gl2_group(n))
