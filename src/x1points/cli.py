@@ -1,11 +1,16 @@
 """Command-line surface: file ingestion, certificate and table emission.
 
+Each subcommand returns the library's result objects, and one encoder turns
+them into JSON values: a dataclass becomes an object of its fields by name
+(fields with a leading underscore are private and left out), a Fraction
+becomes {"num": ..., "den": ...}, a matrix or vector mod n becomes its list
+of entries, and tuples become lists.  So the result dataclasses are the
+output schema: a field declared on one reaches stdout with no edit here.
 Output is deterministic (sorted keys, canonical row order) and every numeric
-value is exact; rationals are emitted as {"num": ..., "den": ...}.  Every
-subcommand prints JSON; `curve` and `tables` also print CSV or Markdown rows
-under --format.  Exit codes: 0 success, 1 certificate not issued under
---require, 2 input or precondition error (with a message naming the violated
-contract).
+value is exact.  Every subcommand prints JSON; `curve` and `tables` also
+print CSV or Markdown rows under --format.  Exit codes: 0 success, 1
+certificate not issued under --require, 2 input or precondition error (with
+a message naming the violated contract).
 """
 
 from __future__ import annotations
@@ -14,22 +19,40 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple, fields, is_dataclass
 from fractions import Fraction
 
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
 from .errors import HypothesisFailed, X1PointsError
 from .matgroup import DEFAULT_CAP
-from .modarith import gl2_order, factorize
+from .modarith import Mat2ModN, Vec2ModN, gl2_order, factorize
 
 CAP_ENV_VAR = "X1POINTS_CAP"
 
-# Each cmd_* reads the parsed arguments and returns (output data, exit code).
-Result = tuple[dict, int]
+# Each cmd_* reads the parsed arguments and returns (result, exit code): a
+# result dataclass, or a dict of them with the keys that are not fields.
+Result = tuple[object, int]
 
 
-def _frac(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
+def _fields(obj) -> dict:
+    """The public fields of a dataclass instance, by name."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if not f.name.startswith("_")}
+
+
+def _encode(value):
+    """The JSON value of a command result (the rule is in the module docstring)."""
+    if isinstance(value, (Mat2ModN, Vec2ModN)):
+        return list(value.entries)
+    if is_dataclass(value):
+        value = _fields(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    return value
 
 
 def _load_group(path: str, cap: int) -> matgroup.MatGroup:
@@ -44,7 +67,7 @@ def cmd_group(args: argparse.Namespace) -> Result:
     order = G.order
     return {
         "modulus": G.modulus.n,
-        "generators": [list(g) for g in G.raw_generators],
+        "generators": G.raw_generators,
         "order": order,
         "gl2_order": gl2_order(G.modulus.n),
         "index": gl2_order(G.modulus.n) // order,
@@ -60,28 +83,14 @@ def cmd_orbits(args: argparse.Namespace) -> Result:
     return {
         "modulus": G.modulus.n,
         "exact_order_vectors": len(vectors),
-        "orbits": [{"representative": list(min(o)), "size": len(o)} for o in parts],
+        "orbits": [{"representative": min(o), "size": len(o)} for o in parts],
     }, 0
 
 
 def cmd_degrees(args: argparse.Namespace) -> Result:
     G = _load_group(args.infile, args.cap)
     spec = orbits.degree_spectrum(G, args.field_degree)
-    return {
-        "modulus": spec.modulus,
-        "field_degree": spec.field_degree,
-        "records": [
-            {
-                "representative": list(r.representative.entries),
-                "size": r.size,
-                "point_order": r.point_order,
-                "minus_closed": r.minus_closed,
-                "degree": r.degree,
-            }
-            for r in spec.records
-        ],
-        "closed_point_degrees": orbits.closed_point_degrees(spec),
-    }, 0
+    return {**_fields(spec), "closed_point_degrees": orbits.closed_point_degrees(spec)}, 0
 
 
 def cmd_level(args: argparse.Namespace) -> Result:
@@ -92,16 +101,7 @@ def cmd_level(args: argparse.Namespace) -> Result:
         if s >= levels.minimal_stage(ell):
             part = matgroup.project(G, ell**e)
             det = levels.detect_ladic_level(part, s)
-            detections.append(
-                {
-                    "prime": ell,
-                    "stage": det.stage,
-                    "kernel_order": det.kernel_order,
-                    "full_kernel": det.full_kernel,
-                    "certified": det.certified,
-                    "level_bound": det.level_bound,
-                }
-            )
+            detections.append({**_fields(det), "level_bound": det.level_bound})
     out = {
         "modulus": G.modulus.n,
         "order": G.order,
@@ -112,7 +112,7 @@ def cmd_level(args: argparse.Namespace) -> Result:
     if len(fac) >= 2 and all(e >= 2 for _, e in fac):
         stages = {ell: e - 1 for ell, e in fac}
         try:
-            out["certificate"] = levels.compose_level(G, stages).to_dict()
+            out["certificate"] = levels.compose_level(G, stages)
         except HypothesisFailed as exc:
             out["certificate"] = {"hypothesis_failed": exc.prime, "detail": str(exc)}
     return out, 0
@@ -143,33 +143,18 @@ def cmd_level_bound(args: argparse.Namespace) -> Result:
 
 
 def cmd_curve(args: argparse.Namespace) -> Result:
-    inv = curveinv.curve_invariants(args.N)
-    return {
-        "N": inv.N,
-        "psl2_index": inv.psl2_index,
-        "genus": inv.genus,
-        "cusps": curveinv.cusp_count(args.N),
-        "gonality_lower": _frac(inv.gonality_lower),
-        "known_gonality": inv.known_gonality,
-        "gonality_source": inv.gonality_source,
-    }, 0
+    return curveinv.curve_invariants(args.N), 0
 
 
 def cmd_sporadic_check(args: argparse.Namespace) -> Result:
     N, d = args.level, args.degree
     cert = sporadic.lifting_certificate(N, d)
-    out = {"lifting": cert.to_dict()}
+    out = {"lifting": cert}
     issued = cert.issued
     gon = args.gonality if args.gonality is not None else curveinv.known_gonality(N)
     if gon is not None:
         frey = curveinv.frey_gonality_cert(N, d, gon)
-        out["frey"] = {
-            "N": N,
-            "degree": d,
-            "gonality": gon,
-            "issued": frey.issued,
-            "statement": frey.statement,
-        }
+        out["frey"] = {**_fields(frey), "statement": frey.statement}
         issued = issued or frey.issued
     out["certified_sporadic"] = issued
     return out, 1 if args.require and not issued else 0
@@ -181,14 +166,12 @@ def cmd_cm(args: argparse.Namespace) -> Result:
     ell = args.ell if args.ell is not None else smallest
     degree, cert = sporadic.cm_point_degree(order, ell)
     return {
-        "discriminant": order.discriminant,
-        "class_number": order.class_number,
-        "unit_count": order.unit_count,
-        "threshold": _frac(threshold),
+        **_fields(order),
+        "threshold": threshold,
         "smallest_admissible_prime": smallest,
         "ell": ell,
         "degree": degree,
-        "certificate": cert.to_dict(),
+        "certificate": cert,
     }, 1 if args.require and not cert.issued else 0
 
 
@@ -200,32 +183,18 @@ def cmd_classify(args: argparse.Namespace) -> Result:
         raise X1PointsError(f"profile file contract violated by {args.profile}: {exc}") from exc
     n = args.n
     verdict = _classify.classify_profile(profile, n)
-    out = {
-        "n": n,
-        "case": verdict.case,
-        "possible_cases": list(verdict.possible_cases),
-        "candidates": list(verdict.candidates),
-        "evidence": verdict.evidence,
-    }
+    out = {**_fields(verdict), "n": n}
     supp = [p for p, _ in factorize(n)]
     if profile.assume_sz and (not supp or min(supp) >= 17):
-        screen = _classify.sporadic_screen(profile, n)
-        out["screen"] = {
-            "no_sporadic": screen.no_sporadic,
-            "scope": screen.scope,
-            "reason": screen.reason,
-            "candidate_level": screen.candidate_level,
-            "candidate_j": screen.candidate_j,
-            "conditional_on": list(screen.conditional_on),
-        }
+        out["screen"] = _classify.sporadic_screen(profile, n)
     return out, 0
 
 
 def cmd_tables(args: argparse.Namespace) -> Result:
     which = args.which
     if which == "classification":
-        header = ["p", "a_p", "b_p", "p_power_cap"]
-        rows = [[r.p, r.a_p, r.b_p, r.p_power_cap] for r in levels.classification_table()]
+        header = [f.name for f in fields(levels.ClassificationRow)]
+        rows = [astuple(r) for r in levels.classification_table()]
     elif which == "gl2":
         header = ["ell", "gl2_order", "factorization"]
         rows = []
@@ -235,10 +204,10 @@ def cmd_tables(args: argparse.Namespace) -> Result:
             rows.append([ell, order, fact])
     elif which == "m1":
         header = ["ell", "m1_level"]
-        rows = [list(r) for r in sorted(levels.M1_LEVELS.items())]
+        rows = sorted(levels.M1_LEVELS.items())
     else:
         header = ["ell", "max_level"]
-        rows = [list(r) for r in sorted(_classify.SZ_MAX_LEVELS.items())]
+        rows = sorted(_classify.SZ_MAX_LEVELS.items())
     return {"table": which, "header": header, "rows": rows}, 0
 
 
@@ -248,9 +217,11 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _render(data: dict, fmt: str) -> str:
-    """`data` as JSON, or as unquoted CSV or Markdown rows: a `tables` result
-    gives its header and rows, a `curve` result one row per invariant."""
+def _render(result, fmt: str) -> str:
+    """The encoded `result` as JSON, or as unquoted CSV or Markdown rows: a
+    `tables` result gives its header and rows, a `curve` result one row per
+    invariant."""
+    data = _encode(result)
     if fmt == "json":
         return json.dumps(data, sort_keys=True, separators=(", ", ": "))
     if "header" in data:
@@ -353,14 +324,14 @@ def main(argv: list[str] | None = None) -> int:
             args.cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
         if args.cap < 1:
             raise ValueError(f"cap must be >= 1, got {args.cap}")
-        data, code = COMMANDS[args.subcommand](args)
+        result, code = COMMANDS[args.subcommand](args)
     except X1PointsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: input contract violated: {exc}", file=sys.stderr)
         return 2
-    print(_render(data, getattr(args, "output_format", "json")))
+    print(_render(result, getattr(args, "output_format", "json")))
     return code
 
 

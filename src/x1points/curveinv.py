@@ -8,7 +8,7 @@ source tags.  Everything is exact integer or Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .modarith import divisors, euler_phi, factorize
@@ -107,9 +107,13 @@ class CurveInvariants:
     N: int
     psl2_index: int
     genus: int
+    cusps: int = field(init=False)
     gonality_lower: Fraction
     known_gonality: int | None
     gonality_source: str | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "cusps", cusp_count(self.N))
 
 
 def curve_invariants(N: int) -> CurveInvariants:

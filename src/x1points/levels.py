@@ -13,7 +13,7 @@ l-adic statement unconditional once it holds at one admissible stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import HypothesisFailed, StageTooLow
 from .matgroup import MatGroup, is_full_preimage, project
@@ -131,21 +131,7 @@ class LevelCertificate:
         assert m == self.level
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "prime_powers": [list(pair) for pair in self.prime_powers],
-            "evidence": [
-                {
-                    "prime": ev.prime,
-                    "exponent": ev.exponent,
-                    "checked_modulus": ev.checked_modulus,
-                    "target_modulus": ev.target_modulus,
-                    "kernel_order": ev.kernel_order,
-                    "full_kernel": ev.full_kernel,
-                }
-                for ev in self.evidence
-            ],
-        }
+        return asdict(self)
 
 
 def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:

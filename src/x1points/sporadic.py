@@ -43,16 +43,6 @@ class SporadicCertificate:
     def issued(self) -> bool:
         return self.verdict == ISSUED
 
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "degree": self.degree,
-            "threshold": {"num": self.threshold.numerator, "den": self.threshold.denominator},
-            "margin": {"num": self.margin.numerator, "den": self.margin.denominator},
-            "verdict": self.verdict,
-            "chain": list(self.chain),
-        }
-
 
 def lifting_certificate(N: int, d: int) -> SporadicCertificate:
     if N < 1 or d < 1:
