@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .curveinv import MapDegree, known_gonality, map_degree
-from .errors import InconsistentProfile
+from .errors import InconsistentProfile, json_typed
 from .levels import M1_LEVELS, classification_table
 from .modarith import divisors, factorize, is_prime, valuation
 
@@ -103,24 +103,27 @@ def _check_keys(data, allowed: frozenset[str], where: str) -> None:
 
 
 def profile_from_dict(data: dict) -> GaloisProfile:
+    """Profile from its file form; integers and booleans must have those JSON types."""
     _check_keys(data, PROFILE_KEYS, "profile")
     raw_entries = data.get("nonsurjective", ())
     for e in raw_entries:
         _check_keys(e, ENTRY_KEYS, "nonsurjective entry")
     entries = tuple(
         NonsurjectivePrime(
-            prime=int(e["prime"]),
+            prime=json_typed(e["prime"], int, f"nonsurjective[{i}].prime"),
             image_type=str(e.get("type", "unknown")),
-            level=int(e["level"]) if "level" in e else None,
+            level=json_typed(e["level"], int, f"nonsurjective[{i}].level")
+            if "level" in e
+            else None,
         )
-        for e in raw_entries
+        for i, e in enumerate(raw_entries)
     )
     flags = data.get("flags", {})
     _check_keys(flags, FLAG_KEYS, "flags")
     return GaloisProfile(
-        field_degree=int(data.get("field_degree", 1)),
+        field_degree=json_typed(data.get("field_degree", 1), int, "field_degree"),
         nonsurjective=entries,
-        assume_sz=bool(flags.get("assume_sz", False)),
+        assume_sz=json_typed(flags.get("assume_sz", False), bool, "flags.assume_sz"),
     )
 
 

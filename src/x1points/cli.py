@@ -118,19 +118,30 @@ def cmd_level(args: argparse.Namespace) -> Result:
     return out, 0
 
 
-def _parse_overrides(pairs: list[str]) -> dict[int, int]:
-    out = {}
-    for pair in pairs:
-        key, _, value = pair.partition("=")
-        out[int(key)] = int(value)
-    return out
+def _override(text: str) -> tuple[int, int]:
+    """An `ell=value` override of --image-order or --tau (an argparse type)."""
+    ell, _, value = text.partition("=")
+    try:
+        return int(ell), int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected ell=value with integers, got {text!r}"
+        ) from None
+
+
+def _prime_list(text: str) -> list[int]:
+    """The comma-separated integers of --primes (an argparse type)."""
+    try:
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def cmd_level_bound(args: argparse.Namespace) -> Result:
     B = levels.BoundInput.build(
-        [int(p) for p in args.primes.split(",") if p],
-        image_orders=_parse_overrides(args.image_order),
-        tau=_parse_overrides(args.tau),
+        args.primes, image_orders=dict(args.image_order), tau=dict(args.tau)
     )
     bound = levels.level_bound(B, args.ell)
     return {
@@ -265,15 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("level-bound", parents=[common], help="valuation bound for a multi-prime level")
-    p.add_argument("--primes", required=True, help="comma-separated prime set")
+    p.add_argument(
+        "--primes", type=_prime_list, required=True, help="comma-separated prime set"
+    )
     p.add_argument("--ell", type=int, required=True)
     p.add_argument(
         "--image-order",
+        type=_override,
         action="append",
         default=[],
         help="override, formatted ell=order",
     )
-    p.add_argument("--tau", action="append", default=[], help="override, formatted ell=tau")
+    p.add_argument(
+        "--tau", type=_override, action="append", default=[], help="override, formatted ell=tau"
+    )
 
     p = sub.add_parser("curve", parents=[common], help="invariants of X_1(N)")
     p.add_argument("N", type=int)

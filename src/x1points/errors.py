@@ -1,7 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type check of values
+read from JSON input files.
 
 Every error names the contract it violates; the CLI maps them to exit code 2.
 """
+
+import json
+
+
+def json_typed(value, kind: type, where: str):
+    """`value` if its type is exactly `kind` (int or bool), else ValueError
+    naming `where`: a JSON 1.5 or true is no integer, "false" no boolean."""
+    if type(value) is not kind:
+        got = json.dumps(value, default=repr)
+        name = "boolean" if kind is bool else "integer"
+        raise ValueError(f"{where} must be a JSON {name}, got {got}")
+    return value
 
 
 class X1PointsError(Exception):

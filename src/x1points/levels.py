@@ -161,11 +161,13 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
     for ell, t in sorted(stages.items()):
         level *= ell**t
         mixed = check_mod // ell
-        if not is_full_preimage(G, mixed):
+        # full preimage iff the kernel down to `mixed` is the whole congruence
+        # kernel, of order ell^4 since ell still divides `mixed`
+        kernel = G.order // project(G, mixed).order
+        if kernel != ell**4:
             raise HypothesisFailed(
                 ell, f"G mod {check_mod} is not the full preimage of G mod {mixed}"
             )
-        kernel = G.order // project(G, mixed).order
         evidence.append(
             PrimeEvidence(
                 prime=ell,
@@ -177,7 +179,9 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
             )
         )
     # composite conclusion, verified directly rather than trusted
-    if not is_full_preimage(G, level):
+    kernel = G.order // project(G, level).order
+    full_kernel = gl2_order(check_mod) // gl2_order(level)
+    if kernel != full_kernel:
         raise HypothesisFailed(0, f"composite full-preimage check failed at M={level}")
     evidence.append(
         PrimeEvidence(
@@ -185,8 +189,8 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
             exponent=max(t for t in stages.values()),
             checked_modulus=check_mod,
             target_modulus=level,
-            kernel_order=G.order // project(G, level).order,
-            full_kernel=gl2_order(check_mod) // gl2_order(level),
+            kernel_order=kernel,
+            full_kernel=full_kernel,
         )
     )
     return LevelCertificate(

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, ModulusMismatch, NonCoprimeModuli
+from .errors import CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed
 from .modarith import (
     MatTuple,
     Mat2ModN,
@@ -146,7 +146,6 @@ class MatGroup:
         self._gens: tuple[MatTuple, ...] = tuple(dict.fromkeys(raw))
         self.cap = cap
         self._elements: frozenset[MatTuple] | None = None
-        self._order: int | None = None
         self._chain: Chain | None = None
 
     # -- construction ------------------------------------------------------
@@ -190,15 +189,12 @@ class MatGroup:
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            inverse, stab = self._get_chain()
-            self._order = len(inverse) * len(stab)
-        return self._order
+        inverse, stab = self._get_chain()
+        return len(inverse) * len(stab)
 
     def elements(self) -> frozenset[MatTuple]:
         if self._elements is None:
             self._elements = _bfs_closure(self.modulus.n, list(self._gens), self.cap)
-            self._order = len(self._elements)
         return self._elements
 
     def contains(self, A) -> bool:
@@ -214,7 +210,7 @@ class MatGroup:
         return ((ia * b + ib * d) % n, (ic * b + id_ * d) % n) in stab
 
     def __repr__(self):
-        order = self._order if self._order is not None else "?"
+        order = self.order if self._chain is not None else "?"
         return f"MatGroup(mod {self.modulus.n}, {len(self._gens)} gens, order {order})"
 
 
@@ -252,7 +248,6 @@ def project(G: MatGroup, m: int) -> MatGroup:
     out = MatGroup(modulus(m), reduced, G.cap)
     if G.is_materialized:
         out._elements = frozenset(tuple(e % m for e in x) for x in G.elements())
-        out._order = len(out._elements)
     return out
 
 
@@ -274,8 +269,6 @@ def sl2_generator_tuples(n: int) -> tuple[MatTuple, MatTuple]:
 
 def contains_sl2(G: MatGroup) -> bool:
     """True iff both standard SL2 generators lie in G."""
-    if G.modulus.n == 1:
-        return True
     s, t = sl2_generator_tuples(G.modulus.n)
     return G.contains(s) and G.contains(t)
 
@@ -334,30 +327,17 @@ def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatG
 
 def gl2_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
     """GL2(Z/nZ) from the standard SL2 pair plus diagonal unit generators."""
-    if n == 1:
-        return closure([identity(1)], cap=cap)
     s, t = sl2_generator_tuples(n)
     gens = [s, t] + [(u, 0, 0, 1) for u in unit_group_generators(n)]
-    grp = MatGroup(modulus(n), gens, cap)
-    grp._order = gl2_order(n)
-    return grp
+    return MatGroup(modulus(n), gens, cap)
 
 
 def sl2_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
-    from .modarith import sl2_order
-
-    if n == 1:
-        return closure([identity(1)], cap=cap)
-    s, t = sl2_generator_tuples(n)
-    grp = MatGroup(modulus(n), [s, t], cap)
-    grp._order = sl2_order(n)
-    return grp
+    return MatGroup(modulus(n), list(sl2_generator_tuples(n)), cap)
 
 
 def borel_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
     """Upper-triangular invertible matrices mod n."""
-    if n == 1:
-        return closure([identity(1)], cap=cap)
     gens = [(1, 1, 0, 1)]
     for u in unit_group_generators(n):
         gens.append((u, 0, 0, 1))
@@ -510,9 +490,13 @@ def group_to_dict(G: MatGroup) -> dict:
 
 
 def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> MatGroup:
+    """Group from its file form; the modulus and every entry must be integers."""
     try:
-        n = int(data["modulus"])
-        gens = [tuple(int(e) for e in g) for g in data["generators"]]
+        n = json_typed(data["modulus"], int, "modulus")
+        gens = [
+            tuple(json_typed(e, int, f"generators[{i}][{j}]") for j, e in enumerate(g))
+            for i, g in enumerate(data["generators"])
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed group file: {exc}") from exc
     if n < 1:

@@ -159,13 +159,22 @@ class CmOrder:
 
 
 def cm_order(discriminant: int, class_number: int | None = None) -> CmOrder:
-    """CmOrder with the class number from the shipped table when omitted."""
+    """CmOrder with the class number from the shipped table when omitted.
+
+    An explicit class number must agree with the table where it has an entry.
+    """
+    shipped = CM_CLASS_NUMBERS.get(discriminant)
     if class_number is None:
-        if discriminant not in CM_CLASS_NUMBERS:
+        if shipped is None:
             raise ValueError(
                 f"no shipped class number for discriminant {discriminant}; pass one explicitly"
             )
-        class_number = CM_CLASS_NUMBERS[discriminant]
+        class_number = shipped
+    elif shipped is not None and class_number != shipped:
+        raise ValueError(
+            f"class number {class_number} contradicts the shipped "
+            f"h({discriminant}) = {shipped}"
+        )
     w = 6 if discriminant == -3 else 4 if discriminant == -4 else 2
     return CmOrder(discriminant=discriminant, class_number=class_number, unit_count=w)
 

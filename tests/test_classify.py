@@ -216,6 +216,23 @@ def test_profile_unknown_keys_rejected():
             profile_from_dict(data)
 
 
+def test_profile_json_types():
+    entry = {"prime": 37, "type": "borel"}
+    bad = (
+        ({"flags": {"assume_sz": "false"}}, "flags.assume_sz must be a JSON boolean"),
+        ({"flags": {"assume_sz": 0}}, "flags.assume_sz must be a JSON boolean"),
+        ({"field_degree": 1.5}, "field_degree must be a JSON integer"),
+        ({"field_degree": True}, "field_degree must be a JSON integer"),
+        ({"nonsurjective": [{**entry, "prime": 37.0}]}, r"nonsurjective\[0\].prime"),
+        ({"nonsurjective": [entry, {"prime": 17, "level": 1.5}]}, r"nonsurjective\[1\].level"),
+        ({"nonsurjective": [{**entry, "level": None}]}, r"nonsurjective\[0\].level"),
+    )
+    for data, message in bad:
+        with pytest.raises(ValueError, match=message):
+            profile_from_dict(data)
+    assert not profile_from_dict({"flags": {"assume_sz": False}}).assume_sz
+
+
 def test_prime_level_screen_small_and_surjective():
     for ell in (2, 3, 5, 7, 11, 13):
         assert prime_level_screen(ell, "borel").no_sporadic

@@ -106,6 +106,33 @@ def test_level_bound_rejects_composite_prime(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--image-order", "17"),
+        ("--image-order", "x=1"),
+        ("--tau", "5="),
+        ("--primes", "2,3,x"),
+    ],
+)
+def test_level_bound_malformed_option_names_it(capsys, option, text):
+    argv = ["level-bound", "--primes", "2,3,17", "--ell", "2", option, text]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr()
+    assert info.value.code == 2 and out.out == ""
+    assert f"argument {option}: expected" in out.err and repr(text) in out.err
+    assert "invalid literal" not in out.err
+    if option != "--primes":
+        assert "ell=value" in out.err
+
+
+def test_cm_class_number_contradicting_table_exit_2(capsys):
+    code, out, err = run(capsys, ["cm", "--disc", "-4", "--h", "5"])
+    assert code == 2 and out == ""
+    assert "class number 5" in err and "h(-4) = 1" in err
+
+
 def test_curve_command(capsys):
     code, out, _ = run(capsys, ["curve", "37"])
     data = json.loads(out)
@@ -225,6 +252,40 @@ def test_malformed_group_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["group", "--in", str(bad)])
     assert code == 2
     assert "contract" in err
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"modulus": 5, "generators": [[1.7, 1, 0, 1]]}, "generators[0][0]"),
+        ({"modulus": 5, "generators": [[1, 1, 0, 1], [1, 0, True, 1]]}, "generators[1][2]"),
+        ({"modulus": 5.9, "generators": [[1, 1, 0, 1]]}, "modulus"),
+        ({"modulus": True, "generators": [[1, 1, 0, 1]]}, "modulus"),
+    ],
+)
+def test_group_file_non_integer_exit_2(capsys, tmp_path, data, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["group", "--in", str(bad)])
+    assert code == 2 and out == ""
+    assert f"{key} must be a JSON integer" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"flags": {"assume_sz": "false"}}, 'flags.assume_sz must be a JSON boolean, got "false"'),
+        ({"field_degree": 1.5}, "field_degree must be a JSON integer, got 1.5"),
+        ({"nonsurjective": [{"prime": 37.0, "type": "borel"}]}, "nonsurjective[0].prime"),
+        ({"nonsurjective": [{"prime": 37, "level": 1.5}]}, "nonsurjective[0].level"),
+    ],
+)
+def test_profile_json_types_exit_2(capsys, tmp_path, data, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["classify", "--profile", str(path), "--n", "37"])
+    assert code == 2 and out == ""
+    assert "profile file contract violated" in err and message in err
 
 
 def test_missing_generator_entries_exit_2(capsys, tmp_path):

@@ -143,6 +143,24 @@ def test_compose_level_evidence_trail():
             assert ev["kernel_order"] == ev["full_kernel"] == ev["prime"] ** 4
 
 
+def test_compose_level_projects_each_modulus_once(monkeypatch):
+    import x1points.levels
+    import x1points.matgroup
+
+    projected = []
+    real = x1points.matgroup.project
+
+    def counting(G, m):
+        projected.append(m)
+        return real(G, m)
+
+    monkeypatch.setattr(x1points.levels, "project", counting)
+    monkeypatch.setattr(x1points.matgroup, "project", counting)
+    cert = compose_level(gl2_group(36), {2: 1, 3: 1})
+    assert cert.level == 6
+    assert sorted(projected) == [6, 12, 18, 36]
+
+
 def test_compose_level_hypothesis_failed_names_prime():
     K9 = MatGroup(modulus(9), [(1, 3, 0, 1)])  # order 3, level 9
     G = crt_product(K9, gl2_group(4))  # mod 36

@@ -23,6 +23,7 @@ from x1points.matgroup import (
 )
 from x1points.modarith import (
     crt_join,
+    euler_phi,
     gl2_order,
     identity,
     mat2,
@@ -51,6 +52,17 @@ def test_standard_generator_orders_match_closure():
     for n in (2, 3, 4, 5, 8, 9, 12, 15):
         assert closure(gl2_group(n).generators).order == gl2_order(n) == gl2_group(n).order
         assert closure(sl2_group(n).generators).order == sl2_order(n) == sl2_group(n).order
+
+
+def test_standard_group_orders_from_the_chain():
+    # a fresh group on the same generators, so the order comes from the chain
+    for n in (1, 2, 3, 4, 5, 8, 9, 12, 15, 36):
+        for make, expected in ((gl2_group, gl2_order(n)), (sl2_group, sl2_order(n))):
+            G = make(n)
+            assert MatGroup(modulus(n), list(G.raw_generators)).order == expected
+            assert G.order == expected and not G.is_materialized
+        assert borel_group(n).order == euler_phi(n) ** 2 * n
+        assert contains_sl2(gl2_group(n)) and contains_sl2(sl2_group(n))
 
 
 def test_closure_rejects_singular_generator():
@@ -315,6 +327,21 @@ def test_group_file_round_trip(tmp_path):
     assert data["modulus"] == 8
     H = group_from_dict(json.loads(json.dumps(data)))
     assert closure(H.generators).order == gl2_order(8)
+
+
+def test_group_file_rejects_non_integers():
+    bad = (
+        ({"modulus": 5, "generators": [[1.7, 1, 0, 1]]}, r"generators\[0\]\[0\]"),
+        ({"modulus": 5, "generators": [[1, 1, 0, 5.0]]}, r"generators\[0\]\[3\]"),
+        ({"modulus": 5, "generators": [[1, True, 0, 1]]}, r"generators\[0\]\[1\]"),
+        ({"modulus": 5, "generators": ["1101"]}, r"generators\[0\]\[0\]"),
+        ({"modulus": 5.9, "generators": []}, "modulus"),
+        ({"modulus": True, "generators": []}, "modulus"),
+        ({"modulus": "5", "generators": []}, "modulus"),
+    )
+    for data, key in bad:
+        with pytest.raises(ValueError, match=key + " must be a JSON integer"):
+            group_from_dict(data)
 
 
 def test_group_file_rejects_malformed():

@@ -102,6 +102,13 @@ def test_cm_order_validation():
         cm_order(-104)
 
 
+def test_cm_order_rejects_class_number_contradicting_table():
+    assert cm_order(-7, 1) == cm_order(-7)
+    assert cm_order(-104, 6).class_number == 6  # outside the table: taken as given
+    with pytest.raises(ValueError, match=r"class number 5 contradicts the shipped h\(-4\) = 1"):
+        cm_order(-4, 5)
+
+
 def test_cm_threshold_disc_minus_4():
     threshold, ell = cm_threshold(cm_order(-4))
     assert threshold == Fraction(6400, 28) - 1 == Fraction(1593, 7)
