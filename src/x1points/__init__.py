@@ -97,6 +97,7 @@ from .orbits import (
 from .sporadic import (
     CmOrder,
     SporadicCertificate,
+    class_number,
     cm_order,
     cm_point_degree,
     cm_threshold,

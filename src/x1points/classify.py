@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .curveinv import MapDegree, known_gonality, map_degree
+from .curveinv import MapDegree, genus_x1, known_gonality, map_degree
 from .errors import InconsistentProfile, json_typed
 from .levels import M1_LEVELS, classification_table
 from .modarith import divisors, factorize, is_prime, valuation
@@ -377,15 +377,11 @@ def two_power_screen(s: int) -> ScreenVerdict:
         else ""
     )
     if reduced <= 3:
-        from .curveinv import genus_x1
-
         assert genus_x1(2**reduced) == 0
         return ScreenVerdict(
             True, f"X_1(2^{s})", prefix + f"X_1({2 ** reduced}) has genus 0"
         )
     if reduced == 4:
-        from .curveinv import genus_x1
-
         gon = known_gonality(16)
         assert genus_x1(16) == 2 and gon == 2
         assert X1_16_NONCUSPIDAL_RATIONAL_POINTS == 0

@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cm", parents=[common], help="CM sporadic-point pipeline")
     p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--h", type=int, default=None, help="class number override")
+    p.add_argument("--h", type=int, default=None, help="class number cross-check (h is counted)")
     p.add_argument("--ell", type=int, default=None, help="prime (default: smallest admissible)")
     p.add_argument("--require", action="store_true")
 

@@ -218,21 +218,32 @@ class BoundInput:
     def build(
         cls,
         primes,
-        m1: dict[int, int] | None = None,
         image_orders: dict[int, int] | None = None,
         tau: dict[int, int] | None = None,
     ) -> "BoundInput":
+        """Each override names a prime of the set; an image order is a positive
+        divisor of #GL2(Z/lZ) and a tau is non-negative."""
         ps = frozenset(int(p) for p in primes)
         composite = sorted(p for p in ps if not is_prime(p))
         if composite:
             raise ValueError(f"prime set must contain only primes, got {composite}")
-        m1_full = {p: M1_LEVELS[p] for p in ps if p in M1_LEVELS}
-        if m1:
-            m1_full.update(m1)
-        orders = {p: gl2_order(p) for p in ps}
-        if image_orders:
-            orders.update(image_orders)
-        return cls(primes=ps, m1=m1_full, image_orders=orders, tau=dict(tau or {}))
+        image_orders, tau = dict(image_orders or {}), dict(tau or {})
+        for name, overrides in (("image order", image_orders), ("tau", tau)):
+            for p, value in overrides.items():
+                if p not in ps:
+                    raise ValueError(f"{name} override {p}={value}: {p} is not in the prime set")
+        for p, order in image_orders.items():
+            if order < 1 or gl2_order(p) % order:
+                raise ValueError(
+                    f"image order override {p}={order} is not a positive divisor of "
+                    f"#GL2(Z/{p}Z) = {gl2_order(p)}"
+                )
+        for p, t in tau.items():
+            if t < 0:
+                raise ValueError(f"tau override {p}={t} is negative")
+        m1 = {p: M1_LEVELS[p] for p in ps if p in M1_LEVELS}
+        orders = {p: gl2_order(p) for p in ps} | image_orders
+        return cls(primes=ps, m1=m1, image_orders=orders, tau=tau)
 
 
 def level_bound(B: BoundInput, ell: int) -> int:

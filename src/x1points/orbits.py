@@ -14,26 +14,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 
+from .curveinv import map_degree
 from .errors import OrderMismatch
 from .matgroup import MatGroup, project
-from .modarith import VecTuple, Vec2ModN, apply_raw, modulus, vec2, vec_order
+from .modarith import VecTuple, Vec2ModN, apply_raw, factorize, modulus, vec2, vec_order
 
 
 def exact_order_vector_count(n: int, d: int) -> int:
     """Number of vectors of exact order d in (Z/nZ)^2: d^2 * prod(1 - 1/p^2)."""
-    if d == 1:
-        return 1
     out = d * d
-    p = 2
-    m = d
-    while p * p <= m:
-        if m % p == 0:
-            out = out // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p = 3 if p == 2 else p + 2
-    if m > 1:
-        out = out // (m * m) * (m * m - 1)
+    for p, _ in factorize(d):
+        out = out // (p * p) * (p * p - 1)
     return out
 
 
@@ -199,15 +190,13 @@ class GrowthReport:
 
 def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[GrowthReport, ...]:
     """Compare orbit-size growth along X_1(ab) -> X_1(a) with fiber counts."""
-    from .curveinv import map_degree as _map_degree
-
     n = G.modulus.n
     if n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
     a = n // b
     up = degree_spectrum(G, field_degree)
     down = degree_spectrum(project(G, a), field_degree)
-    deg_f = _map_degree(a, b).degree
+    deg_f = map_degree(a, b).degree
     reports = []
     for rec in up.records:
         rep = rec.representative

@@ -133,6 +133,52 @@ def test_cm_class_number_contradicting_table_exit_2(capsys):
     assert "class number 5" in err and "h(-4) = 1" in err
 
 
+@pytest.mark.parametrize(
+    "override, words",
+    [
+        (["--tau", "3=-5"], ["tau override 3=-5", "negative"]),
+        (["--image-order", "3=0"], ["image order override 3=0", "divisor"]),
+        (["--image-order", "3=7"], ["image order override 3=7", "#GL2(Z/3Z) = 48"]),
+        (["--image-order", "7=48"], ["image order override 7=48", "prime set"]),
+        (["--tau", "7=1"], ["tau override 7=1", "prime set"]),
+    ],
+)
+def test_level_bound_override_contract_exit_2(capsys, override, words):
+    code, out, err = run(capsys, ["level-bound", "--primes", "2,3,5", "--ell", "3", *override])
+    assert code == 2 and out == ""
+    for word in words:
+        assert word in err
+
+
+def test_cm_counts_class_number_outside_small_discriminants(capsys):
+    code, out, _ = run(capsys, ["cm", "--disc", "-104"])
+    data = json.loads(out)
+    assert code == 0
+    assert data["class_number"] == 6 and data["ell"] == 2749
+    assert data["certificate"]["verdict"] == "SporadicAllLiftsSporadic"
+
+
+def test_cm_class_number_contradicting_count_exit_2(capsys):
+    code, out, err = run(capsys, ["cm", "--disc", "-104", "--h", "7"])
+    assert code == 2 and out == ""
+    assert "class number 7 contradicts h(-104) = 6" in err
+
+
+@pytest.mark.parametrize(
+    "disc, words",
+    [
+        ("-5", "not a valid imaginary quadratic discriminant: -5"),
+        ("0", "not a valid imaginary quadratic discriminant: 0"),
+        ("-10000004", "beyond the limit |D| <= 10000000"),
+        ("-1000000000000", "beyond the limit |D| <= 10000000"),
+    ],
+)
+def test_cm_discriminant_contract_exit_2(capsys, disc, words):
+    code, out, err = run(capsys, ["cm", "--disc", disc])
+    assert code == 2 and out == ""
+    assert words in err
+
+
 def test_curve_command(capsys):
     code, out, _ = run(capsys, ["curve", "37"])
     data = json.loads(out)

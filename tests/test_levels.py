@@ -211,6 +211,24 @@ def test_level_bound_tau_override():
     assert level_bound(B, 2) == 5  # just max(v2(32), v2(4))
 
 
+def test_bound_input_override_contract():
+    # a bound is a non-negative integer: negative tau, a non-divisor image
+    # order or an override of a prime outside the set cannot give one
+    with pytest.raises(ValueError, match=r"tau override 3=-5 is negative"):
+        BoundInput.build({2, 3, 5}, tau={3: -5})
+    for order in (0, -48, 7, 96):
+        with pytest.raises(ValueError, match=rf"image order override 3={order} .*#GL2\(Z/3Z\) = 48"):
+            BoundInput.build({2, 3}, image_orders={3: order})
+    with pytest.raises(ValueError, match=r"image order override 5=7: 5 is not in the prime set"):
+        BoundInput.build({2, 3}, image_orders={5: 7})
+    with pytest.raises(ValueError, match=r"tau override 5=1: 5 is not in the prime set"):
+        BoundInput.build({2, 3}, tau={5: 1})
+    B = BoundInput.build({2, 3, 5}, image_orders={3: 1}, tau={5: 0})
+    # max(v2(32), v2(4)) + v2(1) + v2(#GL2(Z/5Z)) = 5 + 0 + 5
+    assert level_bound(B, 2) == 10
+    assert level_bound(B, 5) == 3  # max(v5(125), v5(10)), tau overridden to 0
+
+
 def test_tau_default_obeys_gl2_cap():
     # default tau never exceeds v_ell(#GL2(Z/m_{S-ell}Z)), with or without
     # the special image orders at 17 and 37

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import reduced_form_class_number, split_cartan_group
 from x1points.curveinv import psl2_index
@@ -8,8 +10,9 @@ from x1points.errors import PreconditionFailed
 from x1points.matgroup import gl2_group, project
 from x1points.orbits import degree_spectrum
 from x1points.sporadic import (
-    CM_CLASS_NUMBERS,
+    MAX_CM_DISCRIMINANT,
     CmOrder,
+    class_number,
     cm_order,
     cm_point_degree,
     cm_threshold,
@@ -18,6 +21,9 @@ from x1points.sporadic import (
     pushforward_degree_check,
     splits,
 )
+
+# every valid discriminant in [-100, -3]
+DISCRIMINANTS = [D for D in range(-100, -2) if D % 4 in (0, 1)]
 
 
 def test_lifting_certificate_229():
@@ -84,10 +90,8 @@ def test_pushforward_split_cartan_25():
 
 
 def test_cm_class_number_table_against_form_count():
-    for D, h in CM_CLASS_NUMBERS.items():
-        assert h == reduced_form_class_number(D), D
-    # exact domain: every valid discriminant in [-100, -3]
-    assert sorted(CM_CLASS_NUMBERS) == [D for D in range(-100, -2) if D % 4 in (0, 1)]
+    for D in DISCRIMINANTS:
+        assert class_number(D) == reduced_form_class_number(D), D
 
 
 def test_cm_order_validation():
@@ -98,14 +102,16 @@ def test_cm_order_validation():
         CmOrder(-4, 1, 2)
     with pytest.raises(ValueError):
         CmOrder(-5, 1, 2)  # -5 is not 0 or 1 mod 4
-    with pytest.raises(ValueError):
-        cm_order(-104)
+    assert cm_order(-104) == CmOrder(-104, 6, 2)
+    for D in (-5, 0, 5):
+        with pytest.raises(ValueError):
+            cm_order(D)
 
 
 def test_cm_order_rejects_class_number_contradicting_table():
     assert cm_order(-7, 1) == cm_order(-7)
-    assert cm_order(-104, 6).class_number == 6  # outside the table: taken as given
-    with pytest.raises(ValueError, match=r"class number 5 contradicts the shipped h\(-4\) = 1"):
+    assert cm_order(-104, 6).class_number == 6
+    with pytest.raises(ValueError, match=r"class number 5 contradicts h\(-4\) = 1"):
         cm_order(-4, 5)
 
 
@@ -156,8 +162,8 @@ def test_cm_point_degree_rejects_euler_pseudoprime():
 
 
 def test_cm_certificate_always_issued_for_small_ratio():
-    # every shipped order has h/w <= 10; a few synthetic ones stretch it
-    orders = [cm_order(D) for D in CM_CLASS_NUMBERS]
+    # every order with |D| <= 100 has h/w <= 10; a few synthetic ones stretch it
+    orders = [cm_order(D) for D in DISCRIMINANTS]
     orders += [CmOrder(-7, h, 2) for h in (3, 10, 20)]
     orders += [CmOrder(-4, 25, 4), CmOrder(-3, 41, 6)]
     for O in orders:
@@ -176,3 +182,27 @@ def test_splits_kronecker():
     O7 = cm_order(-7)
     assert splits(O7, 2)  # -7 = 1 mod 8
     assert not splits(cm_order(-8), 2)
+
+
+@given(st.integers(-20000, -3).filter(lambda D: D % 4 in (0, 1)))
+def test_class_number_matches_form_count_oracle(D):
+    assert class_number(D) == reduced_form_class_number(D)
+
+
+def test_cm_order_rejects_class_number_contradicting_count():
+    # -104 lies outside |D| <= 100; the count gives 6, not the 7 once taken on trust
+    with pytest.raises(ValueError, match=r"class number 7 contradicts h\(-104\) = 6"):
+        cm_order(-104, 7)
+    assert cm_threshold(cm_order(-104))[1] == 2749
+
+
+def test_class_number_discriminant_contract_and_limit():
+    for D in (-5, -2, 0, 1, 4):
+        with pytest.raises(ValueError, match="not a valid imaginary quadratic discriminant"):
+            class_number(D)
+    largest = -MAX_CM_DISCRIMINANT
+    assert largest % 4 == 0
+    with pytest.raises(ValueError, match="limit"):
+        class_number(largest - 4)
+    with pytest.raises(ValueError, match="limit"):
+        cm_order(largest - 4)
