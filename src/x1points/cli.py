@@ -77,13 +77,12 @@ def cmd_group(args: argparse.Namespace) -> Result:
 
 def cmd_orbits(args: argparse.Namespace) -> Result:
     G = _load_group(args.infile, args.cap)
-    vectors = orbits.exact_order_vectors(G.modulus.n)
-    parts = orbits.vector_orbits(G, vectors)
-    parts.sort(key=min)
+    n = G.modulus.n
+    spec = orbits.degree_spectrum(G)
     return {
-        "modulus": G.modulus.n,
-        "exact_order_vectors": len(vectors),
-        "orbits": [{"representative": min(o), "size": len(o)} for o in parts],
+        "modulus": n,
+        "exact_order_vectors": orbits.exact_order_vector_count(n, n),
+        "orbits": [{"representative": r.representative, "size": r.size} for r in spec.records],
     }, 0
 
 
@@ -254,7 +253,10 @@ FORMAT_OPTION = {"choices": ("json", "csv", "markdown"), "default": "json", "des
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--cap", type=int, default=None, help="bounds the elements a group computation stores"
+        "--cap",
+        type=int,
+        default=None,
+        help="bounds the elements a group computation stores and the vectors orbits enumerate",
     )
     parser = argparse.ArgumentParser(
         prog="x1points",

@@ -34,13 +34,15 @@ class NonCoprimeModuli(X1PointsError):
 
 
 class CapExceeded(X1PointsError):
-    """Group closure grew past the configured element cap.
+    """A computation grew past the configured cap: group closure past its
+    elements, or vector enumeration past its vectors.
 
-    `partial_count` records how many elements were found before aborting.
+    `partial_count` records how many were found before aborting (for
+    vectors, the true count, known before any is enumerated).
     """
 
-    def __init__(self, cap: int, partial_count: int):
-        super().__init__(f"closure exceeded cap of {cap} elements ({partial_count} found)")
+    def __init__(self, cap: int, partial_count: int, what: str = "closure", unit: str = "elements"):
+        super().__init__(f"{what} exceeded cap of {cap} {unit} ({partial_count} found)")
         self.cap = cap
         self.partial_count = partial_count
 

@@ -1,47 +1,63 @@
 """Orbits of a mod-n Galois image on torsion vectors and the point degrees
 they induce on X_1(n) above a fixed j-invariant.
 
-Orbits are computed by generator closure on vectors; the group itself is
-never materialized.  A record's degree is c * [k:Q] * orbit size, where the
-half factor applies exactly when some group element negates the vector and
-the vector does not have order <= 2; in that case the orbit size is even
+Orbits are computed by generator closure on raw (x, y) tuples, frontier by
+frontier; the group itself is never materialized, and no per-vector object
+or function call is made.  The exact-order vectors are enumerated in
+ascending order, so each orbit is found from its minimum and orbits come out
+ordered by it.  Their number is checked against the group's cap before they
+are enumerated.  A record's degree is c * [k:Q] * orbit size, where the half
+factor applies exactly when some group element negates the vector and the
+vector does not have order <= 2; in that case the orbit size is even
 (asserted), so degrees are always integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd
 
 from .curveinv import map_degree
-from .errors import OrderMismatch
-from .matgroup import MatGroup, project
-from .modarith import VecTuple, Vec2ModN, apply_raw, factorize, modulus, vec2, vec_order
+from .errors import CapExceeded, OrderMismatch
+from .matgroup import DEFAULT_CAP, MatGroup, project
+from .modarith import VecTuple, Vec2ModN, factorize, modulus, vec2, vec_order
 
 
 def exact_order_vector_count(n: int, d: int) -> int:
     """Number of vectors of exact order d in (Z/nZ)^2: d^2 * prod(1 - 1/p^2)."""
+    if n % d != 0:
+        raise OrderMismatch(f"{d} does not divide {n}")
     out = d * d
     for p, _ in factorize(d):
         out = out // (p * p) * (p * p - 1)
     return out
 
 
-def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
-    """All vectors in (Z/nZ)^2 of exact order d (default d = n), sorted."""
-    if d is None:
-        d = n
+def _exact_order_entries(n: int, d: int) -> list[VecTuple]:
+    """The vectors of exact order d in (Z/nZ)^2 as sorted (x, y) tuples.
+
+    (x, y) has order d iff gcd(n, x, y) = n/d, so the valid y depend on x
+    only through gcd(n, x): one column of y is built per distinct gcd.
+    """
     if n % d != 0:
         raise OrderMismatch(f"{d} does not divide {n}")
     step = n // d
-    mod = modulus(n)
-    out = []
+    columns: dict[int, list[int]] = {}
+    out: list[VecTuple] = []
     for x in range(0, n, step):
-        for y in range(0, n, step):
-            if n // gcd(n, gcd(x, y)) == d:
-                out.append(Vec2ModN(mod, x, y))
+        g = gcd(n, x)
+        ys = columns.get(g)
+        if ys is None:
+            ys = columns[g] = [y for y in range(0, n, step) if gcd(g, y) == step]
+        out.extend(zip(repeat(x), ys))
     return out
+
+
+def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
+    """All vectors in (Z/nZ)^2 of exact order d (default d = n), sorted."""
+    mod = modulus(n)
+    return [Vec2ModN(mod, x, y) for x, y in _exact_order_entries(n, n if d is None else d)]
 
 
 @dataclass(frozen=True)
@@ -65,25 +81,35 @@ class DegreeSpectrum:
         return self.records[self._index[raw]]
 
 
-def vector_orbits(G: MatGroup, vectors: list[Vec2ModN]) -> list[frozenset[VecTuple]]:
-    """Partition `vectors` into G-orbits by generator closure."""
+def vector_orbits(
+    G: MatGroup, vectors: list[Vec2ModN] | list[VecTuple]
+) -> list[frozenset[VecTuple]]:
+    """Partition `vectors` (Vec2ModN or reduced (x, y) tuples) into G-orbits
+    by generator closure.
+
+    The input is walked in ascending order, so when it is a union of orbits
+    each orbit is grown from its minimum and the orbits come out ordered by
+    their minimum.
+    """
     n = G.modulus.n
     gens = G.raw_generators
-    remaining = {v.entries for v in vectors}
+    if vectors and isinstance(vectors[0], Vec2ModN):
+        vectors = [v.entries for v in vectors]
+    seen: set[VecTuple] = set()
     orbits = []
-    for v in sorted(remaining):
-        if v not in remaining:
+    for v in sorted(vectors):
+        if v in seen:
             continue
         orbit = {v}
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for g in gens:
-                u = apply_raw(g, w, n)
-                if u not in orbit:
-                    orbit.add(u)
-                    queue.append(u)
-        remaining -= orbit
+        frontier = orbit
+        while frontier:
+            new: set[VecTuple] = set()
+            for a, b, c, d in gens:
+                new.update([((a * x + b * y) % n, (c * x + d * y) % n) for x, y in frontier])
+            new -= orbit
+            orbit |= new
+            frontier = new
+        seen |= orbit
         orbits.append(frozenset(orbit))
     return orbits
 
@@ -108,18 +134,24 @@ def _record_for_orbit(n: int, order: int, orbit: frozenset[VecTuple], field_degr
 
 
 def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
-    """G-orbits on exact-order-n vectors with their closed-point degrees."""
+    """G-orbits on exact-order-n vectors with their closed-point degrees.
+
+    Raises CapExceeded, with the true count, before enumerating when the
+    vectors outnumber G's cap.  That bound never falls below DEFAULT_CAP: a
+    smaller cap limits what the group engine stores, and orbits never store
+    the group.
+    """
     if field_degree < 1:
         raise ValueError(f"field degree must be >= 1, got {field_degree}")
     n = G.modulus.n
-    vectors = exact_order_vectors(n, n)
-    orbits = vector_orbits(G, vectors)
-    orbits.sort(key=min)
+    count, limit = exact_order_vector_count(n, n), max(G.cap, DEFAULT_CAP)
+    if count > limit:
+        raise CapExceeded(limit, count, "vector enumeration", "vectors")
+    orbits = vector_orbits(G, _exact_order_entries(n, n))
     records = tuple(_record_for_orbit(n, n, orbit, field_degree) for orbit in orbits)
     index: dict[VecTuple, int] = {}
     for i, orbit in enumerate(orbits):
-        for v in orbit:
-            index[v] = i
+        index.update(dict.fromkeys(orbit, i))
     return DegreeSpectrum(modulus=n, field_degree=field_degree, records=records, _index=index)
 
 
@@ -149,7 +181,10 @@ def closed_point_degrees(spectrum: DegreeSpectrum) -> list[int]:
 def fiber_count(P: Vec2ModN, b: int) -> int:
     """#{Q : bQ = bP, Q of exact order ab}, for P of exact order ab = modulus.
 
-    Enumerates Q = P + T over the b^2 vectors T killed by b.
+    Q = P + T over the b^2 vectors T killed by b, and Q has order ab iff it
+    is nonzero mod every prime p | ab.  Mod p | a, Q = P, which is nonzero;
+    mod p | b with p not dividing a, Q runs evenly over (Z/pZ)^2.  So the
+    count is b^2 * prod(1 - 1/p^2) over the primes p | b that do not divide a.
     """
     n = P.modulus.n
     if vec_order(P) != n:
@@ -157,14 +192,11 @@ def fiber_count(P: Vec2ModN, b: int) -> int:
     if n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
     a = n // b
-    count = 0
-    for i in range(b):
-        for j in range(b):
-            qx = (P.x + a * i) % n
-            qy = (P.y + a * j) % n
-            if n // gcd(n, gcd(qx, qy)) == n:
-                count += 1
-    return count
+    out = b * b
+    for p, _ in factorize(b):
+        if a % p:
+            out = out // (p * p) * (p * p - 1)
+    return out
 
 
 @dataclass(frozen=True)

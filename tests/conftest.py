@@ -137,6 +137,29 @@ def orbit_partition_oracle(G: MatGroup, vectors):
     return sorted(parts, key=min)
 
 
+def vectors_by_order_oracle(n: int) -> dict:
+    """Every vector of (Z/nZ)^2 in ascending order, bucketed by its order,
+    taken as the lcm of the additive orders of its coordinates."""
+    out = {}
+    for x in range(n):
+        for y in range(n):
+            ox, oy = n // gcd(n, x), n // gcd(n, y)
+            out.setdefault(ox * oy // gcd(ox, oy), []).append((x, y))
+    return out
+
+
+def fiber_count_oracle(P, b: int) -> int:
+    """#{Q : bQ = bP, Q of exact order n} for P mod n, by enumerating every Q."""
+    n = P.modulus.n
+    bP = ((b * P.x) % n, (b * P.y) % n)
+    return sum(
+        1
+        for x in range(n)
+        for y in range(n)
+        if ((b * x) % n, (b * y) % n) == bP and n // gcd(n, gcd(x, y)) == n
+    )
+
+
 def reduced_form_class_number(D: int) -> int:
     """Class number of the order of discriminant D by counting reduced
     primitive positive definite binary quadratic forms."""

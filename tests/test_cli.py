@@ -367,3 +367,15 @@ def test_cap_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("X1POINTS_CAP", "100000")
     code, _, _ = run(capsys, ["group", "--in", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["orbits", "degrees"])
+def test_cap_bounds_vectors_before_enumerating(capsys, tmp_path, command):
+    # 1,000,003^2 - 1 exact-order vectors: the count is checked first, so
+    # the run exits at once instead of enumerating them
+    path = tmp_path / "sl2_big.json"
+    path.write_text(json.dumps({"modulus": 1_000_003, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}))
+    code, out, err = run(capsys, [command, "--in", str(path), "--cap", "100000"])
+    assert code == 2
+    assert out == ""
+    assert "vectors (1000006000008 found)" in err

@@ -7,8 +7,9 @@ from conftest import (
     unipotent_group,
 )
 from x1points.curveinv import map_degree, psl2_index
-from x1points.errors import OrderMismatch
+from x1points.errors import CapExceeded, OrderMismatch
 from x1points.matgroup import (
+    DEFAULT_CAP,
     MatGroup,
     borel_group,
     closure,
@@ -220,3 +221,24 @@ def test_orbit_sizes_divide_group_order(large_image_samples):
         order = closure(G.generators).order
         for rec in degree_spectrum(G).records:
             assert order % rec.size == 0
+
+
+def test_exact_order_vector_count_rejects_order_not_dividing_modulus():
+    # (Z/4Z)^2 has no vector of order 3, though (Z/3Z)^2 has 8
+    with pytest.raises(OrderMismatch, match="3 does not divide 4"):
+        exact_order_vector_count(4, 3)
+    assert exact_order_vector_count(4, 2) == 3
+
+
+def test_degree_spectrum_cap_counts_vectors_before_enumerating():
+    G = sl2_group(1_000_003)
+    with pytest.raises(CapExceeded, match="vectors") as info:
+        degree_spectrum(G)
+    assert info.value.partial_count == 1_000_003**2 - 1
+    # 4099^2 - 1 vectors are just above the default cap; a smaller cap
+    # bounds the group engine only, so the vector limit stays the default
+    for cap in (DEFAULT_CAP, 10):
+        with pytest.raises(CapExceeded) as info:
+            degree_spectrum(MatGroup(modulus(4099), [(1, 1, 0, 1)], cap))
+        assert info.value.cap == DEFAULT_CAP
+        assert info.value.partial_count == 4099**2 - 1

@@ -1,12 +1,15 @@
 """Cross-module consistency over random subgroups: a seeded sweep, and
-hypothesis properties of the stabilizer chain against breadth-first closure."""
+hypothesis properties of the stabilizer chain against breadth-first closure
+and of the orbit kernel against the brute-force oracles."""
 
 import random
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+
+from conftest import fiber_count_oracle, orbit_partition_oracle, vectors_by_order_oracle
 
 from x1points.levels import minimize_level
 from x1points.matgroup import (
@@ -20,8 +23,15 @@ from x1points.matgroup import (
     kernel_of_projection,
     project,
 )
-from x1points.modarith import divisors, gl2_order, modulus
-from x1points.orbits import degree_spectrum, exact_order_vector_count
+from x1points.modarith import divisors, gl2_order, modulus, vec2
+from x1points.orbits import (
+    _exact_order_entries,
+    degree_spectrum,
+    exact_order_vector_count,
+    exact_order_vectors,
+    fiber_count,
+    vector_orbits,
+)
 from x1points.sporadic import pushforward_degree_check
 
 
@@ -168,3 +178,68 @@ def test_from_elements_keeps_greedy_generators(case):
     if len(els) > 2:  # |G| - 1 elements never form a subgroup then
         with pytest.raises(ValueError):
             MatGroup.from_elements(n, els - {max(els - {(1 % n, 0, 0, 1 % n)})})
+
+
+# -- orbit kernel against the brute-force oracles -------------------------------
+
+# above this order a group is too costly for the element-by-element oracle
+ORACLE_ORDER_LIMIT = 20_000
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(subgroup_gens(st.integers(1, 60)), st.data())
+@example((60, [(1, 1, 0, 1)]), None)
+@example((49, [(1, 0, 0, 3), (1, 7, 0, 1)]), None)
+def test_vector_orbits_match_oracle_on_shuffled_input(case, data):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    assume(G.order <= ORACLE_ORDER_LIMIT)
+    d = data.draw(st.sampled_from(divisors(n))) if data else n
+    vectors = exact_order_vectors(n, d)
+    expected = orbit_partition_oracle(G, vectors)
+    if data:
+        data.draw(st.randoms(use_true_random=False)).shuffle(vectors)
+    else:
+        vectors.reverse()
+    assert vector_orbits(G, vectors) == expected
+    assert vector_orbits(G, [v.entries for v in vectors]) == expected
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(st.integers(1, 100)), st.randoms(use_true_random=False))
+def test_vector_orbits_ordered_by_minimum(case, rng):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    vectors = [v for part in vectors_by_order_oracle(n).values() for v in part]
+    rng.shuffle(vectors)
+    parts = vector_orbits(G, vectors)
+    mins = [min(o) for o in parts]
+    assert mins == sorted(mins) and len(set(mins)) == len(mins)
+    assert sum(len(o) for o in parts) == n * n
+    reps = [r.representative.entries for r in degree_spectrum(G).records]
+    assert reps == sorted(reps)
+
+
+def test_exact_order_entries_match_brute_force():
+    for n in range(1, 101):
+        by_order = vectors_by_order_oracle(n)
+        assert set(by_order) <= set(divisors(n))
+        for d in divisors(n):
+            got = _exact_order_entries(n, d)
+            assert got == by_order.get(d, [])
+            assert len(got) == exact_order_vector_count(n, d)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 60), st.data())
+@example(35, None)
+def test_fiber_count_matches_enumeration(n, data):
+    b = data.draw(st.sampled_from(divisors(n))) if data else 7
+    entries = _exact_order_entries(n, n)
+    for x, y in entries[:: max(1, len(entries) // 4)]:
+        P = vec2(n, x, y)
+        assert fiber_count(P, b) == fiber_count_oracle(P, b)
