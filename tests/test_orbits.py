@@ -242,3 +242,25 @@ def test_degree_spectrum_cap_counts_vectors_before_enumerating():
             degree_spectrum(MatGroup(modulus(4099), [(1, 1, 0, 1)], cap))
         assert info.value.cap == DEFAULT_CAP
         assert info.value.partial_count == 4099**2 - 1
+
+
+def test_degree_spectrum_full_preimage_borel_5_at_625():
+    # closed form: the order-625 vectors over the Borel line mod 5 and the
+    # rest, each one orbit of the kernel-full group, each closed under -1
+    spec = degree_spectrum(full_preimage(borel_group(5), 625))
+    assert [(r.representative.entries, r.size) for r in spec.records] == [
+        ((0, 1), 312500),
+        ((1, 0), 62500),
+    ]
+    assert all(r.minus_closed and r.degree == r.size // 2 for r in spec.records)
+
+
+def test_record_of_rejects_vector_not_of_exact_order():
+    spec = degree_spectrum(gl2_group(5))
+    for v in [(0, 0), (5, 10), vec2(5, 0, 0)]:
+        with pytest.raises(OrderMismatch, match=r"vector \(0,0\) does not have exact order 5"):
+            spec.record_of(v)
+    spec = degree_spectrum(borel_group(10))
+    with pytest.raises(OrderMismatch, match=r"vector \(2,4\) does not have exact order 10"):
+        spec.record_of((2, 4))
+    assert spec.record_of((12, -1)) is spec.record_of((2, 9))

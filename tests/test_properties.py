@@ -9,7 +9,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_count_oracle, orbit_partition_oracle, vectors_by_order_oracle
+from conftest import (
+    fiber_count_oracle,
+    matmul_oracle,
+    orbit_partition_oracle,
+    sl2_gens,
+    unipotent_group,
+    vectors_by_order_oracle,
+)
 
 from x1points.levels import minimize_level
 from x1points.matgroup import (
@@ -23,7 +30,7 @@ from x1points.matgroup import (
     kernel_of_projection,
     project,
 )
-from x1points.modarith import divisors, gl2_order, modulus, vec2
+from x1points.modarith import divisors, gl2_order, modulus, sl2_order, vec2
 from x1points.orbits import (
     _exact_order_entries,
     degree_spectrum,
@@ -109,9 +116,19 @@ BFS_CHECK_LIMIT = 100_000
 
 
 def invertible(n):
-    return st.tuples(*[st.integers(0, n - 1)] * 4).filter(
-        lambda g: gcd((g[0] * g[3] - g[1] * g[2]) % n, n) == 1
-    )
+    """Invertible matrices mod n, built rather than filtered by determinant:
+    diag(u, 1) E12(r) E21(s) E12(t) E21(w) reaches all of GL2(Z/nZ), since
+    over each local factor four alternating elementary matrices reach all of
+    SL2, and a draw never fails however many primes divide n."""
+    units = [u for u in range(n) if gcd(u, n) == 1]
+
+    def build(u, r, s, t, w):
+        g = (u, 0, 0, 1)
+        for e in ((1, r, 0, 1), (1, 0, s, 1), (1, t, 0, 1), (1, 0, w, 1)):
+            g = matmul_oracle(g, e, n)
+        return g
+
+    return st.builds(build, st.sampled_from(units), *[st.integers(0, n - 1)] * 4)
 
 
 @st.composite
@@ -222,6 +239,57 @@ def test_vector_orbits_ordered_by_minimum(case, rng):
     assert sum(len(o) for o in parts) == n * n
     reps = [r.representative.entries for r in degree_spectrum(G).records]
     assert reps == sorted(reps)
+
+
+# moduli at which SL2 is small enough for the element-by-element oracle
+SL2_ORACLE_MODULI = [n for n in range(1, 61) if sl2_order(n) <= ORACLE_ORDER_LIMIT]
+
+
+@st.composite
+def spectrum_cases(draw):
+    """A random subgroup, or one whose only scalars are +-1: SL2, or the
+    unipotent group, whose multiplier groups are all trivial."""
+    kind = draw(st.sampled_from(["random", "sl2", "unipotent"]))
+    if kind == "random":
+        return draw(subgroup_gens(st.integers(1, 60)))
+    if kind == "sl2":
+        n = draw(st.sampled_from(SL2_ORACLE_MODULI))
+        return n, sl2_gens(n)
+    n = draw(st.integers(1, 60))
+    return n, list(unipotent_group(n).raw_generators)
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(spectrum_cases(), st.integers(1, 3))
+@example((1, []), 2)
+@example((2, []), 1)
+@example((2, [(0, 1, 1, 1), (0, 1, 1, 0)]), 1)
+@example((60, [(1, 1, 0, 1), (7, 0, 0, 1)]), 1)
+@example((36, [(1, 0, 0, 5), (1, 6, 0, 1)]), 3)
+def test_degree_spectrum_matches_oracle(case, field_degree):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    assume(G.order <= ORACLE_ORDER_LIMIT)
+    parts = orbit_partition_oracle(G, exact_order_vectors(n))
+    expected = []
+    for part in parts:
+        rep = min(part)
+        minus = ((-rep[0]) % n, (-rep[1]) % n) in part
+        half = minus and n > 2
+        degree = (len(part) // 2 if half else len(part)) * field_degree
+        expected.append((rep, len(part), n, minus, degree))
+    spec = degree_spectrum(G, field_degree)
+    got = [
+        (r.representative.entries, r.size, r.point_order, r.minus_closed, r.degree)
+        for r in spec.records
+    ]
+    assert got == expected
+    for part, rec in zip(parts, spec.records):
+        assert all(spec.record_of(v) is rec for v in part)
 
 
 def test_exact_order_entries_match_brute_force():
