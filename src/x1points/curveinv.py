@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .modarith import divisors, euler_phi, factorize
+from .modarith import divisors, euler_phi, exact_order_vector_count
 
 GONALITY_BOUND_FACTOR = Fraction(7, 800)
 
@@ -28,21 +28,12 @@ KNOWN_GONALITY: dict[int, tuple[int, str]] = {
 
 
 def psl2_index(N: int) -> int:
-    """[PSL2(Z) : image of Gamma_1(N)]; 1, 3 for N = 1, 2, else N^2/2 * prod(1-1/p^2)."""
+    """[PSL2(Z) : image of Gamma_1(N)]: the J_2(N) vectors of exact order N,
+    paired up by -1 once N > 2."""
     if N < 1:
         raise ValueError(f"level must be positive, got {N}")
-    if N == 1:
-        return 1
-    if N == 2:
-        return 3
-    num = N * N
-    den = 1
-    for p, _ in factorize(N):
-        num *= p * p - 1
-        den *= p * p
-    index, rem = divmod(num, 2 * den)
-    assert rem == 0
-    return index
+    count = exact_order_vector_count(N, N)
+    return count // 2 if N > 2 else count
 
 
 @dataclass(frozen=True)
@@ -56,19 +47,12 @@ class MapDegree:
 
 
 def map_degree(a: int, b: int) -> MapDegree:
-    """Degree c_f * b^2 * prod_{p | b, p !| a}(1 - 1/p^2), c_f = 1/2 iff a <= 2 < ab."""
+    """Degree c_f * b^2 * prod_{p | b, p !| a}(1 - 1/p^2), c_f = 1/2 iff a <= 2 < ab:
+    mu(ab) / mu(a) along the tower X_1(ab) -> X_1(a) -> X(1)."""
     if a < 1 or b < 1:
         raise ValueError("levels must be positive")
     c_f = Fraction(1, 2) if (a <= 2 and a * b > 2) else Fraction(1)
-    num = b * b
-    den = 1
-    for p, _ in factorize(b):
-        if a % p != 0:
-            num *= p * p - 1
-            den *= p * p
-    deg = Fraction(num, den) * c_f
-    assert deg.denominator == 1
-    return MapDegree(a=a, b=b, c_f=c_f, degree=int(deg))
+    return MapDegree(a=a, b=b, c_f=c_f, degree=psl2_index(a * b) // psl2_index(a))
 
 
 def cusp_count(N: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .errors import HypothesisFailed, StageTooLow
-from .matgroup import MatGroup, is_full_preimage, project
+from .matgroup import MatGroup, is_full_preimage, kernel_order, project
 from .modarith import divisors, gl2_order, is_prime, valuation
 
 # Smallest single-prime levels M_1({l}) of l-adic images of non-CM elliptic
@@ -79,17 +79,14 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
         raise StageTooLow(f"stage {s} below minimum {s0} for prime {ell}")
     if s + 1 > e:
         raise ValueError(f"stage {s} needs the group mod {ell}^{s + 1}, have {ell}^{e}")
-    big = project(G, ell ** (s + 1))
-    small = project(G, ell**s)
-    kernel_order, rem = divmod(big.order, small.order)
-    assert rem == 0
+    kernel = kernel_order(project(G, ell ** (s + 1)), ell**s)
     full = ell**4
     return LadicDetection(
         prime=ell,
         stage=s,
-        kernel_order=kernel_order,
+        kernel_order=kernel,
         full_kernel=full,
-        certified=kernel_order == full,
+        certified=kernel == full,
     )
 
 
@@ -163,7 +160,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
         mixed = check_mod // ell
         # full preimage iff the kernel down to `mixed` is the whole congruence
         # kernel, of order ell^4 since ell still divides `mixed`
-        kernel = G.order // project(G, mixed).order
+        kernel = kernel_order(G, mixed)
         if kernel != ell**4:
             raise HypothesisFailed(
                 ell, f"G mod {check_mod} is not the full preimage of G mod {mixed}"
@@ -179,7 +176,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
             )
         )
     # composite conclusion, verified directly rather than trusted
-    kernel = G.order // project(G, level).order
+    kernel = kernel_order(G, level)
     full_kernel = gl2_order(check_mod) // gl2_order(level)
     if kernel != full_kernel:
         raise HypothesisFailed(0, f"composite full-preimage check failed at M={level}")

@@ -240,7 +240,7 @@ def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGrou
 def project(G: MatGroup, m: int) -> MatGroup:
     """Image of G under reduction mod m (m | n)."""
     n = G.modulus.n
-    if n % m != 0:
+    if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
@@ -251,15 +251,21 @@ def project(G: MatGroup, m: int) -> MatGroup:
     return out
 
 
-def kernel_of_projection(G: MatGroup, m: int, cap: int | None = None) -> MatGroup:
+def kernel_of_projection(G: MatGroup, m: int) -> MatGroup:
     """Subgroup {g in G : g = I mod m}, materialized."""
     n = G.modulus.n
-    if n % m != 0:
+    if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
-    cap = cap if cap is not None else G.cap
     ident_m = (1 % m, 0, 0, 1 % m)
     kernel = frozenset(x for x in G.elements() if tuple(e % m for e in x) == ident_m)
-    return MatGroup.from_elements(n, kernel, cap)
+    return MatGroup.from_elements(n, kernel, G.cap)
+
+
+def kernel_order(G: MatGroup, m: int) -> int:
+    """|ker(G -> G mod m)| = |G| / |G mod m| (m | n), from the chains alone."""
+    order, rem = divmod(G.order, project(G, m).order)
+    assert rem == 0
+    return order
 
 
 def sl2_generator_tuples(n: int) -> tuple[MatTuple, MatTuple]:
@@ -274,15 +280,9 @@ def contains_sl2(G: MatGroup) -> bool:
 
 
 def is_full_preimage(G: MatGroup, m: int) -> bool:
-    """True iff G mod n is the full preimage of its own reduction mod m.
-
-    Checked by order bookkeeping: |G| = |G mod m| * #ker(GL2(n) -> GL2(m)).
-    """
-    n = G.modulus.n
-    if n % m != 0:
-        raise ModulusMismatch(f"{m} does not divide {n}")
-    full_kernel = gl2_order(n) // gl2_order(m)
-    return G.order == project(G, m).order * full_kernel
+    """True iff G mod n is the full preimage of its own reduction mod m:
+    its kernel down to m is all of ker(GL2(n) -> GL2(m))."""
+    return kernel_order(G, m) == gl2_order(G.modulus.n) // gl2_order(m)
 
 
 # -- structured constructions ------------------------------------------------
@@ -429,25 +429,20 @@ def _goursat_from_pairs(
     )
 
 
-def goursat(H: MatGroup, a: int, b: int | None = None, cap: int | None = None) -> GoursatData:
+def goursat(H: MatGroup, a: int, b: int) -> GoursatData:
     """Goursat data of H <= GL2(Z/abZ) split along coprime a, b (ab = n)."""
     n = H.modulus.n
-    if b is None:
-        if n % a != 0:
-            raise NonCoprimeModuli(f"{a} does not divide {n}")
-        b = n // a
     if a * b != n:
         raise NonCoprimeModuli(f"{a}*{b} != {n}")
     if gcd(a, b) != 1:
         raise NonCoprimeModuli(f"{a} and {b} are not coprime")
-    cap = cap if cap is not None else H.cap
     pair_elements = frozenset(
         (tuple(e % a for e in x), tuple(e % b for e in x)) for x in H.elements()
     )
     gen_pairs = [
         (tuple(e % a for e in g), tuple(e % b for e in g)) for g in H.raw_generators
     ]
-    return _goursat_from_pairs(a, b, pair_elements, gen_pairs, cap)
+    return _goursat_from_pairs(a, b, pair_elements, gen_pairs, H.cap)
 
 
 def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:

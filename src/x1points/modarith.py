@@ -1,6 +1,11 @@
 """Exact arithmetic in Z/nZ: 2x2 matrices, column vectors, CRT, GL2/SL2 orders,
 and exact factorization and primality for moduli up to 2^63 - 1.
 
+The one product over primes of the form d^2 prod(1 - 1/p^2) lives here:
+`exact_order_vector_count`, the Jordan totient J_2(d) of the vectors of exact
+order d.  #GL2, the PSL2 index of X_1(N), covering degrees and fiber counts
+are all products or quotients of it.
+
 All values are immutable and reduced to the canonical range [0, n) on
 construction, so equality and hashing are bit-exact.
 """
@@ -12,7 +17,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
 
-from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible
+from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch
 
 MAX_MODULUS = 2**63 - 1
 
@@ -218,7 +223,7 @@ def mat_inv(A: Mat2ModN) -> Mat2ModN:
 
 
 def reduce_mat(A: Mat2ModN, m: int) -> Mat2ModN:
-    if A.modulus.n % m != 0:
+    if m < 1 or A.modulus.n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {A.modulus.n}")
     return mat2(m, A.a, A.b, A.c, A.d)
 
@@ -328,13 +333,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def exact_order_vector_count(n: int, d: int) -> int:
+    """Number of vectors of exact order d in (Z/nZ)^2: J_2(d) = d^2 * prod(1 - 1/p^2)."""
+    if d < 1 or n % d != 0:
+        raise OrderMismatch(f"{d} does not divide {n}")
+    out = d * d
+    for p, _ in factorize(d):
+        out = out // (p * p) * (p * p - 1)
+    return out
+
+
 @lru_cache(maxsize=None)
 def gl2_order(n: int) -> int:
-    """#GL2(Z/nZ), multiplicative over prime powers."""
-    out = 1
-    for p, e in factorize(n):
-        out *= p ** (4 * (e - 1)) * (p * p - 1) * (p * p - p)
-    return out
+    """#GL2(Z/nZ): J_2(n) first columns of order n, each completed by the
+    n * phi(n) second columns that make the determinant a unit."""
+    return exact_order_vector_count(n, n) * n * euler_phi(n)
 
 
 @lru_cache(maxsize=None)

@@ -31,19 +31,18 @@ from itertools import repeat
 from math import gcd
 
 from .curveinv import map_degree
-from .errors import CapExceeded, OrderMismatch
+from .errors import CapExceeded, ModulusMismatch, OrderMismatch
 from .matgroup import DEFAULT_CAP, MatGroup, project
-from .modarith import MatTuple, VecTuple, Vec2ModN, factorize, inv_raw, modulus, vec2, vec_order
-
-
-def exact_order_vector_count(n: int, d: int) -> int:
-    """Number of vectors of exact order d in (Z/nZ)^2: d^2 * prod(1 - 1/p^2)."""
-    if n % d != 0:
-        raise OrderMismatch(f"{d} does not divide {n}")
-    out = d * d
-    for p, _ in factorize(d):
-        out = out // (p * p) * (p * p - 1)
-    return out
+from .modarith import (
+    MatTuple,
+    VecTuple,
+    Vec2ModN,
+    exact_order_vector_count,
+    inv_raw,
+    modulus,
+    vec2,
+    vec_order,
+)
 
 
 def _ascending_exact_order(n: int, d: int) -> Iterator[VecTuple]:
@@ -64,7 +63,7 @@ def _ascending_exact_order(n: int, d: int) -> Iterator[VecTuple]:
 
 def _exact_order_entries(n: int, d: int) -> list[VecTuple]:
     """The vectors of exact order d in (Z/nZ)^2 as sorted (x, y) tuples."""
-    if n % d != 0:
+    if d < 1 or n % d != 0:
         raise OrderMismatch(f"{d} does not divide {n}")
     return list(_ascending_exact_order(n, d))
 
@@ -236,10 +235,14 @@ class DegreeSpectrum:
     _lines: _Lines = field(repr=False, compare=False)
 
     def record_of(self, v: Vec2ModN | VecTuple) -> OrbitRecord:
-        """The record of the orbit of v; OrderMismatch unless v has exact
-        order n."""
+        """The record of the orbit of v, a Vec2ModN mod n or a tuple reduced
+        mod n; OrderMismatch unless v has exact order n."""
         n = self.modulus
-        x, y = v.entries if isinstance(v, Vec2ModN) else (v[0] % n, v[1] % n)
+        if isinstance(v, Vec2ModN):
+            if v.modulus.n != n:
+                raise ModulusMismatch(f"vector modulus {v.modulus.n} != spectrum modulus {n}")
+            v = v.entries
+        x, y = v[0] % n, v[1] % n
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
         return self.records[self._lines.claim_of(x, y)]
@@ -340,22 +343,16 @@ def closed_point_degrees(spectrum: DegreeSpectrum) -> list[int]:
 def fiber_count(P: Vec2ModN, b: int) -> int:
     """#{Q : bQ = bP, Q of exact order ab}, for P of exact order ab = modulus.
 
-    Q = P + T over the b^2 vectors T killed by b, and Q has order ab iff it
-    is nonzero mod every prime p | ab.  Mod p | a, Q = P, which is nonzero;
-    mod p | b with p not dividing a, Q runs evenly over (Z/pZ)^2.  So the
-    count is b^2 * prod(1 - 1/p^2) over the primes p | b that do not divide a.
+    Multiplication by b maps the J_2(ab) vectors of order ab onto the J_2(a)
+    of order a, evenly since GL2 acts transitively on both and commutes
+    with it, so the count is J_2(ab) / J_2(a).
     """
     n = P.modulus.n
     if vec_order(P) != n:
         raise OrderMismatch(f"vector {P} does not have exact order {n}")
-    if n % b != 0:
+    if b < 1 or n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
-    a = n // b
-    out = b * b
-    for p, _ in factorize(b):
-        if a % p:
-            out = out // (p * p) * (p * p - 1)
-    return out
+    return exact_order_vector_count(n, n) // exact_order_vector_count(n, n // b)
 
 
 @dataclass(frozen=True)
@@ -382,7 +379,7 @@ class GrowthReport:
 def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[GrowthReport, ...]:
     """Compare orbit-size growth along X_1(ab) -> X_1(a) with fiber counts."""
     n = G.modulus.n
-    if n % b != 0:
+    if b < 1 or n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
     a = n // b
     up = degree_spectrum(G, field_degree)
@@ -393,10 +390,9 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     reports = []
     for rec in up.records:
         rep = rec.representative
-        # bP in E[a] =~ (Z/aZ)^2 has coordinates (x, y) mod a: the basis of
-        # E[a] inside E[ab] is b times the basis of E[ab]
-        image = (rep.x % a, rep.y % a)
-        drec = down.record_of(image)
+        # bP in E[a] =~ (Z/aZ)^2 has coordinates (x, y) mod a, which record_of
+        # reduces to: the basis of E[a] inside E[ab] is b times that of E[ab]
+        drec = down.record_of(rep.entries)
         ratio, rem = divmod(rec.size, drec.size)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         reports.append(

@@ -108,9 +108,8 @@ def pushforward_degree_check(
     out = []
     for rec in spectrum_n.records:
         rep = rec.representative
-        # coordinates of bP in E[a]: reduce P mod a (see max_growth_check)
-        image = (rep.x % a, rep.y % a)
-        drec = spectrum_a.record_of(image)
+        # coordinates of bP in E[a]: P mod a, reduced by record_of (see max_growth_check)
+        drec = spectrum_a.record_of(rep.entries)
         out.append(
             PushforwardReport(
                 upstairs_rep=rep.entries,

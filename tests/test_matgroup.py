@@ -18,6 +18,7 @@ from x1points.matgroup import (
     group_to_dict,
     is_full_preimage,
     kernel_of_projection,
+    kernel_order,
     project,
     sl2_group,
 )
@@ -351,3 +352,15 @@ def test_group_file_rejects_malformed():
         group_from_dict({"modulus": 5, "generators": [[1, 0, 0]]})
     with pytest.raises(ValueError):
         group_from_dict({"modulus": 0, "generators": []})
+
+
+def test_kernel_order_borel_9():
+    # upper-triangular mod 9: 6 * 9 * 6 elements over 2 * 3 * 2 mod 3
+    assert kernel_order(borel_group(9), 3) == 27
+    assert kernel_order(gl2_group(36), 6) == gl2_order(36) // gl2_order(6) == 6**4
+
+
+@pytest.mark.parametrize("call", [project, is_full_preimage, kernel_of_projection, kernel_order])
+def test_zero_divisor_rejected_as_modulus_mismatch(call):
+    with pytest.raises(ModulusMismatch, match="0 does not divide 6"):
+        call(gl2_group(6), 0)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from conftest import gl2_count_oracle, matmul_oracle
+from x1points import orbits
 from x1points.errors import ModulusMismatch, NonCoprimeModuli, NotInvertible
 from x1points.modarith import (
     Modulus,
@@ -11,6 +12,7 @@ from x1points.modarith import (
     crt_split,
     divisors,
     euler_phi,
+    exact_order_vector_count,
     factorize,
     gl2_order,
     identity,
@@ -278,3 +280,13 @@ def test_pseudoprimes_rejected():
     assert factorize(318665857834031151167461) == ((399165290221, 1), (798330580441, 1))
     # past the deterministic Miller-Rabin range the answer comes from trial division
     assert not is_prime(43**16)
+
+
+def test_reduce_mat_rejects_zero_modulus():
+    with pytest.raises(ModulusMismatch, match="0 does not divide 6"):
+        reduce_mat(mat2(6, 1, 2, 3, 5), 0)
+
+
+def test_exact_order_vector_count_is_one_function():
+    # orbits re-exports the modarith count under its old name
+    assert orbits.exact_order_vector_count is exact_order_vector_count

@@ -7,7 +7,7 @@ from conftest import (
     unipotent_group,
 )
 from x1points.curveinv import map_degree, psl2_index
-from x1points.errors import CapExceeded, OrderMismatch
+from x1points.errors import CapExceeded, ModulusMismatch, OrderMismatch
 from x1points.matgroup import (
     DEFAULT_CAP,
     MatGroup,
@@ -264,3 +264,26 @@ def test_record_of_rejects_vector_not_of_exact_order():
     with pytest.raises(OrderMismatch, match=r"vector \(2,4\) does not have exact order 10"):
         spec.record_of((2, 4))
     assert spec.record_of((12, -1)) is spec.record_of((2, 9))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_order_vector_count(4, 0),
+        lambda: exact_order_vectors(4, 0),
+        lambda: fiber_count(vec2(4, 1, 0), 0),
+        lambda: max_growth_check(gl2_group(4), 0),
+    ],
+    ids=["exact_order_vector_count", "exact_order_vectors", "fiber_count", "max_growth_check"],
+)
+def test_zero_order_rejected_as_order_mismatch(call):
+    with pytest.raises(OrderMismatch, match="0 does not divide 4"):
+        call()
+
+
+def test_record_of_rejects_vector_of_another_modulus():
+    spec = degree_spectrum(borel_group(5))
+    with pytest.raises(ModulusMismatch, match="35 != spectrum modulus 5"):
+        spec.record_of(vec2(35, 12, 3))
+    # a tuple is reduced mod the spectrum's modulus
+    assert spec.record_of((12, 3)) == spec.record_of(vec2(5, 2, 3))

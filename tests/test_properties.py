@@ -28,6 +28,7 @@ from x1points.matgroup import (
     goursat,
     is_full_preimage,
     kernel_of_projection,
+    kernel_order,
     project,
 )
 from x1points.modarith import divisors, gl2_order, modulus, sl2_order, vec2
@@ -195,6 +196,19 @@ def test_from_elements_keeps_greedy_generators(case):
     if len(els) > 2:  # |G| - 1 elements never form a subgroup then
         with pytest.raises(ValueError):
             MatGroup.from_elements(n, els - {max(els - {(1 % n, 0, 0, 1 % n)})})
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens())
+def test_kernel_order_matches_materialized_kernel(case):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    assume(G.order <= BFS_CHECK_LIMIT)
+    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    for m in divisors(n):
+        ident = (1 % m, 0, 0, 1 % m)
+        in_kernel = sum(1 for x in members if tuple(e % m for e in x) == ident)
+        assert kernel_order(G, m) == kernel_of_projection(G, m).order == in_kernel, m
 
 
 # -- orbit kernel against the brute-force oracles -------------------------------
