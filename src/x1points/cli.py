@@ -16,6 +16,7 @@ a message naming the violated contract).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,7 +251,9 @@ def _render(result, fmt: str) -> str:
 FORMAT_OPTION = {"choices": ("json", "csv", "markdown"), "default": "json", "dest": "output_format"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--cap",
@@ -335,11 +338,25 @@ COMMANDS = {
 }
 
 
+def _env_cap() -> int:
+    """The cap from X1POINTS_CAP, or the default when it is unset."""
+    text = os.environ.get(CAP_ENV_VAR)
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {text!r}")
+    return cap
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cap is None:
-            args.cap = int(os.environ.get(CAP_ENV_VAR, DEFAULT_CAP))
+            args.cap = _env_cap()
         if args.cap < 1:
             raise ValueError(f"cap must be >= 1, got {args.cap}")
         result, code = COMMANDS[args.subcommand](args)

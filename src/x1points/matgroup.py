@@ -6,11 +6,15 @@ Stab(e1) is a group of matrices [[1, b], [0, d]] stored by its keys (b, d).
 The chain is the orbit G.e1 with a transversal, plus Stab(e1) closed
 Dimino-style from the Schreier generators: Schreier-Sims with a base of
 length 2 (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005; Seress, Permutation Group Algorithms, 2003).  Its size grows with the
-orbit (about n^2), not with |G| (up to n^4).  The element set is built by
-breadth-first closure, and only on an explicit `elements()` call.  The cap
-bounds what either engine stores (orbit plus stabilizer entries, or the
-element set); going past it is a hard error.
+2005; Seress, Permutation Group Algorithms, 2003).  The transversal element
+u_v = [[v0, p], [v1, q]] that maps e1 to v is stored as (p, q, det(u_v)^-1),
+so u_v^-1 = det(u_v)^-1 [[q, -p], [-v1, v0]] needs no inversion, and the
+inverse determinant is carried along each orbit edge.  Its size grows with
+the orbit (about n^2), not with |G| (up to n^4).  A group keeps each
+projection it was asked for, so each reduction's chain is built once per
+group.  The element set is built by breadth-first closure, and only on an
+explicit `elements()` call.  The cap bounds what either engine stores (orbit
+plus stabilizer entries, or the element set); going past it is a hard error.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ DEFAULT_CAP = 2**24
 
 # Stab(e1) element [[1, b], [0, d]] as its key (b, d); (b, d) * (b', d') = (b' + b d', d d').
 StabKey = tuple[int, int]
-# inverse transversal {v: u_v^-1} of the orbit G.e1, and Stab(e1) by keys
-Chain = tuple[dict[VecTuple, MatTuple], set[StabKey]]
+# transversal {v: (p, q, det(u_v)^-1)} of the orbit G.e1, u_v = [[v0, p], [v1, q]],
+# and Stab(e1) by keys
+Chain = tuple[dict[VecTuple, tuple[int, int, int]], set[StabKey]]
 
 
 def _closure(ident, gens, mul, inv, cap: int) -> frozenset:
@@ -71,42 +76,45 @@ def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
 
 
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
-    """Inverse transversal {v: u_v^-1} of the orbit G.e1, and Stab(e1) by keys.
+    """Transversal {v: (p, q, det(u_v)^-1)} of the orbit G.e1, and Stab(e1) by keys.
 
-    u_v maps e1 to v.  Each orbit edge v -> w = g.v gives the Schreier
-    generator u_w^-1 g u_v of Stab(e1); its first column is e1, so only the
-    second one is computed.  A generator that is not yet a member is kept
-    and the stabilizer is re-closed.  Raises CapExceeded once the orbit and
-    the stabilizer together would hold more than `cap` entries.
+    u_v = [[v0, p], [v1, q]] maps e1 to v.  Each orbit edge v -> w = g.v
+    gives the Schreier generator u_w^-1 g u_v of Stab(e1); its first column
+    is e1, so only the second one is computed, from the closed form of
+    u_w^-1.  A new orbit vector w gets u_w = g u_v, whose inverse
+    determinant is det(g)^-1 det(u_v)^-1.  A generator that is not yet a
+    member is kept and the stabilizer is re-closed.  Raises CapExceeded once
+    the orbit and the stabilizer together would hold more than `cap` entries.
     """
     one = 1 % n
     e1 = (one, 0)
-    column = {e1: (0, one)}  # second column of u_v
-    inverse = {e1: (one, 0, 0, one)}
+    # each generator with its inverse determinant (MatGroup checked it is a unit)
+    edges = [(*g, pow(g[0] * g[3] - g[1] * g[2], -1, n)) for g in gens]
+    transversal = {e1: (0, one, one)}
     stab = {(0, one)}
     stab_gens: list[StabKey] = []
     queue = [e1]
     for v in queue:
         x0, x1 = v
-        y0, y1 = column[v]
-        for ga, gb, gc, gd in gens:
+        y0, y1, dv = transversal[v]
+        for ga, gb, gc, gd, dg in edges:
             w = ((ga * x0 + gb * x1) % n, (gc * x0 + gd * x1) % n)
             p = (ga * y0 + gb * y1) % n
             q = (gc * y0 + gd * y1) % n
-            t = inverse.get(w)
+            t = transversal.get(w)
             if t is None:
-                if len(inverse) + len(stab) >= cap:
-                    raise CapExceeded(cap, len(inverse) + len(stab) + 1)
-                column[w] = (p, q)
-                inverse[w] = inv_raw((w[0], p, w[1], q), n)
+                if len(transversal) + len(stab) >= cap:
+                    raise CapExceeded(cap, len(transversal) + len(stab) + 1)
+                transversal[w] = (p, q, dg * dv % n)
                 queue.append(w)
                 continue
-            ia, ib, ic, id_ = t
-            key = ((ia * p + ib * q) % n, (ic * p + id_ * q) % n)
+            w0, w1 = w
+            tp, tq, dw = t
+            key = (dw * (tq * p - tp * q) % n, dw * (w0 * q - w1 * p) % n)
             if key not in stab:
                 stab_gens.append(key)
-                _dimino_extend(n, stab, stab_gens, cap, len(inverse))
-    return inverse, stab
+                _dimino_extend(n, stab, stab_gens, cap, len(transversal))
+    return transversal, stab
 
 
 def _dimino_extend(
@@ -147,6 +155,7 @@ class MatGroup:
         self.cap = cap
         self._elements: frozenset[MatTuple] | None = None
         self._chain: Chain | None = None
+        self._projections: dict[int, MatGroup] = {}  # G mod m by m, filled by project()
 
     # -- construction ------------------------------------------------------
 
@@ -189,8 +198,8 @@ class MatGroup:
 
     @property
     def order(self) -> int:
-        inverse, stab = self._get_chain()
-        return len(inverse) * len(stab)
+        transversal, stab = self._get_chain()
+        return len(transversal) * len(stab)
 
     def elements(self) -> frozenset[MatTuple]:
         if self._elements is None:
@@ -202,12 +211,12 @@ class MatGroup:
         u^-1 A (u from the transversal) in Stab(e1)."""
         n = self.modulus.n
         a, b, c, d = A.entries if isinstance(A, Mat2ModN) else (e % n for e in A)
-        inverse, stab = self._get_chain()
-        t = inverse.get((a, c))
+        transversal, stab = self._get_chain()
+        t = transversal.get((a, c))
         if t is None:
             return False
-        ia, ib, ic, id_ = t
-        return ((ia * b + ib * d) % n, (ic * b + id_ * d) % n) in stab
+        p, q, du = t
+        return (du * (q * b - p * d) % n, du * (a * d - c * b) % n) in stab
 
     def __repr__(self):
         order = self.order if self._chain is not None else "?"
@@ -238,15 +247,18 @@ def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGrou
 
 
 def project(G: MatGroup, m: int) -> MatGroup:
-    """Image of G under reduction mod m (m | n)."""
+    """Image of G under reduction mod m (m | n), kept on G: asking again
+    returns the same group, chain included."""
     n = G.modulus.n
     if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
-    reduced = [tuple(e % m for e in g) for g in G._gens]
-    out = MatGroup(modulus(m), reduced, G.cap)
-    if G.is_materialized:
+    out = G._projections.get(m)
+    if out is None:
+        reduced = [tuple(e % m for e in g) for g in G._gens]
+        out = G._projections[m] = MatGroup(modulus(m), reduced, G.cap)
+    if G.is_materialized and not out.is_materialized:
         out._elements = frozenset(tuple(e % m for e in x) for x in G.elements())
     return out
 

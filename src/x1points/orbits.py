@@ -235,13 +235,15 @@ class DegreeSpectrum:
     _lines: _Lines = field(repr=False, compare=False)
 
     def record_of(self, v: Vec2ModN | VecTuple) -> OrbitRecord:
-        """The record of the orbit of v, a Vec2ModN mod n or a tuple reduced
+        """The record of the orbit of v, a Vec2ModN mod n or a pair reduced
         mod n; OrderMismatch unless v has exact order n."""
         n = self.modulus
         if isinstance(v, Vec2ModN):
             if v.modulus.n != n:
                 raise ModulusMismatch(f"vector modulus {v.modulus.n} != spectrum modulus {n}")
             v = v.entries
+        elif len(v) != 2:
+            raise ValueError(f"vector {tuple(v)} needs 2 entries, got {len(v)}")
         x, y = v[0] % n, v[1] % n
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")

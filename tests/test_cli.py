@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from x1points.cli import main
+from x1points.cli import build_parser, main
 from x1points.matgroup import gl2_group, save_group
 
 
@@ -32,6 +36,18 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(argv):
+    """Exit code and stdout of `argv` in a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "X1POINTS_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "x1points.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
 
 
 def test_group_command(capsys, gl2_5_file):
@@ -367,6 +383,48 @@ def test_cap_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("X1POINTS_CAP", "100000")
     code, _, _ = run(capsys, ["group", "--in", str(path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_cap_env_malformed_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("X1POINTS_CAP", value)
+    code, out, err = run(capsys, ["curve", "11"])
+    assert code == 2
+    assert out == ""
+    assert f"X1POINTS_CAP must be an integer >= 1, got {value!r}" in err
+    # the --cap message is unchanged, and the flag wins over the variable
+    code, _, err = run(capsys, ["curve", "11", "--cap", "0"])
+    assert code == 2
+    assert "cap must be >= 1, got 0" in err and "X1POINTS_CAP" not in err
+    assert run(capsys, ["curve", "11", "--cap", "5"])[0] == 0
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.delenv("X1POINTS_CAP", raising=False)
+    corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
+    golden = {c["name"]: (c["exit"], c["stdout"]) for c in corpus}
+    tau = ["level-bound", "--primes", "2,3,5", "--ell", "3", "--tau", "5=2"]
+    image_order = ["level-bound", "--primes", "2,3,17", "--ell", "2", "--image-order", "17=1088"]
+    plain = ["level-bound", "--primes", "2,3,17", "--ell", "2"]
+    bad = ["level-bound", "--primes", "2,3,5", "--ell", "3", "--tau", "5="]
+    fresh_plain = run_fresh(plain)
+    assert fresh_plain[0] == 0
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    for _ in range(2):
+        assert in_process(tau) == golden["level-bound-tau"]
+        assert in_process(image_order) == golden["level-bound-17-image-order"]
+        assert in_process(plain) == fresh_plain
+        assert in_process(bad) == (2, "")
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(plain)
+    assert args.tau == [] and args.image_order == [] and args.cap is None
 
 
 @pytest.mark.parametrize("command", ["orbits", "degrees"])

@@ -110,6 +110,15 @@ def test_project_identity():
     assert project(G, 12) is G
 
 
+def test_project_is_kept_on_the_group():
+    G = gl2_group(12)
+    P = project(G, 6)
+    assert P.order == gl2_order(6)
+    # asking again returns the same group, whose chain is already built
+    assert project(G, 6) is P and P._chain is not None
+    assert project(P, 3) is project(P, 3)
+
+
 def test_project_sl2_25_to_5():
     P = project(sl2_group(25), 5)
     assert closure(P.generators).order == sl2_order(5)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import (
@@ -287,3 +289,10 @@ def test_record_of_rejects_vector_of_another_modulus():
         spec.record_of(vec2(35, 12, 3))
     # a tuple is reduced mod the spectrum's modulus
     assert spec.record_of((12, 3)) == spec.record_of(vec2(5, 2, 3))
+
+
+@pytest.mark.parametrize("v", [(1, 2, 3), (1,), ()])
+def test_record_of_rejects_tuple_not_of_length_2(v):
+    spec = degree_spectrum(gl2_group(4))
+    with pytest.raises(ValueError, match=rf"vector {re.escape(str(v))} needs 2 entries, got {len(v)}"):
+        spec.record_of(v)

@@ -211,6 +211,20 @@ def test_kernel_order_matches_materialized_kernel(case):
         assert kernel_order(G, m) == kernel_of_projection(G, m).order == in_kernel, m
 
 
+@PROPERTY_SETTINGS
+@given(subgroup_gens(), st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), max_size=20))
+def test_cached_projection_matches_fresh_group(case, others):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    for m in divisors(n):
+        fresh = MatGroup(modulus(m), [tuple(e % m for e in g) for g in gens])
+        assert project(G, m).order == fresh.order, m
+        P = project(G, m)  # the kept group, chain already built
+        assert P is project(G, m)
+        for x in [*fresh.raw_generators, *others]:
+            assert P.contains(x) == fresh.contains(x), (m, x)
+
+
 # -- orbit kernel against the brute-force oracles -------------------------------
 
 # above this order a group is too costly for the element-by-element oracle
