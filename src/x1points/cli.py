@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
-from .errors import HypothesisFailed, X1PointsError
-from .matgroup import DEFAULT_CAP
+from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError
 from .modarith import Mat2ModN, Vec2ModN, gl2_order, factorize
 
 CAP_ENV_VAR = "X1POINTS_CAP"

@@ -1,10 +1,16 @@
-"""Exception types shared across the package, and the type check of values
-read from JSON input files.
+"""Exception types shared across the package, the default cap they report
+against, and the type check of values read from JSON input files.
 
 Every error names the contract it violates; the CLI maps them to exit code 2.
+`DEFAULT_CAP` lives here, beside `CapExceeded`, so that reading it loads no
+layer; `matgroup.DEFAULT_CAP` is the same value.
 """
 
 import json
+
+# Elements a group computation may store, and the least bound on the vectors
+# orbit enumeration may hold, unless a cap is given.
+DEFAULT_CAP = 2**24
 
 
 def json_typed(value, kind: type, where: str):

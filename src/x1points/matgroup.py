@@ -11,20 +11,23 @@ u_v = [[v0, p], [v1, q]] that maps e1 to v is stored as (p, q, det(u_v)^-1),
 so u_v^-1 = det(u_v)^-1 [[q, -p], [-v1, v0]] needs no inversion, and the
 inverse determinant is carried along each orbit edge.  Its size grows with
 the orbit (about n^2), not with |G| (up to n^4).  A group keeps each
-projection it was asked for, so each reduction's chain is built once per
-group.  The element set is built by breadth-first closure, and only on an
-explicit `elements()` call.  The cap bounds what either engine stores (orbit
+projection it was asked for, and a projection of a projection is looked up
+on the group first projected, so each reduction's chain is built once.  The
+element set is built by breadth-first closure, and only on an explicit
+`elements()` call.  The cap bounds what either engine stores (orbit
 plus stabilizer entries, or the element set); going past it is a hard error.
+Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed
+from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed
 from .modarith import (
     MatTuple,
     Mat2ModN,
@@ -38,8 +41,6 @@ from .modarith import (
     mul_raw,
     unit_group_generators,
 )
-
-DEFAULT_CAP = 2**24
 
 # Stab(e1) element [[1, b], [0, d]] as its key (b, d); (b, d) * (b', d') = (b' + b d', d d').
 StabKey = tuple[int, int]
@@ -156,6 +157,8 @@ class MatGroup:
         self._elements: frozenset[MatTuple] | None = None
         self._chain: Chain | None = None
         self._projections: dict[int, MatGroup] = {}  # G mod m by m, filled by project()
+        # the group this one is a projection of, held weakly: it holds this one
+        self._projected_from: weakref.ref | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -248,16 +251,21 @@ def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGrou
 
 def project(G: MatGroup, m: int) -> MatGroup:
     """Image of G under reduction mod m (m | n), kept on G: asking again
-    returns the same group, chain included."""
+    returns the same group, chain included.  When G is itself a projection
+    of a group still alive, that group's projection mod m is returned, so
+    (G mod k) mod m is G mod m."""
     n = G.modulus.n
     if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
-    out = G._projections.get(m)
+    # the group G was projected from, while it is alive
+    root = G._projected_from and G._projected_from() or G
+    out = root._projections.get(m)
     if out is None:
-        reduced = [tuple(e % m for e in g) for g in G._gens]
-        out = G._projections[m] = MatGroup(modulus(m), reduced, G.cap)
+        reduced = [tuple(e % m for e in g) for g in root._gens]
+        out = root._projections[m] = MatGroup(modulus(m), reduced, root.cap)
+        out._projected_from = weakref.ref(root)
     if G.is_materialized and not out.is_materialized:
         out._elements = frozenset(tuple(e % m for e in x) for x in G.elements())
     return out

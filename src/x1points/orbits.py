@@ -31,8 +31,8 @@ from itertools import repeat
 from math import gcd
 
 from .curveinv import map_degree
-from .errors import CapExceeded, ModulusMismatch, OrderMismatch
-from .matgroup import DEFAULT_CAP, MatGroup, project
+from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch
+from .matgroup import MatGroup, project
 from .modarith import (
     MatTuple,
     VecTuple,

@@ -15,7 +15,6 @@ from math import gcd
 from .curveinv import map_degree, psl2_index
 from .errors import PreconditionFailed
 from .modarith import is_prime
-from .orbits import DegreeSpectrum
 
 LIFTING_FACTOR = Fraction(7, 1600)
 
@@ -96,7 +95,9 @@ def pushforward_degree_check(
     The spectra must come from a group G mod n and its projection mod a,
     with the same field degree.  An orbit with `multiplicative` True has
     maximal degree growth, so a sporadic point in it pushes forward to a
-    sporadic point downstairs.
+    sporadic point downstairs.  `DegreeSpectrum` (from `orbits`) is named
+    only in these annotations and not imported, so that `cm` and
+    `sporadic-check` do not load the group engine.
     """
     n, a = spectrum_n.modulus, spectrum_a.modulus
     if n % a != 0:

@@ -106,6 +106,28 @@ def test_level_command_at_3_to_the_4(capsys, tmp_path, monkeypatch):
     assert data["order"] == 12 * 27**4
 
 
+@pytest.mark.parametrize("n", [18, 36, 200])
+def test_level_command_builds_each_chain_once(capsys, tmp_path, monkeypatch, n):
+    # detection projects G mod ell^e down to ell^s, and minimize_level asks G
+    # mod ell^s again: both must reach one chain
+    import x1points.matgroup
+    from x1points.matgroup import borel_group, full_preimage
+
+    path = tmp_path / f"pre{n}.json"
+    save_group(full_preimage(borel_group(6 if n % 3 == 0 else 10), n), str(path))
+    built = []
+    real = x1points.matgroup._stabilizer_chain
+
+    def spy(m, gens, cap):
+        built.append(m)
+        return real(m, gens, cap)
+
+    monkeypatch.setattr(x1points.matgroup, "_stabilizer_chain", spy)
+    code, out, _ = run(capsys, ["level", "--in", str(path)])
+    assert code == 0 and json.loads(out)["detections"]
+    assert sorted(built) == sorted(set(built))
+
+
 def test_level_bound_command(capsys):
     code, out, _ = run(
         capsys,

@@ -119,6 +119,18 @@ def test_project_is_kept_on_the_group():
     assert project(P, 3) is project(P, 3)
 
 
+def test_projection_of_a_projection_is_looked_up_on_the_group():
+    G = gl2_group(36)
+    P = project(G, 12)
+    Q = project(P, 6)
+    assert Q is project(G, 6) and project(Q, 2) is project(G, 2)
+    assert Q.order == gl2_order(6)
+    del G  # P holds its group weakly, so P falls back to its own table
+    assert P._projected_from() is None
+    R = project(P, 3)
+    assert R is project(P, 3) and R.order == gl2_order(3)
+
+
 def test_project_sl2_25_to_5():
     P = project(sl2_group(25), 5)
     assert closure(P.generators).order == sl2_order(5)

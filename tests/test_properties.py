@@ -255,12 +255,14 @@ def test_vector_orbits_match_oracle_on_shuffled_input(case, data):
 
 
 @PROPERTY_SETTINGS
-@given(subgroup_gens(st.integers(1, 100)), st.randoms(use_true_random=False))
-def test_vector_orbits_ordered_by_minimum(case, rng):
+@given(subgroup_gens(st.integers(1, 100)), st.integers(0, 2**32 - 1))
+def test_vector_orbits_ordered_by_minimum(case, seed):
     n, gens = case
     G = MatGroup(modulus(n), gens)
     vectors = [v for part in vectors_by_order_oracle(n).values() for v in part]
-    rng.shuffle(vectors)
+    # one drawn seed, not st.randoms: that draws data per swap and trips the
+    # data_too_large health check on 10^4 vectors
+    random.Random(seed).shuffle(vectors)
     parts = vector_orbits(G, vectors)
     mins = [min(o) for o in parts]
     assert mins == sorted(mins) and len(set(mins)) == len(mins)
