@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help="bounds the elements a group computation stores and the vectors orbits enumerate",
+        help="bounds the chain pairs a group visits, the elements it stores and the vectors orbits enumerate",
     )
     parser = argparse.ArgumentParser(
         prog="x1points",

@@ -14,10 +14,16 @@ l-adic statement unconditional once it holds at one admissible stage.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
+# The package registers each layer lazily, so this binds `matgroup` without
+# running it: `tables` and `level-bound` build no group and never load it.
+from . import matgroup
 from .errors import HypothesisFailed, StageTooLow
-from .matgroup import MatGroup, is_full_preimage, kernel_order, project
 from .modarith import divisors, gl2_order, is_prime, valuation
+
+if TYPE_CHECKING:
+    from .matgroup import MatGroup
 
 # Smallest single-prime levels M_1({l}) of l-adic images of non-CM elliptic
 # curves over Q, assuming no l-adic level exceeds 169 for 2 < l <= 37.
@@ -38,6 +44,12 @@ SPECIAL_IMAGE_ORDERS: dict[int, int] = {
     17: 2**6 * 17,
     37: 2**4 * 3**3 * 37,
 }
+
+
+def project(G: MatGroup, m: int) -> MatGroup:
+    """`matgroup.project`, the one name through which `detect_ladic_level`
+    and `compose_level` project."""
+    return matgroup.project(G, m)
 
 
 def minimal_stage(ell: int) -> int:
@@ -79,7 +91,7 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
         raise StageTooLow(f"stage {s} below minimum {s0} for prime {ell}")
     if s + 1 > e:
         raise ValueError(f"stage {s} needs the group mod {ell}^{s + 1}, have {ell}^{e}")
-    kernel = kernel_order(project(G, ell ** (s + 1)), ell**s)
+    kernel = matgroup.kernel_order(project(G, ell ** (s + 1)), ell**s)
     full = ell**4
     return LadicDetection(
         prime=ell,
@@ -93,7 +105,7 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
 def minimize_level(G: MatGroup) -> int:
     """Smallest divisor M of n with G = full preimage of G mod M."""
     for m in divisors(G.modulus.n):
-        if is_full_preimage(G, m):
+        if matgroup.is_full_preimage(G, m):
             return m
     raise AssertionError("unreachable: m = n always passes")
 
@@ -160,7 +172,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
         mixed = check_mod // ell
         # full preimage iff the kernel down to `mixed` is the whole congruence
         # kernel, of order ell^4 since ell still divides `mixed`
-        kernel = kernel_order(G, mixed)
+        kernel = matgroup.kernel_order(G, mixed)
         if kernel != ell**4:
             raise HypothesisFailed(
                 ell, f"G mod {check_mod} is not the full preimage of G mod {mixed}"
@@ -176,7 +188,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
             )
         )
     # composite conclusion, verified directly rather than trusted
-    kernel = kernel_order(G, level)
+    kernel = matgroup.kernel_order(G, level)
     full_kernel = gl2_order(check_mod) // gl2_order(level)
     if kernel != full_kernel:
         raise HypothesisFailed(0, f"composite full-preimage check failed at M={level}")

@@ -1,22 +1,37 @@
 """Finite subgroups of GL2(Z/nZ) given by generators.
 
-Order and membership come from a stabilizer chain with base {e1, e2}.  Only
-the identity fixes both basis vectors, so |G| = |G.e1| * |Stab(e1)|, and
-Stab(e1) is a group of matrices [[1, b], [0, d]] stored by its keys (b, d).
-The chain is the orbit G.e1 with a transversal, plus Stab(e1) closed
-Dimino-style from the Schreier generators: Schreier-Sims with a base of
-length 2 (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005; Seress, Permutation Group Algorithms, 2003).  The transversal element
-u_v = [[v0, p], [v1, q]] that maps e1 to v is stored as (p, q, det(u_v)^-1),
-so u_v^-1 = det(u_v)^-1 [[q, -p], [-v1, v0]] needs no inversion, and the
-inverse determinant is carried along each orbit edge.  Its size grows with
-the orbit (about n^2), not with |G| (up to n^4).  A group keeps each
-projection it was asked for, and a projection of a projection is looked up
-on the group first projected, so each reduction's chain is built once.  The
-element set is built by breadth-first closure, and only on an explicit
-`elements()` call.  The cap bounds what either engine stores (orbit
-plus stabilizer entries, or the element set); going past it is a hard error.
-Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
+Order and membership come from a stabilizer chain through the line <e1>, a
+point of P^1(Z/nZ): Schreier-Sims with the kernel of each action as the next
+level (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+ch. 4).  The chain has four levels.
+
+- L1 is the orbit of <e1> among the psi(n) = n prod(1 + 1/p) lines, keyed by
+  `modarith.line_key`.  The transversal element u = [[w0, p], [w1, q]] of a
+  line maps <e1> to it and is stored as (w0, w1, p, q, det(u)^-1), so
+  u^-1 = det(u)^-1 [[q, -p], [-w1, w0]] needs no inversion; the inverse
+  determinant is carried along each orbit edge.
+- The stabilizer H of <e1> is upper triangular: [[a, b], [0, d]], written
+  (a, b, d).  L2 is A, the image of a (the isogeny character), and L3 is D,
+  the image of d on the elements with a = 1.  Each keeps a transversal of
+  elements of H with their inverses, so no sift inverts anything.
+- L4 is the translations (1, b, 1) of H: b runs over gZ/nZ for one g | n.
+
+So |G| = lines * |A| * |D| * n/g, from at most psi(n) + 2 phi(n) stored
+entries and g; the cost grows with the lines, not with the n^2 vectors or
+with |G| (up to n^4).  Each edge of the line orbit into a known line gives a
+Schreier generator of H, and each (point, generator) pair of A or D one of
+the next level's kernel; each is sifted and kept only if it is no member.
+A generator kept at L3 from the line orbit also joins the generators of A,
+so its conjugates by the A transversal are sifted too.  L4 needs no such
+step: gZ/nZ is an ideal, so conjugation keeps it.
+
+A group keeps each projection it was asked for, and a projection of a
+projection is looked up on the group first projected, so each reduction's
+chain is built once.  The element set is built by breadth-first closure, and
+only on an explicit `elements()` call.  The cap bounds what each engine
+pays for: the (point, generator) pairs the chain visits, each a sift or a
+new entry, or the elements of the set.  Going past it is a hard error.  Its
+default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 """
 
 from __future__ import annotations
@@ -32,21 +47,18 @@ from .modarith import (
     MatTuple,
     Mat2ModN,
     Modulus,
-    VecTuple,
     crt_join,
     gl2_order,
     identity,
     inv_raw,
+    line_key,
     modulus,
     mul_raw,
     unit_group_generators,
 )
 
-# Stab(e1) element [[1, b], [0, d]] as its key (b, d); (b, d) * (b', d') = (b' + b d', d d').
-StabKey = tuple[int, int]
-# transversal {v: (p, q, det(u_v)^-1)} of the orbit G.e1, u_v = [[v0, p], [v1, q]],
-# and Stab(e1) by keys
-Chain = tuple[dict[VecTuple, tuple[int, int, int]], set[StabKey]]
+# An element [[a, b], [0, d]] of H as (a, b, d); (a, b, d)(a', b', d') = (aa', ab' + bd', dd').
+Triangular = tuple[int, int, int]
 
 
 def _closure(ident, gens, mul, inv, cap: int) -> frozenset:
@@ -76,69 +88,153 @@ def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
     )
 
 
+class Chain:
+    """The stabilizer chain of a group through <e1> (see the module doc).
+
+    `lines` maps a line key to the transversal entry (w0, w1, p, q, det(u)^-1);
+    `a_level` and `d_level` map each point of A (by a) and of D (by d) to its
+    transversal element and that element's inverse, (a, b, d, a', b', d');
+    `g` spans the translations.
+    """
+
+    __slots__ = ("n", "key", "lines", "a_level", "d_level", "g")
+
+    def __init__(self, n: int):
+        one = 1 % n
+        ident = (one, 0, one, one, 0, one)
+        self.n = n
+        self.key = line_key(n)
+        self.lines: dict[int, tuple[int, int, int, int, int]] = {}
+        self.a_level: dict[int, tuple[int, ...]] = {one: ident}
+        self.d_level: dict[int, tuple[int, ...]] = {one: ident}
+        self.g = n
+
+    @property
+    def order(self) -> int:
+        return len(self.lines) * len(self.a_level) * len(self.d_level) * (self.n // self.g)
+
+    def sift(self, a: int, b: int, d: int) -> Triangular | None:
+        """None if (a, b, d) lies in H, else its residue: itself if a is
+        outside A, else h_a^-1 (a, b, d) = (1, b', d') if d' is outside D,
+        else the translation (1, b'', 1) left after dividing by k_d'."""
+        n = self.n
+        h = self.a_level.get(a)
+        if h is None:
+            return a, b, d
+        _, _, _, ia, ib, id_ = h
+        b, d = (ia * b + ib * d) % n, id_ * d % n
+        k = self.d_level.get(d)
+        if k is None:
+            return 1 % n, b, d
+        b = (b + k[4] * d) % n
+        return None if b % self.g == 0 else (1 % n, b, 1 % n)
+
+    def contains(self, m: MatTuple) -> bool:
+        """The first column must be of order n on a line of the orbit, with
+        transversal element u, and u^-1 m, upper triangular, must sift."""
+        n = self.n
+        x, y, z, w = m
+        if gcd(gcd(x, z), n) != 1:
+            return False
+        t = self.lines.get(self.key(x, z))
+        if t is None:
+            return False
+        w0, w1, p, q, dv = t
+        a = dv * (q * x - p * z) % n
+        return self.sift(a, dv * (q * y - p * w) % n, dv * (w0 * w - w1 * y) % n) is None
+
+
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
-    """Transversal {v: (p, q, det(u_v)^-1)} of the orbit G.e1, and Stab(e1) by keys.
+    """The line chain of the group generated by `gens` (see the module doc).
 
-    u_v = [[v0, p], [v1, q]] maps e1 to v.  Each orbit edge v -> w = g.v
-    gives the Schreier generator u_w^-1 g u_v of Stab(e1); its first column
-    is e1, so only the second one is computed, from the closed form of
-    u_w^-1.  A new orbit vector w gets u_w = g u_v, whose inverse
-    determinant is det(g)^-1 det(u_v)^-1.  A generator that is not yet a
-    member is kept and the stabilizer is re-closed.  Raises CapExceeded once
-    the orbit and the stabilizer together would hold more than `cap` entries.
+    A new line reached by g from the line of u gets the transversal element
+    g u, whose inverse determinant is det(g)^-1 det(u)^-1.  An edge into a
+    known line with element u' gives the Schreier generator u'^-1 g u of H,
+    read off from the closed form of u'^-1.  A and D grow one generator at a
+    time, and each (point, generator) pair is visited once.  The pairs are
+    what the chain costs, a sift or a new entry each, so they are what the
+    cap bounds: CapExceeded is raised at the first pair past `cap`.
     """
+    chain = Chain(n)
     one = 1 % n
-    e1 = (one, 0)
-    # each generator with its inverse determinant (MatGroup checked it is a unit)
-    edges = [(*g, pow(g[0] * g[3] - g[1] * g[2], -1, n)) for g in gens]
-    transversal = {e1: (0, one, one)}
-    stab = {(0, one)}
-    stab_gens: list[StabKey] = []
-    queue = [e1]
-    for v in queue:
-        x0, x1 = v
-        y0, y1, dv = transversal[v]
+    key, lines, A, D = chain.key, chain.lines, chain.a_level, chain.d_level
+    a_points, a_gens, d_points, d_gens = [one], [], [one], []
+    pairs = 0
+
+    def over_cap() -> CapExceeded:
+        unit = "(point, generator) pairs on its lines, A and D"
+        return CapExceeded(cap, pairs, "stabilizer chain", unit)
+
+    def keep(residue: Triangular, from_lines: bool) -> None:
+        """Add a residue of `Chain.sift` to the level where it failed."""
+        a, b, d = residue
+        if a != one:
+            extend(A, a_points, a_gens, residue)
+        elif d != one:
+            extend(D, d_points, d_gens, residue)
+            if from_lines:
+                # Schreier's lemma for the kernel of a: the conjugates of a
+                # new element of D by the A transversal are sifted too
+                extend(A, a_points, a_gens, residue)
+        elif b % chain.g:
+            chain.g = gcd(chain.g, b)
+
+    def extend(level: dict, points: list, level_gens: list, gen: Triangular) -> None:
+        """Add `gen` to the generators of `level` (A or D) and grow its
+        orbit: the old points meet `gen`, the new ones every generator.  The
+        kernel element u_y^-1 s h_x of each pair that meets a known point y
+        is sifted and kept if it is no member."""
+        nonlocal pairs
+        a, b, d = gen
+        t = pow(a * d % n, -1, n)
+        level_gens.append((a, b, d, t * d % n, -b * t % n, t * a % n))
+        on_a = level is A
+        old = len(points)
+        j = 0
+        while j < len(points):
+            ha, hb, hd, hia, hib, hid = level[points[j]]
+            for sa, sb, sd, sia, sib, sid in level_gens[-1:] if j < old else level_gens:
+                pairs += 1
+                if pairs > cap:
+                    raise over_cap()
+                ya, yb, yd = sa * ha % n, (sa * hb + sb * hd) % n, sd * hd % n
+                y = ya if on_a else yd
+                u = level.get(y)
+                if u is None:
+                    level[y] = (ya, yb, yd, hia * sia % n, (hia * sib + hib * sid) % n, hid * sid % n)
+                    points.append(y)
+                    continue
+                # u^-1 y has a = 1 (and d = 1 in D)
+                _, _, _, uia, uib, uid = u
+                residue = chain.sift(one, (uia * yb + uib * yd) % n, uid * yd % n)
+                if residue is not None:
+                    keep(residue, False)
+            j += 1
+
+    edges = [(*g, pow((g[0] * g[3] - g[1] * g[2]) % n, -1, n)) for g in gens]
+    start = (one, 0, 0, one, one)
+    lines[key(one, 0)] = start
+    queue = [start]
+    for w0, w1, p, q, dv in queue:
         for ga, gb, gc, gd, dg in edges:
-            w = ((ga * x0 + gb * x1) % n, (gc * x0 + gd * x1) % n)
-            p = (ga * y0 + gb * y1) % n
-            q = (gc * y0 + gd * y1) % n
-            t = transversal.get(w)
+            pairs += 1
+            if pairs > cap:
+                raise over_cap()
+            x0, x1 = (ga * w0 + gb * w1) % n, (gc * w0 + gd * w1) % n
+            y0, y1 = (ga * p + gb * q) % n, (gc * p + gd * q) % n
+            k = key(x0, x1)
+            t = lines.get(k)
             if t is None:
-                if len(transversal) + len(stab) >= cap:
-                    raise CapExceeded(cap, len(transversal) + len(stab) + 1)
-                transversal[w] = (p, q, dg * dv % n)
-                queue.append(w)
+                lines[k] = t = (x0, x1, y0, y1, dg * dv % n)
+                queue.append(t)
                 continue
-            w0, w1 = w
-            tp, tq, dw = t
-            key = (dw * (tq * p - tp * q) % n, dw * (w0 * q - w1 * p) % n)
-            if key not in stab:
-                stab_gens.append(key)
-                _dimino_extend(n, stab, stab_gens, cap, len(transversal))
-    return transversal, stab
-
-
-def _dimino_extend(
-    n: int, stab: set[StabKey], stab_gens: list[StabKey], cap: int, stored: int
-) -> None:
-    """Close the subgroup `stab` under `stab_gens`, one right coset at a time.
-
-    The right cosets H r of the old group H are reached by multiplying known
-    representatives by every generator, and each new coset is added whole.
-    `stored` entries held elsewhere count against `cap` too.
-    """
-    old = list(stab)
-    reps = [(0, 1 % n)]
-    for rb, rd in reps:
-        for gb, gd in stab_gens:
-            xb, xd = (gb + rb * gd) % n, (rd * gd) % n
-            if (xb, xd) in stab:
-                continue
-            found = stored + len(stab) + len(old)
-            if found > cap:
-                raise CapExceeded(cap, found)
-            reps.append((xb, xd))
-            stab.update([((xb + hb * xd) % n, (hd * xd) % n) for hb, hd in old])
+            v0, v1, r, s, dw = t
+            residue = chain.sift(
+                dw * (s * x0 - r * x1) % n, dw * (s * y0 - r * y1) % n, dw * (v0 * y1 - v1 * y0) % n
+            )
+            if residue is not None:
+                keep(residue, True)
+    return chain
 
 
 class MatGroup:
@@ -201,8 +297,7 @@ class MatGroup:
 
     @property
     def order(self) -> int:
-        transversal, stab = self._get_chain()
-        return len(transversal) * len(stab)
+        return self._get_chain().order
 
     def elements(self) -> frozenset[MatTuple]:
         if self._elements is None:
@@ -210,16 +305,14 @@ class MatGroup:
         return self._elements
 
     def contains(self, A) -> bool:
-        """Membership by sifting: A e1 must lie in the orbit G.e1, and
-        u^-1 A (u from the transversal) in Stab(e1)."""
+        """Membership by sifting through the chain.  A `Mat2ModN` must have the
+        group's modulus; a tuple is read mod n."""
         n = self.modulus.n
-        a, b, c, d = A.entries if isinstance(A, Mat2ModN) else (e % n for e in A)
-        transversal, stab = self._get_chain()
-        t = transversal.get((a, c))
-        if t is None:
-            return False
-        p, q, du = t
-        return (du * (q * b - p * d) % n, du * (a * d - c * b) % n) in stab
+        if isinstance(A, Mat2ModN):
+            if A.modulus.n != n:
+                raise ModulusMismatch(f"matrix modulus {A.modulus.n} != group modulus {n}")
+            A = A.entries
+        return self._get_chain().contains(tuple(e % n for e in A))
 
     def __repr__(self):
         order = self.order if self._chain is not None else "?"

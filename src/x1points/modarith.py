@@ -12,6 +12,7 @@ construction, so equality and hashing are bit-exact.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
@@ -360,6 +361,47 @@ def vec_order(v: Vec2ModN) -> int:
     """Exact additive order of v in (Z/nZ)^2: n / gcd(n, x, y)."""
     n = v.modulus.n
     return n // gcd(n, gcd(v.x, v.y))
+
+
+class _UnitInverses(dict):
+    """u -> u^-1 mod q, each unit inverted on its first lookup, so the table
+    never holds more than the units read from it and at most phi(q) of them."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, u: int) -> int:
+        inv = self[u] = pow(u, -1, self.q)
+        return inv
+
+
+def line_key(n: int) -> Callable[[int, int], int]:
+    """The key of the line through (x, y), a vector of exact order n with
+    entries in [0, n), as a point of P^1(Z/nZ).
+
+    Per prime power q = l^e of n the point is (1 : y/x) if l does not divide
+    x, else (x/y : 1) (Cremona, Algorithms for Modular Elliptic Curves,
+    1997), written as y/x or q + x/y in [0, 2q); the key is these components
+    in mixed radix.  Two vectors get one key iff one is a unit multiple of
+    the other, so the order-n vectors give psi(n) = n prod(1 + 1/l) keys.
+    The inverses come from one table per prime power.
+    """
+    parts = [(p**e, p, _UnitInverses(p**e)) for p, e in modulus(n).factorization]
+
+    def key(x: int, y: int) -> int:
+        k = 0
+        for q, ell, inv in parts:
+            xq = x % q
+            if xq % ell:
+                k = k * 2 * q + y * inv[xq] % q
+            else:
+                k = k * 2 * q + q + xq * inv[y % q] % q
+        return k
+
+    return key
 
 
 def unit_group_generators(n: int, m: int = 1) -> list[int]:

@@ -108,6 +108,12 @@ def test_minimize_level_examples():
     assert minimize_level(sl2_group(8)) == 8
 
 
+@pytest.mark.parametrize("ell, n", [(3, 81), (5, 125), (11, 121), (13, 169), (3, 3**7), (13, 13**3)])
+def test_minimize_level_of_borel_preimages_at_single_prime_levels(ell, n):
+    # near-full images at the paper's single-prime levels M_1 and above
+    assert minimize_level(full_preimage(borel_group(ell), n)) == ell
+
+
 def test_compose_level_gl2_36():
     cert = compose_level(gl2_group(36), {2: 1, 3: 1})
     assert cert.level == 6

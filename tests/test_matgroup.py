@@ -78,17 +78,46 @@ def test_closure_cap_exceeded():
 
 
 def test_cap_exceeded_from_chain_reports_true_count():
-    # orbit and stabilizer entries both count against the cap
+    # every (point, generator) pair the chain visits counts against the cap
     with pytest.raises(CapExceeded) as info:
-        gl2_group(8, cap=10).contains((1, 1, 0, 1))  # orbit of e1 has 48 vectors
+        gl2_group(8, cap=10).contains((1, 1, 0, 1))  # 12 lines, 4 generators
     assert info.value.partial_count == 11
     with pytest.raises(CapExceeded) as info:
-        borel_group(25, cap=100).order  # orbit 20, stabilizer 500
+        gl2_group(125, cap=100).order  # 150 lines
     assert info.value.partial_count > 100
     with pytest.raises(CapExceeded) as info:
-        full_preimage(borel_group(3), 81, cap=1000).order
+        full_preimage(borel_group(3), 3**7, cap=1000).order  # 729 lines, 7 generators
     assert info.value.partial_count > 1000
     assert "(0 found)" not in str(info.value)
+    assert str(info.value).startswith("stabilizer chain exceeded cap of 1000")
+
+
+def test_gl2_order_at_3_to_the_7_within_a_linear_cap():
+    # psi(3^7) = 2916 lines and phi(3^7) = 1458 points each in A and D; each
+    # meets at most the three generators of GL2, so the pairs stay below
+    # 3 (psi + 2 phi), while the orbit of e1 alone has 4,251,528 vectors
+    n, psi, phi = 3**7, 2916, 1458
+    G = gl2_group(n, cap=3 * (psi + 2 * phi))
+    assert len(G.raw_generators) == 3
+    assert G.order == gl2_order(n)
+    chain = G._chain
+    assert (len(chain.lines), len(chain.a_level), len(chain.d_level), chain.g) == (psi, phi, phi, 1)
+
+
+def test_unipotent_group_at_a_61_bit_prime():
+    # one line, A = D = 1 and the translations Z/nZ: the chain stores three
+    # entries and g, and the line key inverts only the units it reads
+    n = 2**61 - 1
+    G = MatGroup(modulus(n), [(1, 1, 0, 1)])
+    assert G.order == n
+    assert G.contains((1, 12345, 0, 1)) and not G.contains((1, 0, 1, 1))
+
+
+def test_contains_rejects_a_matrix_of_another_modulus():
+    with pytest.raises(ModulusMismatch) as info:
+        sl2_group(8).contains(mat2(4, 3, 0, 0, 3))
+    assert "4" in str(info.value) and "8" in str(info.value)
+    assert sl2_group(8).contains(mat2(8, 3, 0, 0, 3))
 
 
 def test_lagrange_for_materialized_subgroups():

@@ -111,3 +111,17 @@ def test_subcommand_runs_only_its_layers(argv, layers):
     assert proc.stderr.split() == [f"x1points.{layer}" for layer in layers]
     assert proc.stdout.startswith("{")
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tables", "--which", "m1"], ["level-bound", "--primes", "2,3,17", "--ell", "2"]],
+)
+def test_subcommands_without_a_group_leave_matgroup_unrun(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYERS_RUN, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == [f"x1points.{layer}" for layer in ("cli", "errors", "levels", "modarith")]

@@ -31,7 +31,16 @@ from x1points.matgroup import (
     kernel_order,
     project,
 )
-from x1points.modarith import divisors, gl2_order, modulus, sl2_order, vec2
+from x1points.modarith import (
+    divisors,
+    factorize,
+    gl2_order,
+    inv_raw,
+    line_key,
+    modulus,
+    sl2_order,
+    vec2,
+)
 from x1points.orbits import (
     _exact_order_entries,
     degree_spectrum,
@@ -223,6 +232,61 @@ def test_cached_projection_matches_fresh_group(case, others):
         assert P is project(G, m)
         for x in [*fresh.raw_generators, *others]:
             assert P.contains(x) == fresh.contains(x), (m, x)
+
+
+@st.composite
+def triangular_conjugates(draw, moduli=st.integers(1, 60)):
+    """Generators of c T c^-1, for T generated by upper-triangular matrices
+    (some with a = 1 or a = d = 1) and c the identity, upper triangular or
+    any invertible matrix.  With c upper triangular the group fixes the line
+    <e1>, so A, D and the translations of the chain carry all of its order."""
+    n = draw(moduli)
+    units = st.sampled_from([u for u in range(n) if gcd(u, n) == 1])
+    entries = st.integers(0, n - 1)
+    upper = st.builds(lambda a, b, d: (a, b, 0, d), units, entries, units)
+    triangular = st.one_of(
+        upper,
+        st.builds(lambda b, d: (1 % n, b, 0, d), entries, units),
+        st.builds(lambda b: (1 % n, b, 0, 1 % n), entries),
+    )
+    c = draw(st.one_of(st.just((1 % n, 0, 0, 1 % n)), upper, invertible(n)))
+    ci = inv_raw(c, n)
+    gens = draw(st.lists(triangular, min_size=1, max_size=4))
+    return n, [matmul_oracle(matmul_oracle(c, t, n), ci, n) for t in gens]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(triangular_conjugates(), st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), max_size=30))
+@example((7, [(1, 5, 0, 5), (6, 2, 0, 1)]), [])
+@example((30, [(19, 5, 0, 11), (1, 2, 0, 13), (23, 16, 0, 19)]), [])
+@example((36, [(1, 6, 0, 1), (1, 0, 0, 5), (7, 0, 0, 1)]), [])
+def test_chain_on_triangular_conjugates_matches_bfs(case, others):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    assert G.order == len(members)
+    assert all(G.contains(x) for x in members)
+    for x in others:
+        x = tuple(e % n for e in x)
+        assert G.contains(x) == (x in members), x
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 60))
+@example(1)
+@example(60)
+def test_line_key_names_the_points_of_p1(n):
+    key = line_key(n)
+    psi = n
+    for p, _ in factorize(n):
+        psi = psi // p * (p + 1)
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    keys = set()
+    for x, y in _exact_order_entries(n, n):
+        k = key(x, y)
+        keys.add(k)
+        assert all(key(u * x % n, u * y % n) == k for u in units), (x, y)
+    assert len(keys) == psi
 
 
 # -- orbit kernel against the brute-force oracles -------------------------------
