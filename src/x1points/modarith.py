@@ -12,11 +12,10 @@ construction, so equality and hashing are bit-exact.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch
 
@@ -363,63 +362,82 @@ def vec_order(v: Vec2ModN) -> int:
     return n // gcd(n, gcd(v.x, v.y))
 
 
-class _UnitInverses(dict):
-    """u -> u^-1 mod q, each unit inverted on its first lookup, so the table
-    never holds more than the units read from it and at most phi(q) of them."""
+class _LineKey(dict):
+    """x -> (g n, n/g, (x/g)^-1 mod n/g) for g = gcd(x, n), each x filled on
+    its first lookup, so the table never holds more than the x read from it;
+    called as key(x, y), it gives g n + y (x/g)^-1 mod n/g."""
 
-    __slots__ = ("q",)
+    __slots__ = ("n",)
 
-    def __init__(self, q: int):
+    def __init__(self, n: int):
         super().__init__()
-        self.q = q
+        self.n = n
 
-    def __missing__(self, u: int) -> int:
-        inv = self[u] = pow(u, -1, self.q)
-        return inv
+    def __missing__(self, x: int) -> tuple[int, int, int]:
+        n = self.n
+        g = gcd(x, n)
+        m = n // g
+        entry = self[x] = (g * n, m, pow(x // g, -1, m))
+        return entry
+
+    def __call__(self, x: int, y: int) -> int:
+        gn, m, inv = self[x]
+        return gn + y * inv % m
 
 
-def line_key(n: int) -> Callable[[int, int], int]:
+def line_key(n: int) -> _LineKey:
     """The key of the line through (x, y), a vector of exact order n with
-    entries in [0, n), as a point of P^1(Z/nZ).
+    entries in [0, n), as a point of P^1(Z/nZ): `key = line_key(n)`, then
+    `key(x, y)`.
 
-    Per prime power q = l^e of n the point is (1 : y/x) if l does not divide
-    x, else (x/y : 1) (Cremona, Algorithms for Modular Elliptic Curves,
-    1997), written as y/x or q + x/y in [0, 2q); the key is these components
-    in mixed radix.  Two vectors get one key iff one is a unit multiple of
-    the other, so the order-n vectors give psi(n) = n prod(1 + 1/l) keys.
-    The inverses come from one table per prime power.
+    Let g = gcd(x, n).  A unit multiple of (x, y) is (g, y'), and y' mod n/g
+    is y (x/g)^-1 mod n/g for every such multiple (x/g is a unit mod n/g), so
+    (g : y') is the normal form of the point (Cremona, Algorithms for Modular
+    Elliptic Curves, 1997) and the key is g n + y (x/g)^-1 mod n/g.  Two
+    vectors get one key iff one is a unit multiple of the other, so the
+    order-n vectors give psi(n) = n prod(1 + 1/p) keys, all in [n, n^2].
+    The factorization of n is not needed.
+
+    The key is also a dict from x to (g n, n/g, (x/g)^-1 mod n/g), one table
+    per call, so a hot loop can read it inline: `gn, m, inv = key[x]`, then
+    `gn + y * inv % m`.
     """
-    parts = [(p**e, p, _UnitInverses(p**e)) for p, e in modulus(n).factorization]
+    return _LineKey(n)
 
-    def key(x: int, y: int) -> int:
-        k = 0
-        for q, ell, inv in parts:
-            xq = x % q
-            if xq % ell:
-                k = k * 2 * q + y * inv[xq] % q
-            else:
-                k = k * 2 * q + q + xq * inv[y % q] % q
-        return k
 
-    return key
+def _primitive_root(p: int, e: int) -> int:
+    """A generator of (Z/p^eZ)^* for an odd prime p: the least primitive root
+    g mod p, or g + p when g^(p-1) = 1 mod p^2, is one mod every p^e."""
+    primes = [r for r, _ in factorize(p - 1)]
+    g = next(g for g in count(2) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
+    if e >= 2 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
 
 
 def unit_group_generators(n: int, m: int = 1) -> list[int]:
-    """A small generating set of the units u = 1 mod m of Z/nZ (all of
-    (Z/nZ)^* for m = 1), found greedily in increasing order."""
-    size = euler_phi(n) // euler_phi(m)
-    gens: list[int] = []
-    span = {1}
-    for u in range(1 + m, n, m):
-        if len(span) == size:
-            break
-        if gcd(u, n) != 1 or u in span:
-            continue
-        gens.append(u)
-        frontier = list(span)
-        for s in frontier:
-            x = (s * u) % n
-            while x not in span:
-                span.add(x)
-                x = (x * u) % n
-    return gens
+    """Generators of the units u = 1 mod m of Z/nZ (all of (Z/nZ)^* for
+    m = 1), for m | n.
+
+    By CRT the group is the product, over the prime powers q = p^e of n, of
+    the units u = 1 mod p^f of Z/qZ, p^f the part of m.  Each factor is
+    cyclic, generated by a primitive root (f = 0) or by 1 + p^f, except that
+    for p = 2, f <= 1 it is <3> mod 4 and <-1> x <5> mod 2^e, e >= 3.  Each
+    cyclic factor gets one generator, lifted to 1 mod n/q.  When their orders
+    are pairwise coprime the group is cyclic, and their product is its one
+    generator.
+    """
+    cyclic: list[tuple[int, int]] = []  # (generator, order)
+    for p, e in factorize(n):
+        q, f = p**e, valuation(m, p)
+        if p == 2 and f <= 1:  # all of (Z/2^eZ)^*: trivial, <3> or <-1> x <5>
+            local = [(3, 2)] if e == 2 else [(q - 1, 2), (5, q // 4)] if e >= 3 else []
+        elif f == 0:
+            local = [(_primitive_root(p, e), q // p * (p - 1))]
+        else:
+            local = [(1 + p**f, p ** (e - f))] if f < e else []
+        cyclic += [(crt_scalar((u, 1), (q, n // q)), k) for u, k in local]
+    orders = [k for _, k in cyclic]
+    if len(cyclic) > 1 and lcm(*orders) == prod(orders):
+        return [prod(u for u, _ in cyclic) % n]
+    return [u for u, _ in cyclic]

@@ -14,9 +14,12 @@ character Stab_G(<w>) -> (Z/nZ)^*.  The G-orbits inside a line orbit L are
 then the unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
-One list indexed by x n + y maps a vector to its line; no per-orbit vector
-set is stored.  The exact-order vectors are walked in ascending order, so
-each orbit is found from its minimum and orbits come out ordered by it.
+A line is named by `modarith.line_key`, its point of P^1(Z/nZ), the key
+the stabilizer chain of `matgroup` uses too.  One dict maps the key of each
+grown line to the line, so what is stored grows with the lines walked, and
+nothing of size n^2 and no per-orbit vector set is built.  The exact-order
+vectors are walked in ascending order, so each orbit is found from its
+minimum and orbits come out ordered by it.
 Their number is checked against the group's cap before any is enumerated.
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
 exactly when -1 lies in S and the vector does not have order <= 2; then |S|
@@ -39,6 +42,7 @@ from .modarith import (
     Vec2ModN,
     exact_order_vector_count,
     inv_raw,
+    line_key,
     modulus,
     vec2,
     vec_order,
@@ -106,44 +110,43 @@ class _LineOrbit:
 class _Lines:
     """G acting on the lines of (Z/nZ)^2, grown one line orbit at a time.
 
-    `line_of[x n + y]` is the line id of the order-n vector (x, y), or None
-    while its line orbit is not grown (and for vectors of other orders).
-    Line k is `lines[k]` = (orbit, x, y, a, b): its tracked vector (x, y)
-    and the row (a, b) with a x + b y = 1.
+    `line_of` maps the `modarith.line_key` of a grown line to its id.  Line
+    k is `lines[k]` = (orbit, x, y, a, b): its tracked vector (x, y) and the
+    row (a, b) with a x + b y = 1.
     """
 
     def __init__(self, n: int, gens: tuple[MatTuple, ...]):
         self.n = n
         self.gens = [(g, inv_raw(g, n)) for g in gens]
         self.units = [u for u in range(n) if gcd(u, n) == 1]
-        self.line_of: list[int | None] = [None] * (n * n)
+        self.key = line_key(n)
+        self.line_of: dict[int, int] = {}
         self.lines: list[tuple[_LineOrbit, int, int, int, int]] = []
         self.cosets: dict[frozenset[int], dict[int, int]] = {}
         self.claimed = 0
         self.unclaimed = 0
 
-    def _add_line(self, orbit: _LineOrbit, x: int, y: int, a: int, b: int) -> None:
-        n, line_of, lid = self.n, self.line_of, len(self.lines)
-        self.lines.append((orbit, x, y, a, b))
-        for u in self.units:
-            line_of[u * x % n * n + u * y % n] = lid
-
-    def _grow(self, x: int, y: int) -> int:
-        """Grow the line orbit of the order-n vector (x, y), whose line is
-        new, with (x, y) as the tracked vector of its first line."""
-        n, line_of, lines = self.n, self.line_of, self.lines
+    def _grow(self, x: int, y: int, first_key: int) -> int:
+        """Grow the line orbit of the order-n vector (x, y), whose line, of
+        key `first_key`, is new, with (x, y) as the tracked vector of its
+        first line."""
+        n, key, line_of, lines = self.n, self.key, self.line_of, self.lines
         orbit = _LineOrbit(len(lines))
-        self._add_line(orbit, x, y, *_dual(x, y, n))
+        line_of[first_key] = orbit.first
+        lines.append((orbit, x, y, *_dual(x, y, n)))
         multipliers = set()
         k = orbit.first
         while k < len(lines):
             _, x, y, a, b = lines[k]
             for (p, q, r, s), (pi, qi, ri, si) in self.gens:
                 x2, y2 = (p * x + q * y) % n, (r * x + s * y) % n
-                lid = line_of[x2 * n + y2]
+                gn, m, inv = key[x2]
+                k2 = gn + y2 * inv % m
+                lid = line_of.get(k2)
                 if lid is None:
+                    line_of[k2] = len(lines)
                     # (a, b) g^-1 is the row of g w
-                    self._add_line(orbit, x2, y2, (a * pi + b * ri) % n, (a * qi + b * si) % n)
+                    lines.append((orbit, x2, y2, (a * pi + b * ri) % n, (a * qi + b * si) % n))
                 else:
                     _, _, _, a2, b2 = lines[lid]
                     multipliers.add((a2 * x2 + b2 * y2) % n)
@@ -172,9 +175,11 @@ class _Lines:
         """For an order-n vector v = (x, y) = t w: (its line orbit, t) if no
         vector of the G-orbit of v was claimed before, else None."""
         n = self.n
-        lid = self.line_of[x * n + y]
+        gn, m, inv = self.key[x]
+        k = gn + y * inv % m
+        lid = self.line_of.get(k)
         if lid is None:
-            lid = self._grow(x, y)
+            lid = self._grow(x, y, k)
         orbit, _, _, a, b = self.lines[lid]
         t = (a * x + b * y) % n
         c = orbit.coset[t]
@@ -188,7 +193,7 @@ class _Lines:
     def claim_of(self, x: int, y: int) -> int:
         """The claim number of the G-orbit of the order-n vector (x, y),
         whose line orbit is grown and whose G-orbit is claimed."""
-        orbit, _, _, a, b = self.lines[self.line_of[x * self.n + y]]
+        orbit, _, _, a, b = self.lines[self.line_of[self.key(x, y)]]
         return orbit.claims[orbit.coset[(a * x + b * y) % self.n]]
 
     def members(self, orbit: _LineOrbit, t: int) -> list[VecTuple]:
@@ -248,6 +253,22 @@ class DegreeSpectrum:
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
         return self.records[self._lines.claim_of(x, y)]
+
+    def image_records(self, down: DegreeSpectrum) -> list[tuple[OrbitRecord, OrbitRecord]]:
+        """Each record with the record of its image under X_1(n) -> X_1(a),
+        for `down` the spectrum mod a (a | n) of the same group reduced mod
+        a, at the same field degree.
+
+        The image of a point P is bP, b = n/a.  The basis of E[a] inside
+        E[n] is b times that of E[n], so bP has coordinates (x, y) mod a in
+        E[a] =~ (Z/aZ)^2, to which `record_of` reduces.
+        """
+        n, a = self.modulus, down.modulus
+        if n % a != 0:
+            raise ValueError(f"{a} does not divide {n}")
+        if self.field_degree != down.field_degree:
+            raise ValueError("spectra have different field degrees")
+        return [(rec, down.record_of(rec.representative.entries)) for rec in self.records]
 
 
 def vector_orbits(
@@ -390,16 +411,12 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     # the fiber count depends on a and b only; every exact-order-n vector has one
     fib = fiber_count(up.records[0].representative, b)
     reports = []
-    for rec in up.records:
-        rep = rec.representative
-        # bP in E[a] =~ (Z/aZ)^2 has coordinates (x, y) mod a, which record_of
-        # reduces to: the basis of E[a] inside E[ab] is b times that of E[ab]
-        drec = down.record_of(rep.entries)
+    for rec, drec in up.image_records(down):
         ratio, rem = divmod(rec.size, drec.size)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         reports.append(
             GrowthReport(
-                representative=rep,
+                representative=rec.representative,
                 upstairs_size=rec.size,
                 downstairs_size=drec.size,
                 field_ratio=ratio,

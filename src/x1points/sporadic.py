@@ -95,33 +95,26 @@ def pushforward_degree_check(
     The spectra must come from a group G mod n and its projection mod a,
     with the same field degree.  An orbit with `multiplicative` True has
     maximal degree growth, so a sporadic point in it pushes forward to a
-    sporadic point downstairs.  `DegreeSpectrum` (from `orbits`) is named
-    only in these annotations and not imported, so that `cm` and
-    `sporadic-check` do not load the group engine.
+    sporadic point downstairs.  The orbits are paired by
+    `DegreeSpectrum.image_records`, as in `orbits.max_growth_check`.
+    `DegreeSpectrum` (from `orbits`) is named only in these annotations and
+    not imported, so that `cm` and `sporadic-check` do not load the group
+    engine.
     """
-    n, a = spectrum_n.modulus, spectrum_a.modulus
-    if n % a != 0:
-        raise ValueError(f"{a} does not divide {n}")
-    if spectrum_n.field_degree != spectrum_a.field_degree:
-        raise ValueError("spectra have different field degrees")
-    b = n // a
-    deg_f = map_degree(a, b).degree
-    out = []
-    for rec in spectrum_n.records:
-        rep = rec.representative
-        # coordinates of bP in E[a]: P mod a, reduced by record_of (see max_growth_check)
-        drec = spectrum_a.record_of(rep.entries)
-        out.append(
-            PushforwardReport(
-                upstairs_rep=rep.entries,
-                downstairs_rep=drec.representative.entries,
-                upstairs_degree=rec.degree,
-                downstairs_degree=drec.degree,
-                map_degree=deg_f,
-                multiplicative=rec.degree == deg_f * drec.degree,
-            )
+    pairs = spectrum_n.image_records(spectrum_a)
+    a = spectrum_a.modulus
+    deg_f = map_degree(a, spectrum_n.modulus // a).degree
+    return tuple(
+        PushforwardReport(
+            upstairs_rep=rec.representative.entries,
+            downstairs_rep=drec.representative.entries,
+            upstairs_degree=rec.degree,
+            downstairs_degree=drec.degree,
+            map_degree=deg_f,
+            multiplicative=rec.degree == deg_f * drec.degree,
         )
-    return tuple(out)
+        for rec, drec in pairs
+    )
 
 
 # -- CM construction ----------------------------------------------------------

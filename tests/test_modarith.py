@@ -230,6 +230,32 @@ def test_unit_group_generators():
         assert len(span) == euler_phi(n)
 
 
+@pytest.mark.parametrize("n", [73009, 331, 3**7])
+def test_unit_group_generators_of_a_cyclic_group_is_one_unit(n):
+    [g] = unit_group_generators(n)
+    order, x = 1, g
+    while x != 1:
+        x = x * g % n
+        order += 1
+    assert order == euler_phi(n)
+
+
+def test_unit_group_generators_of_a_congruence_subgroup():
+    # the units u = 1 mod m, one generator per cyclic factor, merged when
+    # the factors have coprime orders (3 * 5 mod 9 * 25 here)
+    for n, m, count in ((81, 3, 1), (32, 8, 1), (16, 2, 2), (225, 15, 1), (360, 6, 4)):
+        gens = unit_group_generators(n, m)
+        span = {1}
+        for g in gens:
+            for s in list(span):
+                x = s * g % n
+                while x not in span:
+                    span.add(x)
+                    x = x * g % n
+        assert span == {u for u in range(n) if gcd(u, n) == 1 and u % m == 1 % m}, (n, m)
+        assert len(gens) == count, (n, m)
+
+
 def _trial_division(n):
     out, m, p = [], n, 2
     while p * p <= m:

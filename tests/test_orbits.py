@@ -19,7 +19,7 @@ from x1points.matgroup import (
     gl2_group,
     sl2_group,
 )
-from x1points.modarith import mat2, mat_inv, mat_mul, modulus, vec2
+from x1points.modarith import factorize, mat2, mat_inv, mat_mul, modulus, vec2
 from x1points.orbits import (
     closed_point_degrees,
     degree_spectrum,
@@ -255,6 +255,23 @@ def test_degree_spectrum_full_preimage_borel_5_at_625():
         ((1, 0), 62500),
     ]
     assert all(r.minus_closed and r.degree == r.size // 2 for r in spec.records)
+
+
+def test_degree_spectrum_full_preimage_borel_3_at_3_to_the_7():
+    # 2 of the 8 order-3 vectors lie on the Borel line, and each has
+    # 3^12 = 531441 lifts of order 3^7; both orbits are closed under -1
+    spec = degree_spectrum(full_preimage(borel_group(3), 3**7))
+    assert [r.degree for r in spec.records] == [1594323, 531441]
+
+
+@pytest.mark.parametrize("n", [12, 49, 64, 169])
+def test_line_index_of_a_full_image_holds_psi_entries(n):
+    # one entry per line of P^1(Z/nZ), none per vector
+    psi = n
+    for p, _ in factorize(n):
+        psi = psi // p * (p + 1)
+    lines = degree_spectrum(gl2_group(n))._lines
+    assert len(lines.line_of) == len(lines.lines) == psi
 
 
 def test_record_of_rejects_vector_not_of_exact_order():

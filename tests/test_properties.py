@@ -275,6 +275,8 @@ def test_chain_on_triangular_conjugates_matches_bfs(case, others):
 @given(st.integers(1, 60))
 @example(1)
 @example(60)
+@example(120)
+@example(128)
 def test_line_key_names_the_points_of_p1(n):
     key = line_key(n)
     psi = n
