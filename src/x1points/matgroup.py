@@ -28,9 +28,10 @@ step: gZ/nZ is an ideal, so conjugation keeps it.
 A group keeps each projection it was asked for, and a projection of a
 projection is looked up on the group first projected, so each reduction's
 chain is built once.  The element set is built by breadth-first closure, and
-only on an explicit `elements()` call.  The cap bounds what each engine
-pays for: the (point, generator) pairs the chain visits, each a sift or a
-new entry, or the elements of the set.  Going past it is a hard error.  Its
+only on an explicit `elements()` call; Goursat data of H build the element
+sets of H's two projections, not of H.  The cap bounds what each engine pays
+for: the (point, generator) pairs the chain visits, each a sift or a new
+entry, or the elements of the set.  Going past it is a hard error.  Its
 default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 """
 
@@ -48,6 +49,7 @@ from .modarith import (
     Mat2ModN,
     Modulus,
     crt_join,
+    crt_scalar,
     gl2_order,
     identity,
     inv_raw,
@@ -322,6 +324,16 @@ class MatGroup:
 # -- public operations --------------------------------------------------------
 
 
+def _entries(g, n: int) -> MatTuple:
+    """The entries of a generator: a `Mat2ModN`, which must have modulus n,
+    or a tuple."""
+    if isinstance(g, Mat2ModN):
+        if g.modulus.n != n:
+            raise ModulusMismatch(f"generator modulus {g.modulus.n} != {n}")
+        return g.entries
+    return tuple(g)
+
+
 def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGroup:
     """Materialize the subgroup generated by `generators` (Mat2ModN or tuples)."""
     gens = list(generators)
@@ -329,15 +341,7 @@ def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGrou
         if not gens or not isinstance(gens[0], Mat2ModN):
             raise ValueError("modulus required when generators are not Mat2ModN")
         n = gens[0].modulus.n
-    raw = []
-    for g in gens:
-        if isinstance(g, Mat2ModN):
-            if g.modulus.n != n:
-                raise ModulusMismatch(f"generator modulus {g.modulus.n} != {n}")
-            raw.append(g.entries)
-        else:
-            raw.append(tuple(g))
-    grp = MatGroup(modulus(n), raw, cap)
+    grp = MatGroup(modulus(n), [_entries(g, n) for g in gens], cap)
     grp.elements()
     return grp
 
@@ -465,12 +469,13 @@ PairTuple = tuple[MatTuple, MatTuple]
 
 @dataclass(frozen=True)
 class GoursatData:
-    """Kernel pair and coset graph of a subgroup of a direct product.
+    """Kernel pair and coset graph of a subgroup H of a direct product.
 
-    For H <= G x G' with surjective projections: `left_kernel` is
-    N' = ker(H -> G') viewed inside G, `right_kernel` is N = ker(H -> G)
-    viewed inside G', and `graph_pairs` is the induced bijection between
-    cosets of N' in G and cosets of N in G' (canonical minimal
+    `left_image` G and `right_image` G' are the projections of H, on the
+    reduced generators of H (for `goursat`, H's own projections).
+    `left_kernel` is N' = {x : (x, 1) in H} inside G, `right_kernel` is
+    N = {y : (1, y) in H} inside G', and `graph_pairs` is the induced
+    bijection between cosets of N' in G and cosets of N in G' (least
     representatives, sorted on the left entry).
     """
 
@@ -482,101 +487,90 @@ class GoursatData:
     graph_pairs: tuple[tuple[Mat2ModN, Mat2ModN], ...]
 
 
-def _goursat_from_pairs(
-    n1: int,
-    n2: int,
-    pair_elements: frozenset[PairTuple],
-    gen_pairs: list[PairTuple],
-    cap: int,
-) -> GoursatData:
-    i1 = (1 % n1, 0, 0, 1 % n1)
-    i2 = (1 % n2, 0, 0, 1 % n2)
-    g_els = frozenset(x for x, _ in pair_elements)
-    gp_els = frozenset(y for _, y in pair_elements)
-    nprime_els = frozenset(x for x, y in pair_elements if y == i2)  # N' <| G
-    n_els = frozenset(y for x, y in pair_elements if x == i1)  # N <| G'
-    q_left = len(g_els) // len(nprime_els)
-    q_right = len(gp_els) // len(n_els)
-    if q_left != q_right:
-        raise ValueError("projections are not surjective onto compatible quotients")
+def _goursat(left: MatGroup, right: MatGroup, gen_pairs: list[PairTuple], in_h) -> GoursatData:
+    """Goursat data of the H generated by `gen_pairs`, whose projections are
+    `left` and `right`; `in_h(x, y)` tests whether (x, y) lies in H.
 
-    def coset_label(x: MatTuple, kernel: frozenset[MatTuple], n: int) -> MatTuple:
-        return min(mul_raw(x, k, n) for k in kernel)
+    Each image is read in ascending order, and each element not yet labelled
+    labels its whole coset of the kernel, so it is the coset's least element.
+    The pairing xN' -> yN is walked on the quotient from (I, I) by the
+    generator pairs; it reaches every coset, since their left components
+    generate G.
+    """
+    n1, n2 = left.modulus.n, right.modulus.n
+    i1, i2 = (1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)
 
-    label_cache_l: dict[MatTuple, MatTuple] = {}
-    label_cache_r: dict[MatTuple, MatTuple] = {}
-    graph: dict[MatTuple, MatTuple] = {}
-    for x, y in pair_elements:
-        lx = label_cache_l.get(x)
-        if lx is None:
-            lx = label_cache_l[x] = coset_label(x, nprime_els, n1)
-        ly = label_cache_r.get(y)
-        if ly is None:
-            ly = label_cache_r[y] = coset_label(y, n_els, n2)
-        prev = graph.get(lx)
-        if prev is None:
-            graph[lx] = ly
-        elif prev != ly:
-            raise ValueError("coset pairing is not well defined")
-    if len(graph) != q_left or len(set(graph.values())) != q_left:
-        raise ValueError("coset pairing is not a bijection")
-    # homomorphism property spot-checked on generator pairs
-    for x1, y1 in gen_pairs:
-        for x2, y2 in gen_pairs:
-            lx = coset_label(mul_raw(x1, x2, n1), nprime_els, n1)
-            ly = coset_label(mul_raw(y1, y2, n2), n_els, n2)
-            if graph[lx] != ly:
-                raise ValueError("coset pairing does not respect the group operation")
+    def cosets(image: MatGroup, in_kernel) -> tuple[list[MatTuple], dict[MatTuple, MatTuple]]:
+        """The kernel's elements and the least element of each one's coset."""
+        n, els = image.modulus.n, sorted(image.elements())
+        kernel = [x for x in els if in_kernel(x)]
+        label: dict[MatTuple, MatTuple] = {}
+        for x in els:
+            if x not in label:
+                for k in kernel:
+                    label[mul_raw(x, k, n)] = x
+        return kernel, label
 
-    m1, m2 = modulus(n1), modulus(n2)
-    pairs = tuple(
-        (Mat2ModN(m1, *lx), Mat2ModN(m2, *ly)) for lx, ly in sorted(graph.items())
-    )
+    nprime, label_l = cosets(left, lambda x: in_h(x, i2))  # N' <| G
+    n_els, label_r = cosets(right, lambda y: in_h(i1, y))  # N <| G'
+    graph = {label_l[i1]: label_r[i2]}
+    queue = [(i1, i2)]
+    for x, y in queue:
+        for gx, gy in gen_pairs:
+            x2 = mul_raw(x, gx, n1)
+            if label_l[x2] not in graph:
+                y2 = mul_raw(y, gy, n2)
+                graph[label_l[x2]] = label_r[y2]
+                queue.append((x2, y2))
     return GoursatData(
-        left_image=MatGroup.from_elements(n1, g_els, cap),
-        right_image=MatGroup.from_elements(n2, gp_els, cap),
-        left_kernel=MatGroup.from_elements(n1, nprime_els, cap),
-        right_kernel=MatGroup.from_elements(n2, n_els, cap),
-        common_quotient_order=q_left,
-        graph_pairs=pairs,
+        left_image=left,
+        right_image=right,
+        left_kernel=MatGroup.from_elements(n1, nprime, left.cap),
+        right_kernel=MatGroup.from_elements(n2, n_els, right.cap),
+        common_quotient_order=len(graph),
+        graph_pairs=tuple(
+            (Mat2ModN(left.modulus, *lx), Mat2ModN(right.modulus, *ly))
+            for lx, ly in sorted(graph.items())
+        ),
     )
 
 
 def goursat(H: MatGroup, a: int, b: int) -> GoursatData:
-    """Goursat data of H <= GL2(Z/abZ) split along coprime a, b (ab = n)."""
+    """Goursat data of H <= GL2(Z/abZ) split along coprime a, b (ab = n),
+    from H's projections mod a and mod b and from H's chain, which tests a
+    pair at its CRT join.  H's own elements are built only when a or b is 1,
+    where H is its own projection."""
     n = H.modulus.n
     if a * b != n:
         raise NonCoprimeModuli(f"{a}*{b} != {n}")
     if gcd(a, b) != 1:
         raise NonCoprimeModuli(f"{a} and {b} are not coprime")
-    pair_elements = frozenset(
-        (tuple(e % a for e in x), tuple(e % b for e in x)) for x in H.elements()
-    )
-    gen_pairs = [
-        (tuple(e % a for e in g), tuple(e % b for e in g)) for g in H.raw_generators
-    ]
-    return _goursat_from_pairs(a, b, pair_elements, gen_pairs, H.cap)
+    # the CRT join of residues u mod a and v mod b is u ca + v cb mod n
+    ca, cb = crt_scalar((1, 0), (a, b)), crt_scalar((0, 1), (a, b))
+
+    def in_h(x: MatTuple, y: MatTuple) -> bool:
+        return H.contains(tuple((u * ca + v * cb) % n for u, v in zip(x, y)))
+
+    gen_pairs = [(tuple(e % a for e in g), tuple(e % b for e in g)) for g in H.raw_generators]
+    return _goursat(project(H, a), project(H, b), gen_pairs, in_h)
 
 
 def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
     """Goursat data of the subgroup of GL2(Z/n1) x GL2(Z/n2) generated by pairs.
 
     Accepts the external direct-product form, so n1 = n2 is allowed
-    (e.g. the diagonal subgroup of GL2(Z/5) x GL2(Z/5)).
+    (e.g. the diagonal subgroup of GL2(Z/5) x GL2(Z/5)).  The first pair
+    must be `Mat2ModN`s, which fix n1 and n2; a later `Mat2ModN` of another
+    modulus on its side raises ModulusMismatch.
     """
     pairs = list(gen_pairs)
     if not pairs:
         raise ValueError("at least one generator pair required")
-    raw = []
-    for x, y in pairs:
-        rx = x.entries if isinstance(x, Mat2ModN) else tuple(x)
-        ry = y.entries if isinstance(y, Mat2ModN) else tuple(y)
-        raw.append((rx, ry))
     first = pairs[0]
     if not (isinstance(first[0], Mat2ModN) and isinstance(first[1], Mat2ModN)):
         raise ValueError("generator pairs must be Mat2ModN instances")
-    n1 = first[0].modulus.n
-    n2 = first[1].modulus.n
+    n1, n2 = first[0].modulus.n, first[1].modulus.n
+    raw = [(_entries(x, n1), _entries(y, n2)) for x, y in pairs]
     elements = _closure(
         ((1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)),
         raw,
@@ -584,7 +578,9 @@ def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
         lambda g: (inv_raw(g[0], n1), inv_raw(g[1], n2)),
         cap,
     )
-    return _goursat_from_pairs(n1, n2, elements, raw, cap)
+    left = MatGroup(modulus(n1), [x for x, _ in raw], cap)
+    right = MatGroup(modulus(n2), [y for _, y in raw], cap)
+    return _goursat(left, right, raw, lambda x, y: (x, y) in elements)
 
 
 # -- group files --------------------------------------------------------------

@@ -208,18 +208,16 @@ class _Lines:
 
 
 def _unit_span(units: set[int], n: int) -> frozenset[int]:
-    """The subgroup of (Z/nZ)^* generated by `units`."""
+    """The subgroup of (Z/nZ)^* generated by `units`.  The group is abelian,
+    so a unit u outside the span S so far extends it by the cosets u^k S up
+    to the first u^k in S (Dimino), and a unit inside S costs one lookup."""
     span = {1 % n}
-    frontier = list(span)
-    while frontier:
-        new = []
-        for s in frontier:
-            for u in units:
-                v = s * u % n
-                if v not in span:
-                    span.add(v)
-                    new.append(v)
-        frontier = new
+    for u in units:
+        if u not in span:
+            base, t = tuple(span), u
+            while t not in span:
+                span.update(t * s % n for s in base)
+                t = t * u % n
     return frozenset(span)
 
 

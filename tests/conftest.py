@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from x1points.matgroup import MatGroup, crt_product, gl2_group, sl2_group
-from x1points.modarith import apply_raw, crt_scalar, modulus, unit_group_generators
+from x1points.modarith import apply_raw, crt_scalar, modulus, mul_raw, unit_group_generators
 
 
 def join2(n1, n2, g1, g2):
@@ -178,3 +178,42 @@ def reduced_form_class_number(D: int) -> int:
                 count += 1
         a += 1
     return count
+
+
+def pair_closure_oracle(n1, n2, gen_pairs, limit):
+    """The pairs generated by `gen_pairs` in GL2(Z/n1) x GL2(Z/n2), by
+    breadth-first search; None past `limit` pairs."""
+    ident = ((1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2))
+    seen, queue = {ident}, [ident]
+    for x, y in queue:
+        for gx, gy in gen_pairs:
+            z = (mul_raw(x, gx, n1), mul_raw(y, gy, n2))
+            if z not in seen:
+                if len(seen) >= limit:
+                    return None
+                seen.add(z)
+                queue.append(z)
+    return frozenset(seen)
+
+
+def goursat_oracle(n1, n2, pairs):
+    """Goursat data of the subgroup H of GL2(Z/n1) x GL2(Z/n2) whose element
+    set is `pairs`, by brute force: the images G and G', the kernels
+    N' = {x : (x, 1) in H} and N = {y : (1, y) in H}, and the pairing of
+    least coset elements, read off every pair of H (sorted)."""
+    i1, i2 = (1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)
+    images = (frozenset(x for x, _ in pairs), frozenset(y for _, y in pairs))
+    kernels = (
+        frozenset(x for x, y in pairs if y == i2),
+        frozenset(y for x, y in pairs if x == i1),
+    )
+    least = []
+    for image, kernel, n in zip(images, kernels, (n1, n2)):
+        label = {}
+        for x in image:
+            if x not in label:
+                coset = {mul_raw(x, k, n) for k in kernel}
+                label.update(dict.fromkeys(coset, min(coset)))
+        least.append(label)
+    graph = sorted({(least[0][x], least[1][y]) for x, y in pairs})
+    return images, kernels, graph

@@ -313,6 +313,27 @@ def test_goursat_invariant_on_samples(large_image_samples):
         assert data.right_image.order // data.right_kernel.order == data.common_quotient_order
 
 
+def test_goursat_leaves_h_unmaterialized():
+    # read from the projections mod 5 and mod 7 and from H's chain
+    H = gl2_group(35)
+    data = goursat(H, 5, 7)
+    assert data.common_quotient_order == 1
+    assert (data.left_kernel.order, data.right_kernel.order) == (480, 2016)
+    assert data.left_image is project(H, 5)
+    assert not H.is_materialized
+
+
+def test_goursat_product_rejects_generator_of_another_modulus():
+    with pytest.raises(ModulusMismatch, match="generator modulus 7 != 5"):
+        goursat_product(
+            [(mat2(5, 1, 1, 0, 1), mat2(3, 1, 1, 0, 1)), (mat2(7, 2, 0, 0, 1), mat2(3, 1, 0, 1, 1))]
+        )
+    with pytest.raises(ModulusMismatch, match="generator modulus 5 != 3"):
+        goursat_product(
+            [(mat2(5, 1, 1, 0, 1), mat2(3, 1, 1, 0, 1)), ((1, 0, 1, 1), mat2(5, 2, 0, 0, 1))]
+        )
+
+
 def test_goursat_rejects_noncoprime():
     H = closure(sl2_group(12).generators)
     with pytest.raises(NonCoprimeModuli):

@@ -1,6 +1,6 @@
 """Cross-module consistency over random subgroups: a seeded sweep, and
 hypothesis properties of the stabilizer chain against breadth-first closure
-and of the orbit kernel against the brute-force oracles."""
+and of the orbit kernel and Goursat data against the brute-force oracles."""
 
 import random
 from math import gcd
@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     fiber_count_oracle,
+    goursat_oracle,
     matmul_oracle,
     orbit_partition_oracle,
+    pair_closure_oracle,
     sl2_gens,
     unipotent_group,
     vectors_by_order_oracle,
@@ -26,6 +28,7 @@ from x1points.matgroup import (
     closure,
     full_preimage,
     goursat,
+    goursat_product,
     is_full_preimage,
     kernel_of_projection,
     kernel_order,
@@ -37,6 +40,7 @@ from x1points.modarith import (
     gl2_order,
     inv_raw,
     line_key,
+    mat2,
     modulus,
     sl2_order,
     vec2,
@@ -232,6 +236,58 @@ def test_cached_projection_matches_fresh_group(case, others):
         assert P is project(G, m)
         for x in [*fresh.raw_generators, *others]:
             assert P.contains(x) == fresh.contains(x), (m, x)
+
+
+def assert_goursat_matches_oracle(data, n1, n2, pairs):
+    """Every field of `data` but the image generators against the oracle."""
+    images, kernels, graph = goursat_oracle(n1, n2, pairs)
+    assert [(x.entries, y.entries) for x, y in data.graph_pairs] == graph
+    assert data.common_quotient_order == len(graph)
+    for image, els in zip((data.left_image, data.right_image), images):
+        # generated inside the oracle's image, and as large: the same group
+        assert set(image.raw_generators) <= els
+        assert image.order == len(els)
+    for kernel, els in zip((data.left_kernel, data.right_kernel), kernels):
+        assert kernel.elements() == els
+        assert kernel.order == len(els)
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens())
+@example((30, [(1, 1, 0, 1), (1, 0, 1, 1), (7, 0, 0, 1)]))
+@example((1, [(0, 0, 0, 0)]))
+def test_goursat_matches_oracle(case):
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    assume(G.order <= BFS_CHECK_LIMIT)
+    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    for a in divisors(n):
+        b = n // a
+        if gcd(a, b) == 1:
+            pairs = frozenset(
+                ((x % a, y % a, z % a, w % a), (x % b, y % b, z % b, w % b))
+                for x, y, z, w in members
+            )
+            assert_goursat_matches_oracle(goursat(G, a, b), a, b, pairs)
+
+
+@st.composite
+def product_pairs(draw):
+    n1 = draw(st.integers(1, 10))
+    n2 = draw(st.sampled_from([n1, draw(st.integers(1, 10))]))
+    return n1, n2, draw(st.lists(st.tuples(invertible(n1), invertible(n2)), min_size=1, max_size=3))
+
+
+@PROPERTY_SETTINGS
+@given(product_pairs())
+@example((5, 5, [((1, 1, 0, 1), (1, 1, 0, 1)), ((1, 0, 1, 1), (1, 0, 1, 1))]))
+@example((1, 4, [((0, 0, 0, 0), (1, 1, 0, 1))]))
+def test_goursat_product_matches_oracle(case):
+    n1, n2, gen_pairs = case
+    pairs = pair_closure_oracle(n1, n2, gen_pairs, BFS_CHECK_LIMIT)
+    assume(pairs is not None)
+    data = goursat_product([(mat2(n1, *x), mat2(n2, *y)) for x, y in gen_pairs])
+    assert_goursat_matches_oracle(data, n1, n2, pairs)
 
 
 @st.composite
