@@ -137,4 +137,6 @@ class FreyCertificate:
 
 
 def frey_gonality_cert(N: int, d: int, gonality: int) -> FreyCertificate:
+    if gonality < 1:
+        raise ValueError(f"gonality must be >= 1, got {gonality}")
     return FreyCertificate(N=N, degree=d, gonality=gonality, issued=2 * d < gonality)

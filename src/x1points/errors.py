@@ -8,9 +8,9 @@ layer; `matgroup.DEFAULT_CAP` is the same value.
 
 import json
 
-# The (point, generator) pairs a stabilizer chain may visit and the elements a
-# materialized group may hold, and the least bound on the vectors orbit
-# enumeration may hold, unless a cap is given.
+# The (point, generator) pairs a chain may visit, the image elements a kernel
+# walk may store, the elements a group may hold, and the least bound on the
+# vectors orbit enumeration may hold, unless a cap is given.
 DEFAULT_CAP = 2**24
 
 
@@ -42,8 +42,8 @@ class NonCoprimeModuli(X1PointsError):
 
 class CapExceeded(X1PointsError):
     """A computation grew past the configured cap: a stabilizer chain past
-    its (point, generator) pairs, group closure past its elements, or vector
-    enumeration past its vectors.
+    its (point, generator) pairs, a kernel walk past its image elements,
+    group closure past its elements, or vector enumeration past its vectors.
 
     `partial_count` records how many were found before aborting (for
     vectors, the true count, known before any is enumerated).

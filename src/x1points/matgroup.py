@@ -27,19 +27,20 @@ step: gZ/nZ is an ideal, so conjugation keeps it.
 
 A group keeps each projection it was asked for, and a projection of a
 projection is looked up on the group first projected, so each reduction's
-chain is built once.  The element set is built by breadth-first closure, and
-only on an explicit `elements()` call; Goursat data of H build the element
-sets of H's two projections, not of H.  The cap bounds what each engine pays
-for: the (point, generator) pairs the chain visits, each a sift or a new
-entry, or the elements of the set.  Going past it is a hard error.  Its
-default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
+chain is built once.  Elements are built by breadth-first closure, only on an
+explicit `elements()` call.  A kernel of a map between groups, G -> G mod m
+or a projection of a Goursat H, is spanned by the Schreier generators of one
+walk of the image, `_left_kernel`, so neither G nor H is built.  The cap
+bounds what each engine pays for: the (point, generator) pairs the chain
+visits, each a sift or a new entry, the image elements a kernel walk stores,
+or the elements of the set.  Going past it is a hard error.  Its default,
+`DEFAULT_CAP`, is defined in `errors` and re-exported here.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
@@ -49,7 +50,6 @@ from .modarith import (
     Mat2ModN,
     Modulus,
     crt_join,
-    crt_scalar,
     gl2_order,
     identity,
     inv_raw,
@@ -61,33 +61,26 @@ from .modarith import (
 
 # An element [[a, b], [0, d]] of H as (a, b, d); (a, b, d)(a', b', d') = (aa', ab' + bd', dd').
 Triangular = tuple[int, int, int]
+# A generator (x, y) of a subgroup of GL2(Z/n1) x GL2(Z/n2).
+PairTuple = tuple[MatTuple, MatTuple]
 
 
-def _closure(ident, gens, mul, inv, cap: int) -> frozenset:
-    """Breadth-first closure of `gens` and their inverses from `ident`.
-
-    `mul(x, g)` multiplies and `inv(g)` inverts (raising NotInvertible on bad
-    input); raises CapExceeded once the set would outgrow `cap`.
-    """
-    start = list(dict.fromkeys(x for g in gens for x in (g, inv(g))))
+def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
+    """Breadth-first closure of `gens` and their inverses mod n; raises
+    CapExceeded once the set would outgrow `cap`."""
+    start = list(dict.fromkeys(x for g in gens for x in (g, inv_raw(g, n))))
+    ident = (1 % n, 0, 0, 1 % n)
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
+    queue = [ident]
+    for x in queue:
         for g in start:
-            y = mul(x, g)
+            y = mul_raw(x, g, n)
             if y not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(cap, len(seen))
                 seen.add(y)
                 queue.append(y)
     return frozenset(seen)
-
-
-def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
-    return _closure(
-        (1 % n, 0, 0, 1 % n), gens, lambda x, g: mul_raw(x, g, n), lambda g: inv_raw(g, n), cap
-    )
 
 
 class Chain:
@@ -258,26 +251,6 @@ class MatGroup:
         # the group this one is a projection of, held weakly: it holds this one
         self._projected_from: weakref.ref | None = None
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_elements(cls, n: int, elements, cap: int = DEFAULT_CAP) -> "MatGroup":
-        """Group on a given element set, with a greedy generating subset.
-
-        The elements are scanned in sorted order and each one that is not in
-        the span of those kept so far is kept.  Raises ValueError unless the
-        set is a subgroup.
-        """
-        els = frozenset(tuple(e % n for e in x) for x in elements)
-        grp = cls(modulus(n), [], cap)
-        for x in sorted(els):
-            if not grp.contains(x):
-                grp = cls(modulus(n), [*grp._gens, x], cap)
-        if grp.order != len(els):
-            raise ValueError("element set is not closed under the group operation")
-        grp._elements = els
-        return grp
-
     # -- basic accessors ----------------------------------------------------
 
     @property
@@ -363,19 +336,52 @@ def project(G: MatGroup, m: int) -> MatGroup:
         reduced = [tuple(e % m for e in g) for g in root._gens]
         out = root._projections[m] = MatGroup(modulus(m), reduced, root.cap)
         out._projected_from = weakref.ref(root)
-    if G.is_materialized and not out.is_materialized:
-        out._elements = frozenset(tuple(e % m for e in x) for x in G.elements())
     return out
 
 
+def _left_kernel(
+    gen_pairs: list[PairTuple], n1: int, n2: int, order: int | None, cap: int
+) -> MatGroup:
+    """N' = {x : (x, I) in H} for the H <= GL2(Z/n1) x GL2(Z/n2) generated by
+    `gen_pairs`, unmaterialized.
+
+    The right image is walked by right multiplication, keeping x^-1 for the
+    lift (x, y) that first reached each y.  An edge (x2, y2) into a known y2
+    with lift x' gives the Schreier generator (x2 x'^-1, I), and these
+    generate N' (Schreier's lemma; Holt, Eick and O'Brien, ch. 4).  A residue
+    is kept only if it lies outside the span of those kept so far.  The walk
+    stops once the span has `order` elements, when that order is known.  It
+    stores one entry per image element, which is what the cap bounds.
+    """
+    i1, i2 = (1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)
+    span = MatGroup(modulus(n1), [], cap)
+    lift_inv = {i2: i1}
+    queue = [(i1, i2)]
+    for x, y in queue:
+        if span.order == order:
+            break
+        for gx, gy in gen_pairs:
+            x2, y2 = mul_raw(x, gx, n1), mul_raw(y, gy, n2)
+            known = lift_inv.get(y2)
+            if known is None:
+                if len(lift_inv) >= cap:
+                    raise CapExceeded(cap, len(lift_inv), "kernel walk", "image elements")
+                lift_inv[y2] = inv_raw(x2, n1)
+                queue.append((x2, y2))
+                continue
+            residue = mul_raw(x2, known, n1)
+            if residue != i1 and not span.contains(residue):
+                span = MatGroup(modulus(n1), [*span.raw_generators, residue], cap)
+    return span
+
+
 def kernel_of_projection(G: MatGroup, m: int) -> MatGroup:
-    """Subgroup {g in G : g = I mod m}, materialized."""
-    n = G.modulus.n
-    if m < 1 or n % m != 0:
-        raise ModulusMismatch(f"{m} does not divide {n}")
-    ident_m = (1 % m, 0, 0, 1 % m)
-    kernel = frozenset(x for x in G.elements() if tuple(e % m for e in x) == ident_m)
-    return MatGroup.from_elements(n, kernel, G.cap)
+    """Subgroup {g in G : g = I mod m} (m | n), unmaterialized: generated by
+    Schreier generators read off a walk of G mod m, until they span
+    `kernel_order(G, m)` elements."""
+    order = kernel_order(G, m)
+    pairs = [(g, tuple(e % m for e in g)) for g in G.raw_generators]
+    return _left_kernel(pairs, G.modulus.n, m, order, G.cap)
 
 
 def kernel_order(G: MatGroup, m: int) -> int:
@@ -464,9 +470,6 @@ def borel_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
 
 # -- Goursat data -------------------------------------------------------------
 
-PairTuple = tuple[MatTuple, MatTuple]
-
-
 @dataclass(frozen=True)
 class GoursatData:
     """Kernel pair and coset graph of a subgroup H of a direct product.
@@ -474,9 +477,10 @@ class GoursatData:
     `left_image` G and `right_image` G' are the projections of H, on the
     reduced generators of H (for `goursat`, H's own projections).
     `left_kernel` is N' = {x : (x, 1) in H} inside G, `right_kernel` is
-    N = {y : (1, y) in H} inside G', and `graph_pairs` is the induced
-    bijection between cosets of N' in G and cosets of N in G' (least
-    representatives, sorted on the left entry).
+    N = {y : (1, y) in H} inside G', each generated by Schreier generators
+    of H (see `_left_kernel`); `graph_pairs` is the induced bijection between
+    cosets of N' in G and cosets of N in G' (least representatives, sorted
+    on the left entry).
     """
 
     left_image: MatGroup
@@ -487,32 +491,37 @@ class GoursatData:
     graph_pairs: tuple[tuple[Mat2ModN, Mat2ModN], ...]
 
 
-def _goursat(left: MatGroup, right: MatGroup, gen_pairs: list[PairTuple], in_h) -> GoursatData:
+def _goursat(
+    left: MatGroup, right: MatGroup, gen_pairs: list[PairTuple], cap: int, order: int | None = None
+) -> GoursatData:
     """Goursat data of the H generated by `gen_pairs`, whose projections are
-    `left` and `right`; `in_h(x, y)` tests whether (x, y) lies in H.
+    `left` and `right`; `order` is |H| when known.
 
-    Each image is read in ascending order, and each element not yet labelled
-    labels its whole coset of the kernel, so it is the coset's least element.
-    The pairing xN' -> yN is walked on the quotient from (I, I) by the
-    generator pairs; it reaches every coset, since their left components
-    generate G.
+    N' is the kernel of H -> G', of order |H|/|G'|, so |H| = |G'| |N'| is
+    known once N' is, and N, of order |H|/|G|, is found the same way on the
+    swapped pairs.  Each image is read in ascending order, and each element
+    not yet labelled labels its whole coset of the kernel, so it is the
+    coset's least element.  The pairing xN' -> yN is walked on the quotient
+    from (I, I) by the generator pairs; it reaches every coset, since their
+    left components generate G.
     """
     n1, n2 = left.modulus.n, right.modulus.n
     i1, i2 = (1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)
+    kernel_l = _left_kernel(gen_pairs, n1, n2, order and order // right.order, cap)
+    order = right.order * kernel_l.order
+    kernel_r = _left_kernel([(y, x) for x, y in gen_pairs], n2, n1, order // left.order, cap)
 
-    def cosets(image: MatGroup, in_kernel) -> tuple[list[MatTuple], dict[MatTuple, MatTuple]]:
-        """The kernel's elements and the least element of each one's coset."""
-        n, els = image.modulus.n, sorted(image.elements())
-        kernel = [x for x in els if in_kernel(x)]
+    def cosets(image: MatGroup, kernel: MatGroup) -> dict[MatTuple, MatTuple]:
+        """The least element of the coset of each element of `image`."""
+        n, ks = image.modulus.n, kernel.elements()
         label: dict[MatTuple, MatTuple] = {}
-        for x in els:
+        for x in sorted(image.elements()):
             if x not in label:
-                for k in kernel:
+                for k in ks:
                     label[mul_raw(x, k, n)] = x
-        return kernel, label
+        return label
 
-    nprime, label_l = cosets(left, lambda x: in_h(x, i2))  # N' <| G
-    n_els, label_r = cosets(right, lambda y: in_h(i1, y))  # N <| G'
+    label_l, label_r = cosets(left, kernel_l), cosets(right, kernel_r)
     graph = {label_l[i1]: label_r[i2]}
     queue = [(i1, i2)]
     for x, y in queue:
@@ -525,8 +534,8 @@ def _goursat(left: MatGroup, right: MatGroup, gen_pairs: list[PairTuple], in_h) 
     return GoursatData(
         left_image=left,
         right_image=right,
-        left_kernel=MatGroup.from_elements(n1, nprime, left.cap),
-        right_kernel=MatGroup.from_elements(n2, n_els, right.cap),
+        left_kernel=kernel_l,
+        right_kernel=kernel_r,
         common_quotient_order=len(graph),
         graph_pairs=tuple(
             (Mat2ModN(left.modulus, *lx), Mat2ModN(right.modulus, *ly))
@@ -537,22 +546,15 @@ def _goursat(left: MatGroup, right: MatGroup, gen_pairs: list[PairTuple], in_h) 
 
 def goursat(H: MatGroup, a: int, b: int) -> GoursatData:
     """Goursat data of H <= GL2(Z/abZ) split along coprime a, b (ab = n),
-    from H's projections mod a and mod b and from H's chain, which tests a
-    pair at its CRT join.  H's own elements are built only when a or b is 1,
-    where H is its own projection."""
+    from H's projections mod a and mod b and H's order.  H's own elements
+    are built only when a or b is 1, where H is its own projection."""
     n = H.modulus.n
     if a * b != n:
         raise NonCoprimeModuli(f"{a}*{b} != {n}")
     if gcd(a, b) != 1:
         raise NonCoprimeModuli(f"{a} and {b} are not coprime")
-    # the CRT join of residues u mod a and v mod b is u ca + v cb mod n
-    ca, cb = crt_scalar((1, 0), (a, b)), crt_scalar((0, 1), (a, b))
-
-    def in_h(x: MatTuple, y: MatTuple) -> bool:
-        return H.contains(tuple((u * ca + v * cb) % n for u, v in zip(x, y)))
-
     gen_pairs = [(tuple(e % a for e in g), tuple(e % b for e in g)) for g in H.raw_generators]
-    return _goursat(project(H, a), project(H, b), gen_pairs, in_h)
+    return _goursat(project(H, a), project(H, b), gen_pairs, H.cap, H.order)
 
 
 def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
@@ -571,16 +573,9 @@ def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
         raise ValueError("generator pairs must be Mat2ModN instances")
     n1, n2 = first[0].modulus.n, first[1].modulus.n
     raw = [(_entries(x, n1), _entries(y, n2)) for x, y in pairs]
-    elements = _closure(
-        ((1 % n1, 0, 0, 1 % n1), (1 % n2, 0, 0, 1 % n2)),
-        raw,
-        lambda x, g: (mul_raw(x[0], g[0], n1), mul_raw(x[1], g[1], n2)),
-        lambda g: (inv_raw(g[0], n1), inv_raw(g[1], n2)),
-        cap,
-    )
     left = MatGroup(modulus(n1), [x for x, _ in raw], cap)
     right = MatGroup(modulus(n2), [y for _, y in raw], cap)
-    return _goursat(left, right, raw, lambda x, y: (x, y) in elements)
+    return _goursat(left, right, raw, cap)
 
 
 # -- group files --------------------------------------------------------------

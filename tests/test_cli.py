@@ -257,6 +257,15 @@ def test_sporadic_check_require_exit_code(capsys):
     assert not json.loads(out)["certified_sporadic"]
 
 
+def test_sporadic_check_rejects_gonality_below_one(capsys):
+    for gon in ("0", "-5"):
+        code, out, err = run(
+            capsys, ["sporadic-check", "--level", "37", "--degree", "6", "--gonality", gon]
+        )
+        assert code == 2 and out == ""
+        assert f"gonality must be >= 1, got {gon}" in err
+
+
 def test_cm_command(capsys):
     code, out, _ = run(capsys, ["cm", "--disc", "-4"])
     data = json.loads(out)

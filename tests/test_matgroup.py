@@ -173,7 +173,6 @@ def test_project_requires_divisor():
 def test_project_of_materialized_matches_closure_of_reduced_generators():
     G = closure(borel_group(15).generators)
     P = project(G, 5)
-    assert P.is_materialized
     assert P.elements() == closure(borel_group(5).generators).elements()
 
 
@@ -182,6 +181,21 @@ def test_kernel_of_projection_gl2_15_to_3():
     K = kernel_of_projection(G, 3)
     assert K.order == gl2_order(15) // gl2_order(3) == 480
     assert K.order == gl2_order(5)
+
+
+def test_kernel_of_projection_walks_the_image_not_the_group():
+    # GL2(Z/3^7) has about 1.4e13 elements; the walk visits the 48 of GL2(3)
+    G = gl2_group(3**7)
+    K = kernel_of_projection(G, 3)
+    assert K.order == gl2_order(3**7) // gl2_order(3)
+    assert not G.is_materialized and not K.is_materialized
+
+
+def test_kernel_walk_past_cap_names_the_walk():
+    # a first relation mod 3^6 needs a word of length about 3^6: the walk
+    # runs through 10^5 image elements without reaching the kernel's order
+    with pytest.raises(CapExceeded, match="kernel walk exceeded cap of 100000 image elements"):
+        kernel_of_projection(gl2_group(3**7, cap=10**5), 3**6)
 
 
 def test_kernel_of_projection_trivial():
@@ -291,7 +305,7 @@ def test_goursat_index_two_fiber_product():
         join2(2, 3, x, y) for x in g2 for y in g3 if sign2(x) == det3(y)
     ]
     assert len(elements) == 6 * 48 // 2
-    H6 = MatGroup.from_elements(6, elements)
+    H6 = closure(elements, n=6)
     data = goursat(H6, 2, 3)
     assert data.common_quotient_order == 2
     assert data.left_image.order == 6
@@ -321,6 +335,16 @@ def test_goursat_leaves_h_unmaterialized():
     assert (data.left_kernel.order, data.right_kernel.order) == (480, 2016)
     assert data.left_image is project(H, 5)
     assert not H.is_materialized
+
+
+def test_goursat_product_full_product_5_7():
+    # the walk of GL2(7) finds N' = GL2(5); then |H| is known, so N stops early
+    data = goursat_product(
+        [(g, identity(7)) for g in gl2_group(5).generators]
+        + [(identity(5), g) for g in gl2_group(7).generators]
+    )
+    assert data.common_quotient_order == 1
+    assert (data.left_kernel.order, data.right_kernel.order) == (480, 2016)
 
 
 def test_goursat_product_rejects_generator_of_another_modulus():

@@ -5,7 +5,6 @@ and of the orbit kernel and Goursat data against the brute-force oracles."""
 import random
 from math import gcd
 
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +170,7 @@ def test_chain_order_matches_bfs(case):
 def test_chain_contains_matches_set_membership(case, others):
     n, gens = case
     G = MatGroup(modulus(n), gens)
+    assume(G.order <= BFS_CHECK_LIMIT)
     members = _bfs_closure(n, gens, DEFAULT_CAP)
     assert all(G.contains(x) for x in members)
     for x in others:
@@ -194,24 +194,6 @@ def test_full_preimage_order(case):
 
 
 @PROPERTY_SETTINGS
-@given(subgroup_gens(st.integers(1, 12)))
-def test_from_elements_keeps_greedy_generators(case):
-    n, gens = case
-    els = _bfs_closure(n, gens, DEFAULT_CAP)
-    expected, span = [], {(1 % n, 0, 0, 1 % n)}
-    for x in sorted(els):
-        if x not in span:
-            expected.append(x)
-            span = _bfs_closure(n, expected, DEFAULT_CAP)
-    G = MatGroup.from_elements(n, els)
-    assert list(G.raw_generators) == expected
-    assert G.order == len(els)
-    if len(els) > 2:  # |G| - 1 elements never form a subgroup then
-        with pytest.raises(ValueError):
-            MatGroup.from_elements(n, els - {max(els - {(1 % n, 0, 0, 1 % n)})})
-
-
-@PROPERTY_SETTINGS
 @given(subgroup_gens())
 def test_kernel_order_matches_materialized_kernel(case):
     n, gens = case
@@ -220,8 +202,11 @@ def test_kernel_order_matches_materialized_kernel(case):
     members = _bfs_closure(n, gens, DEFAULT_CAP)
     for m in divisors(n):
         ident = (1 % m, 0, 0, 1 % m)
-        in_kernel = sum(1 for x in members if tuple(e % m for e in x) == ident)
-        assert kernel_order(G, m) == kernel_of_projection(G, m).order == in_kernel, m
+        in_kernel = frozenset(x for x in members if tuple(e % m for e in x) == ident)
+        K = kernel_of_projection(G, m)
+        assert kernel_order(G, m) == K.order == len(in_kernel), m
+        assert K.elements() == in_kernel, m
+        assert all(tuple(e % m for e in g) == ident for g in K.raw_generators), m
 
 
 @PROPERTY_SETTINGS
