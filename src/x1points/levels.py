@@ -3,8 +3,12 @@
 A group G known mod l^(s+1) whose congruence kernel down to l^s is full
 (all l^4 cosets) is certified to be the full preimage of its mod-l^s
 reduction at every higher stage; that is the entire content of the
-detection step, checked here by order bookkeeping.  "Level" is handled as
-a divisibility certificate plus a separate minimization pass over divisors.
+detection step, which reports the kernel order, the quotient of the orders
+of G mod l^(s+1) and G mod l^s.  "Level" is handled as a divisibility
+certificate plus a separate minimization pass over divisors.  Minimization
+and composition ask only whether a kernel is full, a membership test of the
+congruence kernel's generators in G's own chain
+(`matgroup.is_full_preimage`).
 
 Claims about the profinite group are always conditional on the supplied
 finite truncation representing it faithfully; the kernel check makes the
@@ -103,7 +107,8 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
 
 
 def minimize_level(G: MatGroup) -> int:
-    """Smallest divisor M of n with G = full preimage of G mod M."""
+    """Smallest divisor M of n with G = full preimage of G mod M: the first
+    divisor whose congruence kernel's generators all lie in G."""
     for m in divisors(G.modulus.n):
         if matgroup.is_full_preimage(G, m):
             return m
@@ -150,7 +155,9 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
     down).  For each prime the full-preimage hypothesis is checked on the
     mixed modulus (only that prime's exponent lowered); a failure raises
     HypothesisFailed naming the prime.  The composite statement is then
-    verified directly by order bookkeeping.
+    verified directly.  Each check is a membership test in the chain of G
+    mod prod l^(t_l+1), so a record's `kernel_order` is the full kernel
+    order it certifies.
     """
 
     if not stages:
@@ -170,10 +177,9 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
     for ell, t in sorted(stages.items()):
         level *= ell**t
         mixed = check_mod // ell
-        # full preimage iff the kernel down to `mixed` is the whole congruence
-        # kernel, of order ell^4 since ell still divides `mixed`
-        kernel = matgroup.kernel_order(G, mixed)
-        if kernel != ell**4:
+        # the congruence kernel down to `mixed` has order ell^4, since ell
+        # still divides `mixed`
+        if not matgroup.is_full_preimage(G, mixed):
             raise HypothesisFailed(
                 ell, f"G mod {check_mod} is not the full preimage of G mod {mixed}"
             )
@@ -183,22 +189,21 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
                 exponent=t,
                 checked_modulus=check_mod,
                 target_modulus=mixed,
-                kernel_order=kernel,
+                kernel_order=ell**4,
                 full_kernel=ell**4,
             )
         )
     # composite conclusion, verified directly rather than trusted
-    kernel = matgroup.kernel_order(G, level)
-    full_kernel = gl2_order(check_mod) // gl2_order(level)
-    if kernel != full_kernel:
+    if not matgroup.is_full_preimage(G, level):
         raise HypothesisFailed(0, f"composite full-preimage check failed at M={level}")
+    full_kernel = gl2_order(check_mod) // gl2_order(level)
     evidence.append(
         PrimeEvidence(
             prime=0,
             exponent=max(t for t in stages.values()),
             checked_modulus=check_mod,
             target_modulus=level,
-            kernel_order=kernel,
+            kernel_order=full_kernel,
             full_kernel=full_kernel,
         )
     )

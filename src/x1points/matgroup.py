@@ -25,10 +25,13 @@ A generator kept at L3 from the line orbit also joins the generators of A,
 so its conjugates by the A transversal are sifted too.  L4 needs no such
 step: gZ/nZ is an ideal, so conjugation keeps it.
 
-A group keeps each projection it was asked for, and a projection of a
-projection is looked up on the group first projected, so each reduction's
-chain is built once.  Elements are built by breadth-first closure, only on an
-explicit `elements()` call.  A kernel of a map between groups, G -> G mod m
+Whether G is the full preimage of G mod m is a membership test: a few
+generators of the congruence kernel ker(GL2(Z/n) -> GL2(Z/m)) are sifted
+through G's own chain, so no chain of G mod m is built for it.  A group
+keeps each projection it was asked for, and a projection of a projection is
+looked up on the group first projected, so each reduction's chain is built
+once.  Elements are built by breadth-first closure, only on an explicit
+`elements()` call.  A kernel of a map between groups, G -> G mod m
 or a projection of a Goursat H, is spanned by the Schreier generators of one
 walk of the image, `_left_kernel`, so neither G nor H is built.  The cap
 bounds what each engine pays for: the (point, generator) pairs the chain
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -402,10 +406,31 @@ def contains_sl2(G: MatGroup) -> bool:
     return G.contains(s) and G.contains(t)
 
 
+def congruence_kernel_generators(n: int, m: int) -> Iterator[MatTuple]:
+    """Generators of K_m = ker(GL2(Z/nZ) -> GL2(Z/mZ)) (m | n), yielded
+    lazily: I + m*E12, I + m*E21, then diag(u, 1) and diag(1, u) for each
+    generator u of the units u = 1 mod m.
+
+    By CRT, K_m is the product of its factors at the primes l of n.  At l | m
+    every (1,1) entry 1 + m*x is a unit, so the factor is L*D*U and the
+    elementary and diagonal matrices generate it.  At l not dividing m the
+    factor is all of GL2(Z/l^e): the elementary matrices generate SL2 and the
+    diagonal units add the determinant.  A generator's components at
+    distinct primes have coprime orders, so each is a power of it.
+    """
+    if m < 1 or n % m != 0:
+        raise ModulusMismatch(f"{m} does not divide {n}")
+    yield (1, m, 0, 1)
+    yield (1, 0, m, 1)
+    for u in unit_group_generators(n, m):
+        yield (u, 0, 0, 1)
+        yield (1, 0, 0, u)
+
+
 def is_full_preimage(G: MatGroup, m: int) -> bool:
     """True iff G mod n is the full preimage of its own reduction mod m:
-    its kernel down to m is all of ker(GL2(n) -> GL2(m))."""
-    return kernel_order(G, m) == gl2_order(G.modulus.n) // gl2_order(m)
+    every generator of ker(GL2(n) -> GL2(m)) sifts through G's chain."""
+    return all(G.contains(k) for k in congruence_kernel_generators(G.modulus.n, m))
 
 
 # -- structured constructions ------------------------------------------------
@@ -427,12 +452,7 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
     if n == m:
         return base
     gens: list[MatTuple] = [tuple(int(e) for e in g) for g in base.raw_generators]
-    # The congruence kernel {I + mX} is L*D*U: every (1,1) entry 1 + m*x is a
-    # unit because Supp(n) = Supp(m).  So I + m*E21, I + m*E12 and the
-    # diagonals diag(u, 1), diag(1, u) with u = 1 mod m generate it.
-    gens += [(1, m, 0, 1), (1, 0, m, 1)]
-    for u in unit_group_generators(n, m):
-        gens += [(u, 0, 0, 1), (1, 0, 0, u)]
+    gens += congruence_kernel_generators(n, m)
     return MatGroup(modulus(n), gens, cap)
 
 
@@ -512,7 +532,11 @@ def _goursat(
     kernel_r = _left_kernel([(y, x) for x, y in gen_pairs], n2, n1, order // left.order, cap)
 
     def cosets(image: MatGroup, kernel: MatGroup) -> dict[MatTuple, MatTuple]:
-        """The least element of the coset of each element of `image`."""
+        """The least element of the coset of each element of `image`.  A
+        kernel of the image's order is the whole image, one coset, so its
+        elements are not built a second time."""
+        if kernel.order == image.order:
+            return dict.fromkeys(image.elements(), min(image.elements()))
         n, ks = image.modulus.n, kernel.elements()
         label: dict[MatTuple, MatTuple] = {}
         for x in sorted(image.elements()):

@@ -164,7 +164,35 @@ def test_compose_level_projects_each_modulus_once(monkeypatch):
     monkeypatch.setattr(x1points.matgroup, "project", counting)
     cert = compose_level(gl2_group(36), {2: 1, 3: 1})
     assert cert.level == 6
-    assert sorted(projected) == [6, 12, 18, 36]
+    # the full-preimage checks sift through G's own chain mod 36
+    assert sorted(projected) == [36]
+
+
+def chains_built(monkeypatch) -> list[int]:
+    """The moduli of the stabilizer chains built from here on."""
+    import x1points.matgroup
+
+    built = []
+    real = x1points.matgroup._stabilizer_chain
+
+    def spy(n, gens, cap):
+        built.append(n)
+        return real(n, gens, cap)
+
+    monkeypatch.setattr(x1points.matgroup, "_stabilizer_chain", spy)
+    return built
+
+
+def test_minimize_level_builds_only_the_groups_chain(monkeypatch):
+    built = chains_built(monkeypatch)
+    assert minimize_level(sl2_group(72)) == 72
+    assert built == [72]
+
+
+def test_compose_level_builds_only_the_groups_chain(monkeypatch):
+    built = chains_built(monkeypatch)
+    assert compose_level(gl2_group(36), {2: 1, 3: 1}).level == 6
+    assert built == [36]
 
 
 def test_compose_level_hypothesis_failed_names_prime():

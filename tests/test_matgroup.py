@@ -8,6 +8,7 @@ from x1points.matgroup import (
     MatGroup,
     borel_group,
     closure,
+    congruence_kernel_generators,
     contains_sl2,
     crt_product,
     full_preimage,
@@ -24,6 +25,7 @@ from x1points.matgroup import (
 )
 from x1points.modarith import (
     crt_join,
+    divisors,
     euler_phi,
     gl2_order,
     identity,
@@ -234,6 +236,30 @@ def test_is_full_preimage_cases():
     pre = full_preimage(closure(borel_group(3).generators), 9)
     assert is_full_preimage(pre, 3)
     assert not is_full_preimage(pre, 1)
+
+
+def test_congruence_kernel_generators_span_the_kernel():
+    # every n <= 128 and every m | n: the generators span all of
+    # ker(GL2(Z/n) -> GL2(Z/m)), whose order is |GL2(n)| / |GL2(m)|
+    for n in range(1, 129):
+        for m in divisors(n):
+            K = MatGroup(modulus(n), list(congruence_kernel_generators(n, m)))
+            assert K.order == gl2_order(n) // gl2_order(m), (n, m)
+
+
+def test_congruence_kernel_generators_are_lazy(monkeypatch):
+    # the unit generators are computed only once both elementary matrices
+    # have been asked for
+    import x1points.matgroup
+
+    calls = []
+    real = x1points.matgroup.unit_group_generators
+    monkeypatch.setattr(
+        x1points.matgroup, "unit_group_generators", lambda n, m: calls.append(m) or real(n, m)
+    )
+    gens = congruence_kernel_generators(36, 6)
+    assert [next(gens), next(gens)] == [(1, 6, 0, 1), (1, 0, 6, 1)] and not calls
+    assert next(gens) == (real(36, 6)[0], 0, 0, 1) and calls == [6]
 
 
 def test_full_preimage_order_and_elements_agree():

@@ -2,6 +2,7 @@
 hypothesis properties of the stabilizer chain against breadth-first closure
 and of the orbit kernel and Goursat data against the brute-force oracles."""
 
+import itertools
 import random
 from math import gcd
 
@@ -207,6 +208,31 @@ def test_kernel_order_matches_materialized_kernel(case):
         assert kernel_order(G, m) == K.order == len(in_kernel), m
         assert K.elements() == in_kernel, m
         assert all(tuple(e % m for e in g) == ident for g in K.raw_generators), m
+
+
+def congruence_matrices(n, m):
+    """Every invertible I + m*X mod n, by brute force."""
+    one, steps = 1 % n, range(0, n, m)
+    for x, y, z, w in itertools.product(steps, repeat=4):
+        g = ((one + x) % n, y, z, (one + w) % n)
+        if gcd(g[0] * g[3] - g[1] * g[2], n) == 1:
+            yield g
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens())
+@example((12, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)]))  # level 4
+def test_is_full_preimage_matches_kernel_order(case):
+    # membership of the kernel generators against the quotient of two chain
+    # orders, and against the closure when G is small enough to build
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    members = _bfs_closure(n, gens, DEFAULT_CAP) if G.order <= BFS_CHECK_LIMIT else None
+    for m in divisors(n):
+        full = is_full_preimage(G, m)
+        assert full == (kernel_order(G, m) == gl2_order(n) // gl2_order(m)), m
+        if members is not None:
+            assert full == all(g in members for g in congruence_matrices(n, m)), m
 
 
 @PROPERTY_SETTINGS
