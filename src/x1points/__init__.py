@@ -119,7 +119,6 @@ _EXPORTS = {
         "cm_threshold",
         "lift_chain_holds",
         "lifting_certificate",
-        "pushforward_degree_check",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

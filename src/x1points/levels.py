@@ -50,12 +50,6 @@ SPECIAL_IMAGE_ORDERS: dict[int, int] = {
 }
 
 
-def project(G: MatGroup, m: int) -> MatGroup:
-    """`matgroup.project`, the one name through which `detect_ladic_level`
-    and `compose_level` project."""
-    return matgroup.project(G, m)
-
-
 def minimal_stage(ell: int) -> int:
     """Smallest admissible detection stage: 1 for odd primes, 2 for l = 2."""
     return 2 if ell == 2 else 1
@@ -95,7 +89,7 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
         raise StageTooLow(f"stage {s} below minimum {s0} for prime {ell}")
     if s + 1 > e:
         raise ValueError(f"stage {s} needs the group mod {ell}^{s + 1}, have {ell}^{e}")
-    kernel = matgroup.kernel_order(project(G, ell ** (s + 1)), ell**s)
+    kernel = matgroup.kernel_order(matgroup.project(G, ell ** (s + 1)), ell**s)
     full = ell**4
     return LadicDetection(
         prime=ell,
@@ -151,19 +145,21 @@ class LevelCertificate:
 def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
     """Combine certified per-prime stages {l: t_l} into M = prod l^t_l.
 
-    G must be available mod prod l^(t_l+1) (larger moduli are projected
-    down).  For each prime the full-preimage hypothesis is checked on the
-    mixed modulus (only that prime's exponent lowered); a failure raises
-    HypothesisFailed naming the prime.  The composite statement is then
-    verified directly.  Each check is a membership test in the chain of G
-    mod prod l^(t_l+1), so a record's `kernel_order` is the full kernel
-    order it certifies.
+    Every key must be a prime (ValueError otherwise).  G must be available
+    mod prod l^(t_l+1) (larger moduli are projected down).  For each prime
+    the full-preimage hypothesis is checked on the mixed modulus (only that
+    prime's exponent lowered); a failure raises HypothesisFailed naming the
+    prime.  The composite statement is then verified directly.  Each check
+    is a membership test in the chain of G mod prod l^(t_l+1), so a
+    record's `kernel_order` is the full kernel order it certifies.
     """
 
     if not stages:
         raise ValueError("at least one prime stage required")
     check_mod = 1
     for ell, t in stages.items():
+        if not is_prime(ell):
+            raise ValueError(f"stage key {ell} is not a prime")
         # t >= 1 suffices here; the s0 floor belongs to the kernel-equality
         # detection step, not to composition of already-certified exponents.
         if t < 1:
@@ -171,7 +167,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
         check_mod *= ell ** (t + 1)
     if G.modulus.n % check_mod != 0:
         raise ValueError(f"group modulus {G.modulus.n} is not divisible by {check_mod}")
-    G = project(G, check_mod)
+    G = matgroup.project(G, check_mod)
     level = 1
     evidence = []
     for ell, t in sorted(stages.items()):

@@ -65,17 +65,13 @@ def _ascending_exact_order(n: int, d: int) -> Iterator[VecTuple]:
         yield from zip(repeat(x), ys)
 
 
-def _exact_order_entries(n: int, d: int) -> list[VecTuple]:
-    """The vectors of exact order d in (Z/nZ)^2 as sorted (x, y) tuples."""
-    if d < 1 or n % d != 0:
-        raise OrderMismatch(f"{d} does not divide {n}")
-    return list(_ascending_exact_order(n, d))
-
-
 def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
     """All vectors in (Z/nZ)^2 of exact order d (default d = n), sorted."""
     mod = modulus(n)
-    return [Vec2ModN(mod, x, y) for x, y in _exact_order_entries(n, n if d is None else d)]
+    d = n if d is None else d
+    if d < 1 or n % d != 0:
+        raise OrderMismatch(f"{d} does not divide {n}")
+    return [Vec2ModN(mod, x, y) for x, y in _ascending_exact_order(n, d)]
 
 
 def _dual(x: int, y: int, n: int) -> tuple[int, int]:
@@ -171,40 +167,28 @@ class _Lines:
             self.cosets[scalars] = out
         return out
 
-    def claim(self, x: int, y: int) -> tuple[_LineOrbit, int] | None:
-        """For an order-n vector v = (x, y) = t w: (its line orbit, t) if no
-        vector of the G-orbit of v was claimed before, else None."""
-        n = self.n
+    def claim(self, x: int, y: int) -> _LineOrbit | None:
+        """For an order-n vector v = (x, y): its line orbit if no vector of
+        the G-orbit of v was claimed before, else None."""
         gn, m, inv = self.key[x]
         k = gn + y * inv % m
         lid = self.line_of.get(k)
         if lid is None:
             lid = self._grow(x, y, k)
         orbit, _, _, a, b = self.lines[lid]
-        t = (a * x + b * y) % n
-        c = orbit.coset[t]
+        c = orbit.coset[(a * x + b * y) % self.n]
         if orbit.claims[c] is not None:
             return None
         orbit.claims[c] = self.claimed
         self.claimed += 1
         self.unclaimed -= 1
-        return orbit, t
+        return orbit
 
     def claim_of(self, x: int, y: int) -> int:
         """The claim number of the G-orbit of the order-n vector (x, y),
         whose line orbit is grown and whose G-orbit is claimed."""
         orbit, _, _, a, b = self.lines[self.line_of[self.key(x, y)]]
         return orbit.claims[orbit.coset[(a * x + b * y) % self.n]]
-
-    def members(self, orbit: _LineOrbit, t: int) -> list[VecTuple]:
-        """The G-orbit t S of the tracked vectors of `orbit`."""
-        n = self.n
-        ts = [t * s % n for s in orbit.scalars]
-        return [
-            (u * x % n, u * y % n)
-            for _, x, y, _, _ in self.lines[orbit.first : orbit.first + orbit.count]
-            for u in ts
-        ]
 
 
 def _unit_span(units: set[int], n: int) -> frozenset[int]:
@@ -269,31 +253,6 @@ class DegreeSpectrum:
         return [(rec, down.record_of(rec.representative.entries)) for rec in self.records]
 
 
-def vector_orbits(
-    G: MatGroup, vectors: list[Vec2ModN] | list[VecTuple]
-) -> list[frozenset[VecTuple]]:
-    """Partition `vectors` (Vec2ModN or reduced (x, y) tuples, a union of
-    G-orbits of any orders) into G-orbits, ordered by their minimum.
-
-    An order-d vector is n/d times an order-d vector of (Z/dZ)^2, on which G
-    acts through G mod d, so each order is walked on its own lines.
-    """
-    n = G.modulus.n
-    if vectors and isinstance(vectors[0], Vec2ModN):
-        vectors = [v.entries for v in vectors]
-    by_step: dict[int, list[VecTuple]] = {}
-    for x, y in vectors:
-        by_step.setdefault(gcd(gcd(x, y), n), []).append((x, y))
-    found: dict[VecTuple, frozenset[VecTuple]] = {}
-    for step, vs in by_step.items():
-        lines = _Lines(n // step, project(G, n // step).raw_generators)
-        for x, y in sorted(vs):
-            claimed = lines.claim(x // step, y // step)
-            if claimed:
-                found[x, y] = frozenset((step * a, step * b) for a, b in lines.members(*claimed))
-    return [found[v] for v in sorted(found)]
-
-
 def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> OrbitRecord:
     size = orbit.count * len(orbit.scalars)
     minus = -1 % n in orbit.scalars
@@ -329,9 +288,9 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     line_count = count // len(lines.units)
     records = []
     for v in _ascending_exact_order(n, n):
-        claimed = lines.claim(*v)
-        if claimed:
-            records.append(_record(n, v, claimed[0], field_degree))
+        orbit = lines.claim(*v)
+        if orbit:
+            records.append(_record(n, v, orbit, field_degree))
             # every line grown and every coset claimed: the rest claims nothing
             if not lines.unclaimed and len(lines.lines) == line_count:
                 break

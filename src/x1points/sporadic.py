@@ -1,5 +1,6 @@
-"""Sporadic-point certificates: the lifting criterion, pushforward degree
-bookkeeping, and the CM construction arithmetic.
+"""Sporadic-point certificates: the lifting criterion and the CM
+construction arithmetic.  Degree growth along X_1(n) -> X_1(a), which
+pushes a sporadic point down, is checked by `orbits.max_growth_check`.
 
 All thresholds are exact rationals so the strict inequalities in the
 certificates are bit-exact.  The lifting criterion is sufficient only:
@@ -73,48 +74,6 @@ def lifting_certificate(N: int, d: int) -> SporadicCertificate:
 def lift_chain_holds(N: int, d: int, m: int) -> bool:
     """Check d * deg(X_1(mN) -> X_1(N)) < (7/1600) * mu(mN) exactly."""
     return Fraction(d * map_degree(N, m).degree) < LIFTING_FACTOR * psl2_index(N * m)
-
-
-@dataclass(frozen=True)
-class PushforwardReport:
-    """One orbit upstairs against its image orbit under X_1(n) -> X_1(a)."""
-
-    upstairs_rep: tuple[int, int]
-    downstairs_rep: tuple[int, int]
-    upstairs_degree: int
-    downstairs_degree: int
-    map_degree: int
-    multiplicative: bool  # deg(x) = deg(f) * deg(f(x)); sporadicity transfers
-
-
-def pushforward_degree_check(
-    spectrum_n: DegreeSpectrum, spectrum_a: DegreeSpectrum
-) -> tuple[PushforwardReport, ...]:
-    """Match each orbit of the mod-n spectrum with its image mod a (a | n).
-
-    The spectra must come from a group G mod n and its projection mod a,
-    with the same field degree.  An orbit with `multiplicative` True has
-    maximal degree growth, so a sporadic point in it pushes forward to a
-    sporadic point downstairs.  The orbits are paired by
-    `DegreeSpectrum.image_records`, as in `orbits.max_growth_check`.
-    `DegreeSpectrum` (from `orbits`) is named only in these annotations and
-    not imported, so that `cm` and `sporadic-check` do not load the group
-    engine.
-    """
-    pairs = spectrum_n.image_records(spectrum_a)
-    a = spectrum_a.modulus
-    deg_f = map_degree(a, spectrum_n.modulus // a).degree
-    return tuple(
-        PushforwardReport(
-            upstairs_rep=rec.representative.entries,
-            downstairs_rep=drec.representative.entries,
-            upstairs_degree=rec.degree,
-            downstairs_degree=drec.degree,
-            map_degree=deg_f,
-            multiplicative=rec.degree == deg_f * drec.degree,
-        )
-        for rec, drec in pairs
-    )
 
 
 # -- CM construction ----------------------------------------------------------

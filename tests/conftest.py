@@ -8,6 +8,7 @@ import pytest
 
 from x1points.matgroup import MatGroup, crt_product, gl2_group, sl2_group
 from x1points.modarith import apply_raw, crt_scalar, modulus, mul_raw, unit_group_generators
+from x1points.orbits import degree_spectrum
 
 
 def join2(n1, n2, g1, g2):
@@ -135,6 +136,16 @@ def orbit_partition_oracle(G: MatGroup, vectors):
         remaining -= orbit
         parts.append(orbit)
     return sorted(parts, key=min)
+
+
+def spectrum_partition(G: MatGroup, vectors):
+    """The exact-order-n `vectors` grouped by the record that
+    `degree_spectrum(G).record_of` gives each, in the oracle's layout."""
+    spec = degree_spectrum(G)
+    parts = {}
+    for v in vectors:
+        parts.setdefault(spec.record_of(v).representative.entries, set()).add(v.entries)
+    return sorted(map(frozenset, parts.values()), key=min)
 
 
 def vectors_by_order_oracle(n: int) -> dict:

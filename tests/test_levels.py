@@ -150,7 +150,6 @@ def test_compose_level_evidence_trail():
 
 
 def test_compose_level_projects_each_modulus_once(monkeypatch):
-    import x1points.levels
     import x1points.matgroup
 
     projected = []
@@ -160,7 +159,6 @@ def test_compose_level_projects_each_modulus_once(monkeypatch):
         projected.append(m)
         return real(G, m)
 
-    monkeypatch.setattr(x1points.levels, "project", counting)
     monkeypatch.setattr(x1points.matgroup, "project", counting)
     cert = compose_level(gl2_group(36), {2: 1, 3: 1})
     assert cert.level == 6
@@ -206,6 +204,13 @@ def test_compose_level_hypothesis_failed_names_prime():
 def test_compose_level_requires_enough_modulus():
     with pytest.raises(ValueError):
         compose_level(gl2_group(12), {2: 1, 3: 1})  # needs mod 36
+
+
+def test_compose_level_rejects_non_prime_keys():
+    # no certificate for "prime 1" or "prime 6"
+    for n, stages, key in ((5, {1: 3}, 1), (36, {6: 1}, 6)):
+        with pytest.raises(ValueError, match=f"stage key {key} is not a prime"):
+            compose_level(gl2_group(n), stages)
 
 
 def test_compose_level_projects_larger_modulus():

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     fiber_product_group,
     orbit_partition_oracle,
+    spectrum_partition,
     split_cartan_group,
     unipotent_group,
 )
@@ -27,7 +28,6 @@ from x1points.orbits import (
     exact_order_vectors,
     fiber_count,
     max_growth_check,
-    vector_orbits,
 )
 
 
@@ -110,8 +110,7 @@ def test_orbits_match_full_element_oracle():
     for G in cases:
         G = closure(G.generators)
         vectors = exact_order_vectors(G.modulus.n)
-        got = sorted(vector_orbits(G, vectors), key=min)
-        assert got == orbit_partition_oracle(G, vectors)
+        assert spectrum_partition(G, vectors) == orbit_partition_oracle(G, vectors)
 
 
 def test_spectrum_invariant_under_conjugation():
@@ -165,6 +164,15 @@ def test_max_growth_gl2_35():
     rep = reports[0]
     assert rep.field_ratio == rep.fiber == 48
     assert rep.max_growth and rep.product_equal
+    # deg(x) = deg(f) * deg(f(x)) for f: X_1(35) -> X_1(5)
+    assert rep.upstairs_degree == 576 == 48 * 12
+    assert rep.map_degree == 48 and rep.downstairs_degree == 12
+
+
+def test_max_growth_identity_map():
+    reports = max_growth_check(gl2_group(12), 1)
+    assert reports
+    assert all(r.max_growth and r.product_equal and r.map_degree == 1 for r in reports)
 
 
 def test_max_growth_full_preimage_mod_25():
@@ -181,6 +189,7 @@ def test_max_growth_split_cartan_25_reports_only():
     for r in reports:
         assert r.upstairs_size == r.field_ratio * r.downstairs_size
         assert r.fiber >= r.field_ratio
+        assert r.upstairs_degree <= r.map_degree * r.downstairs_degree
 
 
 def test_max_growth_under_large_image_hypothesis(large_image_samples, large_image_sample_mod30):

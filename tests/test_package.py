@@ -50,7 +50,7 @@ EXPORTS = {
     ],
     "sporadic": [
         "CmOrder", "SporadicCertificate", "class_number", "cm_order", "cm_point_degree",
-        "cm_threshold", "lift_chain_holds", "lifting_certificate", "pushforward_degree_check",
+        "cm_threshold", "lift_chain_holds", "lifting_certificate",
     ],
 }
 

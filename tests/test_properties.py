@@ -43,17 +43,14 @@ from x1points.modarith import (
     mat2,
     modulus,
     sl2_order,
-    vec2,
 )
 from x1points.orbits import (
-    _exact_order_entries,
     degree_spectrum,
     exact_order_vector_count,
     exact_order_vectors,
     fiber_count,
-    vector_orbits,
+    max_growth_check,
 )
-from x1points.sporadic import pushforward_degree_check
 
 
 def random_subgroup(rng, n):
@@ -94,8 +91,7 @@ def test_random_subgroup_consistency_sweep():
         for m in divisors(n):
             if m in (1, n):
                 continue
-            down = degree_spectrum(project(G, m))
-            for rep in pushforward_degree_check(spec, down):
+            for rep in max_growth_check(G, n // m):
                 assert rep.upstairs_degree <= rep.map_degree * rep.downstairs_degree
 
         for a in divisors(n):
@@ -351,7 +347,8 @@ def test_line_key_names_the_points_of_p1(n):
         psi = psi // p * (p + 1)
     units = [u for u in range(n) if gcd(u, n) == 1]
     keys = set()
-    for x, y in _exact_order_entries(n, n):
+    for v in exact_order_vectors(n):
+        x, y = v.entries
         k = key(x, y)
         keys.add(k)
         assert all(key(u * x % n, u * y % n) == k for u in units), (x, y)
@@ -362,46 +359,6 @@ def test_line_key_names_the_points_of_p1(n):
 
 # above this order a group is too costly for the element-by-element oracle
 ORACLE_ORDER_LIMIT = 20_000
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
-)
-@given(subgroup_gens(st.integers(1, 60)), st.data())
-@example((60, [(1, 1, 0, 1)]), None)
-@example((49, [(1, 0, 0, 3), (1, 7, 0, 1)]), None)
-def test_vector_orbits_match_oracle_on_shuffled_input(case, data):
-    n, gens = case
-    G = MatGroup(modulus(n), gens)
-    assume(G.order <= ORACLE_ORDER_LIMIT)
-    d = data.draw(st.sampled_from(divisors(n))) if data else n
-    vectors = exact_order_vectors(n, d)
-    expected = orbit_partition_oracle(G, vectors)
-    if data:
-        data.draw(st.randoms(use_true_random=False)).shuffle(vectors)
-    else:
-        vectors.reverse()
-    assert vector_orbits(G, vectors) == expected
-    assert vector_orbits(G, [v.entries for v in vectors]) == expected
-
-
-@PROPERTY_SETTINGS
-@given(subgroup_gens(st.integers(1, 100)), st.integers(0, 2**32 - 1))
-def test_vector_orbits_ordered_by_minimum(case, seed):
-    n, gens = case
-    G = MatGroup(modulus(n), gens)
-    vectors = [v for part in vectors_by_order_oracle(n).values() for v in part]
-    # one drawn seed, not st.randoms: that draws data per swap and trips the
-    # data_too_large health check on 10^4 vectors
-    random.Random(seed).shuffle(vectors)
-    parts = vector_orbits(G, vectors)
-    mins = [min(o) for o in parts]
-    assert mins == sorted(mins) and len(set(mins)) == len(mins)
-    assert sum(len(o) for o in parts) == n * n
-    reps = [r.representative.entries for r in degree_spectrum(G).records]
-    assert reps == sorted(reps)
 
 
 # moduli at which SL2 is small enough for the element-by-element oracle
@@ -460,7 +417,7 @@ def test_exact_order_entries_match_brute_force():
         by_order = vectors_by_order_oracle(n)
         assert set(by_order) <= set(divisors(n))
         for d in divisors(n):
-            got = _exact_order_entries(n, d)
+            got = [v.entries for v in exact_order_vectors(n, d)]
             assert got == by_order.get(d, [])
             assert len(got) == exact_order_vector_count(n, d)
 
@@ -470,7 +427,6 @@ def test_exact_order_entries_match_brute_force():
 @example(35, None)
 def test_fiber_count_matches_enumeration(n, data):
     b = data.draw(st.sampled_from(divisors(n))) if data else 7
-    entries = _exact_order_entries(n, n)
-    for x, y in entries[:: max(1, len(entries) // 4)]:
-        P = vec2(n, x, y)
+    vectors = exact_order_vectors(n)
+    for P in vectors[:: max(1, len(vectors) // 4)]:
         assert fiber_count(P, b) == fiber_count_oracle(P, b)

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reduced_form_class_number, split_cartan_group
+from conftest import reduced_form_class_number
 from x1points.curveinv import psl2_index
 from x1points.errors import PreconditionFailed
-from x1points.matgroup import gl2_group, project
-from x1points.orbits import degree_spectrum
 from x1points.sporadic import (
     MAX_CM_DISCRIMINANT,
     CmOrder,
@@ -18,7 +16,6 @@ from x1points.sporadic import (
     cm_threshold,
     lift_chain_holds,
     lifting_certificate,
-    pushforward_degree_check,
     splits,
 )
 
@@ -58,35 +55,6 @@ def test_lift_chain_identity():
         if lifting_certificate(N, d).issued:
             for m in range(1, 21):
                 assert lift_chain_holds(N, d, m), (N, d, m)
-
-
-def test_pushforward_gl2_35():
-    G = gl2_group(35)
-    up = degree_spectrum(G)
-    down = degree_spectrum(project(G, 5))
-    reports = pushforward_degree_check(up, down)
-    assert len(reports) == 1
-    rep = reports[0]
-    assert rep.upstairs_degree == 576
-    assert rep.map_degree == 48 and rep.downstairs_degree == 12
-    assert rep.multiplicative
-    assert rep.upstairs_degree == 48 * 12
-
-
-def test_pushforward_identity_map():
-    spec = degree_spectrum(gl2_group(12))
-    reports = pushforward_degree_check(spec, spec)
-    assert all(r.multiplicative and r.map_degree == 1 for r in reports)
-
-
-def test_pushforward_split_cartan_25():
-    G = split_cartan_group(25)
-    up = degree_spectrum(G)
-    down = degree_spectrum(project(G, 5))
-    reports = pushforward_degree_check(up, down)
-    assert reports
-    for r in reports:
-        assert r.upstairs_degree <= r.map_degree * r.downstairs_degree
 
 
 def test_cm_class_number_table_against_form_count():
