@@ -164,9 +164,6 @@ def test_max_growth_gl2_35():
     rep = reports[0]
     assert rep.field_ratio == rep.fiber == 48
     assert rep.max_growth and rep.product_equal
-    # deg(x) = deg(f) * deg(f(x)) for f: X_1(35) -> X_1(5)
-    assert rep.upstairs_degree == 576 == 48 * 12
-    assert rep.map_degree == 48 and rep.downstairs_degree == 12
 
 
 def test_max_growth_identity_map():
@@ -189,7 +186,6 @@ def test_max_growth_split_cartan_25_reports_only():
     for r in reports:
         assert r.upstairs_size == r.field_ratio * r.downstairs_size
         assert r.fiber >= r.field_ratio
-        assert r.upstairs_degree <= r.map_degree * r.downstairs_degree
 
 
 def test_max_growth_under_large_image_hypothesis(large_image_samples, large_image_sample_mod30):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import reduced_form_class_number
+from conftest import reduced_form_class_number, split_cartan_group
 from x1points.curveinv import psl2_index
 from x1points.errors import PreconditionFailed
+from x1points.matgroup import gl2_group
+from x1points.orbits import max_growth_check
 from x1points.sporadic import (
     MAX_CM_DISCRIMINANT,
     CmOrder,
@@ -55,6 +57,24 @@ def test_lift_chain_identity():
         if lifting_certificate(N, d).issued:
             for m in range(1, 21):
                 assert lift_chain_holds(N, d, m), (N, d, m)
+
+
+def test_pushforward_gl2_35():
+    # deg(x) = deg(f) * deg(f(x)) for f: X_1(35) -> X_1(5)
+    reports = max_growth_check(gl2_group(35), 7)
+    assert len(reports) == 1
+    rep = reports[0]
+    assert rep.upstairs_degree == 576
+    assert rep.map_degree == 48 and rep.downstairs_degree == 12
+    assert rep.product_equal
+    assert rep.upstairs_degree == 48 * 12
+
+
+def test_pushforward_split_cartan_25():
+    reports = max_growth_check(split_cartan_group(25), 5)
+    assert reports
+    for r in reports:
+        assert r.upstairs_degree <= r.map_degree * r.downstairs_degree
 
 
 def test_cm_class_number_table_against_form_count():
