@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
 from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError
-from .modarith import Mat2ModN, Vec2ModN, gl2_order, factorize
+from .modarith import MAX_MODULUS, Mat2ModN, Vec2ModN, gl2_order, factorize
 
 CAP_ENV_VAR = "X1POINTS_CAP"
 
@@ -128,10 +128,28 @@ def _override(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _prime_list(text: str) -> list[int]:
-    """The comma-separated integers of --primes (an argparse type)."""
+def _in_range(value: int) -> int:
+    """`value` if |value| <= 2^63 - 1, the advertised range of a modulus:
+    factoring past it may not finish."""
+    if abs(value) > MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"{value} is out of range: |value| must be <= 2^63 - 1")
+    return value
+
+
+def _bounded_int(text: str) -> int:
+    """An integer within `_in_range` (an argparse type)."""
     try:
-        return [int(p) for p in text.split(",") if p]
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return _in_range(value)
+
+
+def _prime_list(text: str) -> list[int]:
+    """The comma-separated integers of --primes, each within `_in_range` (an
+    argparse type)."""
+    try:
+        return [_in_range(int(p)) for p in text.split(",") if p]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -296,11 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("curve", parents=[common], help="invariants of X_1(N)")
-    p.add_argument("N", type=int)
+    p.add_argument("N", type=_bounded_int)
     p.add_argument("--format", **FORMAT_OPTION)
 
     p = sub.add_parser("sporadic-check", parents=[common], help="lifting and gonality certificates")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_bounded_int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--gonality", type=int, default=None)
     p.add_argument("--require", action="store_true", help="exit 1 unless certified")
@@ -308,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cm", parents=[common], help="CM sporadic-point pipeline")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--h", type=int, default=None, help="class number cross-check (h is counted)")
-    p.add_argument("--ell", type=int, default=None, help="prime (default: smallest admissible)")
+    p.add_argument("--ell", type=_bounded_int, default=None, help="prime (default: smallest admissible)")
     p.add_argument("--require", action="store_true")
 
     p = sub.add_parser("classify", parents=[common], help="decision tree over a Galois profile")
     p.add_argument("--profile", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_bounded_int, required=True)
 
     p = sub.add_parser("tables", parents=[common], help="built-in data tables")
     p.add_argument(

@@ -9,8 +9,8 @@ layer; `matgroup.DEFAULT_CAP` is the same value.
 import json
 
 # The (point, generator) pairs a chain may visit, the image elements a kernel
-# walk may store, the elements a group may hold, and the least bound on the
-# vectors orbit enumeration may hold, unless a cap is given.
+# walk may store, the order of a group whose elements are built, and the least
+# bound on the vectors orbit enumeration may hold, unless a cap is given.
 DEFAULT_CAP = 2**24
 
 
@@ -42,11 +42,12 @@ class NonCoprimeModuli(X1PointsError):
 
 class CapExceeded(X1PointsError):
     """A computation grew past the configured cap: a stabilizer chain past
-    its (point, generator) pairs, a kernel walk past its image elements,
-    group closure past its elements, or vector enumeration past its vectors.
+    its (point, generator) pairs, a kernel walk past its image elements, an
+    element set past its elements, or vector enumeration past its vectors.
 
-    `partial_count` records how many were found before aborting (for
-    vectors, the true count, known before any is enumerated).
+    `partial_count` records how many were found before aborting (for an
+    element set and for vectors, the true count, |G| read off the chain or
+    the vector count, known before any is built).
     """
 
     def __init__(self, cap: int, partial_count: int, what: str = "closure", unit: str = "elements"):

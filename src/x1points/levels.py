@@ -17,7 +17,7 @@ l-adic statement unconditional once it holds at one admissible stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # The package registers each layer lazily, so this binds `matgroup` without
@@ -137,9 +137,6 @@ class LevelCertificate:
         for ell, t in self.prime_powers:
             m *= ell**t
         assert m == self.level
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:

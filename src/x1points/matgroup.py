@@ -27,23 +27,21 @@ step: gZ/nZ is an ideal, so conjugation keeps it.
 
 Whether G is the full preimage of G mod m is a membership test: a few
 generators of the congruence kernel ker(GL2(Z/n) -> GL2(Z/m)) are sifted
-through G's own chain, so no chain of G mod m is built for it.  A group
-keeps each projection it was asked for, and a projection of a projection is
-looked up on the group first projected, so each reduction's chain is built
-once.  Elements are built by breadth-first closure, only on an explicit
-`elements()` call.  A kernel of a map between groups, G -> G mod m
-or a projection of a Goursat H, is spanned by the Schreier generators of one
-walk of the image, `_left_kernel`, so neither G nor H is built.  The cap
-bounds what each engine pays for: the (point, generator) pairs the chain
-visits, each a sift or a new entry, the image elements a kernel walk stores,
-or the elements of the set.  Going past it is a hard error.  Its default,
-`DEFAULT_CAP`, is defined in `errors` and re-exported here.
+through G's own chain, so no chain of G mod m is built for it.  G mod m is
+the group of G's generators reduced mod m.  Elements are read off the chain,
+each once as line * A * D * translation, only on an explicit `elements()`
+call.  A kernel of a map between groups, G -> G mod m or a projection of a
+Goursat H, is spanned by the Schreier generators of one walk of the image,
+`_left_kernel`, so neither G nor H is built.  The cap bounds what each
+engine pays for: the (point, generator) pairs the chain visits, each a sift
+or a new entry, the image elements a kernel walk stores, or the elements of
+the set, |G|, checked before any is built.  Going past it is a hard error.
+Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
@@ -54,7 +52,6 @@ from .modarith import (
     Mat2ModN,
     Modulus,
     crt_join,
-    gl2_order,
     identity,
     inv_raw,
     line_key,
@@ -67,24 +64,6 @@ from .modarith import (
 Triangular = tuple[int, int, int]
 # A generator (x, y) of a subgroup of GL2(Z/n1) x GL2(Z/n2).
 PairTuple = tuple[MatTuple, MatTuple]
-
-
-def _bfs_closure(n: int, gens: list[MatTuple], cap: int) -> frozenset[MatTuple]:
-    """Breadth-first closure of `gens` and their inverses mod n; raises
-    CapExceeded once the set would outgrow `cap`."""
-    start = list(dict.fromkeys(x for g in gens for x in (g, inv_raw(g, n))))
-    ident = (1 % n, 0, 0, 1 % n)
-    seen = {ident}
-    queue = [ident]
-    for x in queue:
-        for g in start:
-            y = mul_raw(x, g, n)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(cap, len(seen))
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
 
 
 class Chain:
@@ -141,6 +120,22 @@ class Chain:
         w0, w1, p, q, dv = t
         a = dv * (q * x - p * z) % n
         return self.sift(a, dv * (q * y - p * w) % n, dv * (w0 * w - w1 * y) % n) is None
+
+    def elements(self) -> frozenset[MatTuple]:
+        """Each element once as u h_a k_d (1, t, 1), the factorization `sift`
+        divides out: u of the lines, h_a of A, k_d (a = 1) of D, t in gZ/nZ."""
+        n, ts = self.n, range(0, self.n, self.g)
+        H = [
+            (ha, (ha * (kb + t) + hb * kd) % n, hd * kd % n)
+            for ha, hb, hd, *_ in self.a_level.values()
+            for _, kb, kd, *_ in self.d_level.values()
+            for t in ts
+        ]
+        return frozenset(
+            (w0 * a % n, (w0 * b + p * d) % n, w1 * a % n, (w1 * b + q * d) % n)
+            for w0, w1, p, q, _ in self.lines.values()
+            for a, b, d in H
+        )
 
 
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
@@ -251,9 +246,6 @@ class MatGroup:
         self.cap = cap
         self._elements: frozenset[MatTuple] | None = None
         self._chain: Chain | None = None
-        self._projections: dict[int, MatGroup] = {}  # G mod m by m, filled by project()
-        # the group this one is a projection of, held weakly: it holds this one
-        self._projected_from: weakref.ref | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -279,8 +271,12 @@ class MatGroup:
         return self._get_chain().order
 
     def elements(self) -> frozenset[MatTuple]:
+        """Every element, read off the chain once it is known to fit the cap."""
         if self._elements is None:
-            self._elements = _bfs_closure(self.modulus.n, list(self._gens), self.cap)
+            chain = self._get_chain()
+            if chain.order > self.cap:
+                raise CapExceeded(self.cap, chain.order)
+            self._elements = chain.elements()
         return self._elements
 
     def contains(self, A) -> bool:
@@ -324,23 +320,14 @@ def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGrou
 
 
 def project(G: MatGroup, m: int) -> MatGroup:
-    """Image of G under reduction mod m (m | n), kept on G: asking again
-    returns the same group, chain included.  When G is itself a projection
-    of a group still alive, that group's projection mod m is returned, so
-    (G mod k) mod m is G mod m."""
+    """Image of G under reduction mod m (m | n): G itself when m = n, else
+    the group of G's generators reduced mod m."""
     n = G.modulus.n
     if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
-    # the group G was projected from, while it is alive
-    root = G._projected_from and G._projected_from() or G
-    out = root._projections.get(m)
-    if out is None:
-        reduced = [tuple(e % m for e in g) for g in root._gens]
-        out = root._projections[m] = MatGroup(modulus(m), reduced, root.cap)
-        out._projected_from = weakref.ref(root)
-    return out
+    return MatGroup(modulus(m), [tuple(e % m for e in g) for g in G.raw_generators], G.cap)
 
 
 def _left_kernel(
@@ -461,11 +448,10 @@ def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatG
     n1, n2 = left.modulus.n, right.modulus.n
     if gcd(n1, n2) != 1:
         raise NonCoprimeModuli(f"moduli {n1} and {n2} share a prime")
-    n = n1 * n2
     i1, i2 = identity(n1), identity(n2)
     gens = [crt_join((Mat2ModN(left.modulus, *g), i2)).entries for g in left.raw_generators]
     gens += [crt_join((i1, Mat2ModN(right.modulus, *g))).entries for g in right.raw_generators]
-    return MatGroup(modulus(n), gens, cap)
+    return MatGroup(modulus(n1 * n2), gens, cap)
 
 
 def gl2_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
@@ -495,12 +481,11 @@ class GoursatData:
     """Kernel pair and coset graph of a subgroup H of a direct product.
 
     `left_image` G and `right_image` G' are the projections of H, on the
-    reduced generators of H (for `goursat`, H's own projections).
-    `left_kernel` is N' = {x : (x, 1) in H} inside G, `right_kernel` is
-    N = {y : (1, y) in H} inside G', each generated by Schreier generators
-    of H (see `_left_kernel`); `graph_pairs` is the induced bijection between
-    cosets of N' in G and cosets of N in G' (least representatives, sorted
-    on the left entry).
+    reduced generators of H.  `left_kernel` is N' = {x : (x, 1) in H} inside
+    G, `right_kernel` is N = {y : (1, y) in H} inside G', each generated by
+    Schreier generators of H (see `_left_kernel`); `graph_pairs` is the
+    induced bijection between cosets of N' in G and cosets of N in G' (least
+    representatives, sorted on the left entry).
     """
 
     left_image: MatGroup

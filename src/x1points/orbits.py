@@ -120,7 +120,6 @@ class _Lines:
         self.lines: list[tuple[_LineOrbit, int, int, int, int]] = []
         self.cosets: dict[frozenset[int], dict[int, int]] = {}
         self.claimed = 0
-        self.unclaimed = 0
 
     def _grow(self, x: int, y: int, first_key: int) -> int:
         """Grow the line orbit of the order-n vector (x, y), whose line, of
@@ -151,7 +150,6 @@ class _Lines:
         orbit.scalars = _unit_span(multipliers, n)
         orbit.coset = self._cosets(orbit.scalars)
         orbit.claims = [None] * (len(self.units) // len(orbit.scalars))
-        self.unclaimed += len(orbit.claims)
         return orbit.first
 
     def _cosets(self, scalars: frozenset[int]) -> dict[int, int]:
@@ -181,7 +179,6 @@ class _Lines:
             return None
         orbit.claims[c] = self.claimed
         self.claimed += 1
-        self.unclaimed -= 1
         return orbit
 
     def claim_of(self, x: int, y: int) -> int:
@@ -285,14 +282,14 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     if count > limit:
         raise CapExceeded(limit, count, "vector enumeration", "vectors")
     lines = _Lines(n, G.raw_generators)
-    line_count = count // len(lines.units)
-    records = []
+    records, found = [], 0
     for v in _ascending_exact_order(n, n):
         orbit = lines.claim(*v)
         if orbit:
             records.append(_record(n, v, orbit, field_degree))
-            # every line grown and every coset claimed: the rest claims nothing
-            if not lines.unclaimed and len(lines.lines) == line_count:
+            found += records[-1].size
+            # the orbits found cover every vector: the rest claims nothing
+            if found == count:
                 break
     return DegreeSpectrum(modulus=n, field_degree=field_degree, records=tuple(records), _lines=lines)
 

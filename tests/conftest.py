@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from x1points.errors import DEFAULT_CAP
 from x1points.matgroup import MatGroup, crt_product, gl2_group, sl2_group
 from x1points.modarith import apply_raw, crt_scalar, modulus, mul_raw, unit_group_generators
 from x1points.orbits import degree_spectrum
@@ -205,6 +206,14 @@ def pair_closure_oracle(n1, n2, gen_pairs, limit):
                 seen.add(z)
                 queue.append(z)
     return frozenset(seen)
+
+
+def closure_oracle(n, gens):
+    """The subgroup of GL2(Z/n) generated by `gens`, by breadth-first search:
+    the left entries of the pairs that the (g, I) generate in
+    GL2(Z/n) x GL2(Z/1)."""
+    pairs = pair_closure_oracle(n, 1, [(g, (0, 0, 0, 0)) for g in gens], DEFAULT_CAP)
+    return frozenset(x for x, _ in pairs)
 
 
 def goursat_oracle(n1, n2, pairs):

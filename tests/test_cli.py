@@ -309,6 +309,31 @@ def test_classify_profile_contracts_exit_2(capsys, tmp_path):
     assert "unknown profile key 'nonsurjectiv'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", str(2**128 + 1)],
+        ["sporadic-check", "--level", str(2**128 + 51), "--degree", "3"],
+        ["level-bound", "--primes", f"2,3,{10**30 + 57}", "--ell", "2"],
+        ["cm", "--disc", "-4", "--ell", str(10**30 + 57)],
+        ["classify", "--profile", "unread.json", "--n", str(10**180 + 7)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integer_past_2_to_the_63_exit_2(capsys, argv):
+    # factoring such an integer may not finish, so it is refused unread
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr()
+    assert info.value.code == 2 and out.out == ""
+    assert "out of range: |value| must be <= 2^63 - 1" in out.err
+
+
+def test_curve_at_the_largest_modulus(capsys):
+    code, out, _ = run(capsys, ["curve", str(2**63 - 25)])
+    assert code == 0 and json.loads(out)["N"] == 2**63 - 25
+
+
 def test_curve_mersenne_61(capsys):
     code, out, _ = run(capsys, ["curve", str(2**61 - 1)])
     assert code == 0

@@ -140,13 +140,12 @@ def test_compose_level_mixed_100():
 
 def test_compose_level_evidence_trail():
     cert = compose_level(gl2_group(36), {2: 1, 3: 1})
-    data = cert.to_dict()
-    assert data["level"] == 6
-    primes = [ev["prime"] for ev in data["evidence"]]
+    assert cert.level == 6
+    primes = [ev.prime for ev in cert.evidence]
     assert 2 in primes and 3 in primes
-    for ev in data["evidence"]:
-        if ev["prime"]:
-            assert ev["kernel_order"] == ev["full_kernel"] == ev["prime"] ** 4
+    for ev in cert.evidence:
+        if ev.prime:
+            assert ev.kernel_order == ev.full_kernel == ev.prime**4
 
 
 def test_compose_level_projects_each_modulus_once(monkeypatch):

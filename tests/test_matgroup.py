@@ -76,7 +76,8 @@ def test_closure_rejects_singular_generator():
 def test_closure_cap_exceeded():
     with pytest.raises(CapExceeded) as info:
         closure(gl2_group(8).generators, cap=100)
-    assert info.value.partial_count == 100
+    # the chain fits the cap, and the count is the true order
+    assert info.value.partial_count == gl2_order(8)
 
 
 def test_cap_exceeded_from_chain_reports_true_count():
@@ -104,6 +105,16 @@ def test_gl2_order_at_3_to_the_7_within_a_linear_cap():
     assert G.order == gl2_order(n)
     chain = G._chain
     assert (len(chain.lines), len(chain.a_level), len(chain.d_level), chain.g) == (psi, phi, phi, 1)
+
+
+def test_elements_past_the_cap_fail_before_any_is_built():
+    # the chain has one line and the translations Z/nZ, so |G| = n is known
+    # at once, far past the cap, and no element is built
+    n = 2**61 - 1
+    with pytest.raises(CapExceeded) as info:
+        closure([(1, 1, 0, 1)], n=n, cap=10**6)
+    assert info.value.partial_count == n
+    assert str(info.value) == f"closure exceeded cap of {10**6} elements ({n} found)"
 
 
 def test_unipotent_group_at_a_61_bit_prime():
@@ -141,25 +152,11 @@ def test_project_identity():
     assert project(G, 12) is G
 
 
-def test_project_is_kept_on_the_group():
-    G = gl2_group(12)
-    P = project(G, 6)
-    assert P.order == gl2_order(6)
-    # asking again returns the same group, whose chain is already built
-    assert project(G, 6) is P and P._chain is not None
-    assert project(P, 3) is project(P, 3)
-
-
-def test_projection_of_a_projection_is_looked_up_on_the_group():
+def test_projection_of_a_projection_is_the_projection():
     G = gl2_group(36)
-    P = project(G, 12)
-    Q = project(P, 6)
-    assert Q is project(G, 6) and project(Q, 2) is project(G, 2)
-    assert Q.order == gl2_order(6)
-    del G  # P holds its group weakly, so P falls back to its own table
-    assert P._projected_from() is None
-    R = project(P, 3)
-    assert R is project(P, 3) and R.order == gl2_order(3)
+    Q, P = project(project(G, 12), 6), project(G, 6)
+    assert Q.raw_generators == P.raw_generators
+    assert Q.order == P.order == gl2_order(6)
 
 
 def test_project_sl2_25_to_5():
@@ -359,7 +356,7 @@ def test_goursat_leaves_h_unmaterialized():
     data = goursat(H, 5, 7)
     assert data.common_quotient_order == 1
     assert (data.left_kernel.order, data.right_kernel.order) == (480, 2016)
-    assert data.left_image is project(H, 5)
+    assert data.left_image.raw_generators == project(H, 5).raw_generators
     assert not H.is_materialized
 
 

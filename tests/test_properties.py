@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    closure_oracle,
     fiber_count_oracle,
     goursat_oracle,
     matmul_oracle,
@@ -22,9 +23,7 @@ from conftest import (
 
 from x1points.levels import minimize_level
 from x1points.matgroup import (
-    DEFAULT_CAP,
     MatGroup,
-    _bfs_closure,
     closure,
     full_preimage,
     goursat,
@@ -159,7 +158,10 @@ def preimage_cases(draw):
 @example((30, [(1, 1, 0, 1), (1, 0, 1, 1), (7, 0, 0, 1), (11, 0, 0, 1)]))
 def test_chain_order_matches_bfs(case):
     n, gens = case
-    assert MatGroup(modulus(n), gens).order == len(_bfs_closure(n, gens, DEFAULT_CAP))
+    G = MatGroup(modulus(n), gens)
+    members = closure_oracle(n, gens)
+    assert G.order == len(members)
+    assert G.elements() == members
 
 
 @PROPERTY_SETTINGS
@@ -168,7 +170,7 @@ def test_chain_contains_matches_set_membership(case, others):
     n, gens = case
     G = MatGroup(modulus(n), gens)
     assume(G.order <= BFS_CHECK_LIMIT)
-    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    members = closure_oracle(n, gens)
     assert all(G.contains(x) for x in members)
     for x in others:
         x = tuple(e % n for e in x)
@@ -187,7 +189,7 @@ def test_full_preimage_order(case):
     expected = base.order * (n // m) ** 4
     assert pre.order == expected
     if expected <= BFS_CHECK_LIMIT:
-        assert len(_bfs_closure(n, list(pre.raw_generators), DEFAULT_CAP)) == expected
+        assert len(closure_oracle(n, pre.raw_generators)) == expected
 
 
 @PROPERTY_SETTINGS
@@ -196,7 +198,7 @@ def test_kernel_order_matches_materialized_kernel(case):
     n, gens = case
     G = MatGroup(modulus(n), gens)
     assume(G.order <= BFS_CHECK_LIMIT)
-    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    members = closure_oracle(n, gens)
     for m in divisors(n):
         ident = (1 % m, 0, 0, 1 % m)
         in_kernel = frozenset(x for x in members if tuple(e % m for e in x) == ident)
@@ -223,7 +225,7 @@ def test_is_full_preimage_matches_kernel_order(case):
     # orders, and against the closure when G is small enough to build
     n, gens = case
     G = MatGroup(modulus(n), gens)
-    members = _bfs_closure(n, gens, DEFAULT_CAP) if G.order <= BFS_CHECK_LIMIT else None
+    members = closure_oracle(n, gens) if G.order <= BFS_CHECK_LIMIT else None
     for m in divisors(n):
         full = is_full_preimage(G, m)
         assert full == (kernel_order(G, m) == gl2_order(n) // gl2_order(m)), m
@@ -233,14 +235,13 @@ def test_is_full_preimage_matches_kernel_order(case):
 
 @PROPERTY_SETTINGS
 @given(subgroup_gens(), st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), max_size=20))
-def test_cached_projection_matches_fresh_group(case, others):
+def test_projection_matches_fresh_group(case, others):
     n, gens = case
     G = MatGroup(modulus(n), gens)
     for m in divisors(n):
         fresh = MatGroup(modulus(m), [tuple(e % m for e in g) for g in gens])
-        assert project(G, m).order == fresh.order, m
-        P = project(G, m)  # the kept group, chain already built
-        assert P is project(G, m)
+        P = project(G, m)
+        assert P.order == fresh.order, m
         for x in [*fresh.raw_generators, *others]:
             assert P.contains(x) == fresh.contains(x), (m, x)
 
@@ -267,7 +268,7 @@ def test_goursat_matches_oracle(case):
     n, gens = case
     G = MatGroup(modulus(n), gens)
     assume(G.order <= BFS_CHECK_LIMIT)
-    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    members = closure_oracle(n, gens)
     for a in divisors(n):
         b = n // a
         if gcd(a, b) == 1:
@@ -326,7 +327,7 @@ def triangular_conjugates(draw, moduli=st.integers(1, 60)):
 def test_chain_on_triangular_conjugates_matches_bfs(case, others):
     n, gens = case
     G = MatGroup(modulus(n), gens)
-    members = _bfs_closure(n, gens, DEFAULT_CAP)
+    members = closure_oracle(n, gens)
     assert G.order == len(members)
     assert all(G.contains(x) for x in members)
     for x in others:
