@@ -9,12 +9,11 @@ evidence, so conditional conclusions stay visibly conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .curveinv import MapDegree, genus_x1, known_gonality, map_degree
-from .errors import InconsistentProfile, json_typed
+from .errors import InconsistentProfile, field, json_typed, record
 from .levels import M1_LEVELS, classification_table
 from .modarith import divisors, factorize, is_prime, valuation
 
@@ -42,7 +41,7 @@ def m1_table(ell: int) -> int:
     return M1_LEVELS[ell]
 
 
-@dataclass(frozen=True)
+@record
 class NonsurjectivePrime:
     prime: int
     image_type: str
@@ -55,7 +54,7 @@ class NonsurjectivePrime:
             raise ValueError(f"not a prime: {self.prime}")
 
 
-@dataclass(frozen=True)
+@record
 class GaloisProfile:
     field_degree: int = 1
     nonsurjective: tuple[NonsurjectivePrime, ...] = ()
@@ -138,7 +137,7 @@ def profile_to_dict(P: GaloisProfile) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationVerdict:
     """Outcome of the four-way classification for a point level n.
 
@@ -252,7 +251,7 @@ def classify_profile(P: GaloisProfile, n: int) -> ClassificationVerdict:
     return ClassificationVerdict(4, (4,), evidence, candidates)
 
 
-@dataclass(frozen=True)
+@record
 class TargetLevel:
     n: int
     level: int
@@ -280,7 +279,7 @@ X1_16_NONCUSPIDAL_RATIONAL_POINTS = 0
 MIN_ORDER_32_FIELD_DEGREE = 32
 
 
-@dataclass(frozen=True)
+@record
 class ScreenVerdict:
     no_sporadic: bool
     scope: str

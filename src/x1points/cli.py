@@ -1,10 +1,10 @@
 """Command-line surface: file ingestion, certificate and table emission.
 
 Each subcommand returns the library's result objects, and one encoder turns
-them into JSON values: a dataclass becomes an object of its fields by name
-(fields with a leading underscore are private and left out), a Fraction
-becomes {"num": ..., "den": ...}, a matrix or vector mod n becomes its list
-of entries, and tuples become lists.  So the result dataclasses are the
+them into JSON values: a record (`errors.record`) becomes an object of its
+fields by name (fields with a leading underscore are private and left out), a
+Fraction becomes {"num": ..., "den": ...}, a matrix or vector mod n becomes
+its list of entries, and tuples become lists.  So the result records are the
 output schema: a field declared on one reaches stdout with no edit here.
 Output is deterministic (sorted keys, canonical row order) and every numeric
 value is exact.  Every subcommand prints JSON; `curve` and `tables` also
@@ -20,31 +20,30 @@ import functools
 import json
 import os
 import sys
-from dataclasses import astuple, fields, is_dataclass
 from fractions import Fraction
 
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
-from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError
+from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError, fields
 from .modarith import MAX_MODULUS, Mat2ModN, Vec2ModN, gl2_order, factorize
 
 CAP_ENV_VAR = "X1POINTS_CAP"
 
 # Each cmd_* reads the parsed arguments and returns (result, exit code): a
-# result dataclass, or a dict of them with the keys that are not fields.
+# result record, or a dict of them with the keys that are not fields.
 Result = tuple[object, int]
 
 
 def _fields(obj) -> dict:
-    """The public fields of a dataclass instance, by name."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if not f.name.startswith("_")}
+    """The public fields of a record, by name."""
+    return {name: getattr(obj, name) for name in fields(obj) if not name.startswith("_")}
 
 
 def _encode(value):
     """The JSON value of a command result (the rule is in the module docstring)."""
     if isinstance(value, (Mat2ModN, Vec2ModN)):
         return list(value.entries)
-    if is_dataclass(value):
+    if fields(value):
         value = _fields(value)
     if isinstance(value, dict):
         return {key: _encode(v) for key, v in value.items()}
@@ -221,8 +220,8 @@ def cmd_classify(args: argparse.Namespace) -> Result:
 def cmd_tables(args: argparse.Namespace) -> Result:
     which = args.which
     if which == "classification":
-        header = [f.name for f in fields(levels.ClassificationRow)]
-        rows = [astuple(r) for r in levels.classification_table()]
+        header = fields(levels.ClassificationRow)
+        rows = [[getattr(r, name) for name in header] for r in levels.classification_table()]
     elif which == "gl2":
         header = ["ell", "gl2_order", "factorization"]
         rows = []

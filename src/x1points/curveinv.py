@@ -8,9 +8,9 @@ source tags.  Everything is exact integer or Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import field, record
 from .modarith import divisors, euler_phi, exact_order_vector_count
 
 GONALITY_BOUND_FACTOR = Fraction(7, 800)
@@ -36,7 +36,7 @@ def psl2_index(N: int) -> int:
     return count // 2 if N > 2 else count
 
 
-@dataclass(frozen=True)
+@record
 class MapDegree:
     """Degree of the natural covering X_1(ab) -> X_1(a), [(E,P)] -> [(E,bP)]."""
 
@@ -52,7 +52,7 @@ def map_degree(a: int, b: int) -> MapDegree:
     if a < 1 or b < 1:
         raise ValueError("levels must be positive")
     c_f = Fraction(1, 2) if (a <= 2 and a * b > 2) else Fraction(1)
-    return MapDegree(a=a, b=b, c_f=c_f, degree=psl2_index(a * b) // psl2_index(a))
+    return MapDegree(a, b, c_f, psl2_index(a * b) // psl2_index(a))
 
 
 def cusp_count(N: int) -> int:
@@ -86,7 +86,7 @@ def gonality_lower(N: int) -> Fraction:
     return GONALITY_BOUND_FACTOR * psl2_index(N)
 
 
-@dataclass(frozen=True)
+@record
 class CurveInvariants:
     N: int
     psl2_index: int
@@ -112,7 +112,7 @@ def curve_invariants(N: int) -> CurveInvariants:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FreyCertificate:
     """Finiteness of low-degree points from a gonality bound.
 

@@ -1,12 +1,16 @@
 """Exception types shared across the package, the default cap they report
-against, and the type check of values read from JSON input files.
+against, the type check of values read from JSON input files, and `record`,
+the frozen class decorator of every result type.
 
 Every error names the contract it violates; the CLI maps them to exit code 2.
 `DEFAULT_CAP` lives here, beside `CapExceeded`, so that reading it loads no
-layer; `matgroup.DEFAULT_CAP` is the same value.
+layer; `matgroup.DEFAULT_CAP` is the same value.  `record` lives here, in the
+module every layer loads, and builds the methods of a frozen dataclass as
+closures: no process imports `dataclasses` (nor `inspect`) or compiles code.
 """
 
 import json
+from operator import attrgetter
 
 # The (point, generator) pairs a chain may visit, the image elements a kernel
 # walk may store, the order of a group whose elements are built, and the least
@@ -81,3 +85,112 @@ class PreconditionFailed(X1PointsError):
 
 class InconsistentProfile(X1PointsError):
     """A declared Galois-image profile is impossible (e.g. Borel at both 17 and 37)."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
+
+
+_MISSING = object()
+_set = object.__setattr__
+
+
+class field:
+    """Options of one record field, as `dataclasses.field` takes them: a field
+    with init=False is set in `__post_init__` with `object.__setattr__`; one
+    with compare=False is left out of `==` and `hash`, one with repr=False out
+    of the repr."""
+
+    def __init__(self, *, default=_MISSING, init=True, repr=True, compare=True):
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+def fields(obj) -> tuple[str, ...]:
+    """The field names of a record class or instance in declaration order;
+    empty for anything that is no record."""
+    return getattr(obj, "__record_fields__", ())
+
+
+def _bind(cls, names, defaults, args, kwargs) -> dict:
+    """The field values of `cls(*args, **kwargs)`, or a TypeError naming what
+    a function with parameters `names` and `defaults` would reject."""
+    bound = dict(zip(names, args))
+    problems = [f"{len(args)} positional arguments for {len(names)}"] if len(args) > len(names) else []
+    problems += [f"unexpected keyword argument {k!r}" for k in kwargs if k not in names]
+    problems += [f"multiple values for argument {k!r}" for k in kwargs if k in bound]
+    bound.update(kwargs)
+    problems += [f"missing argument {k!r}" for k in names if k not in bound and k not in defaults]
+    if problems:
+        raise TypeError(f"{cls.__qualname__}(): {'; '.join(problems)}")
+    return {k: bound[k] if k in bound else defaults[k] for k in names}
+
+
+def record(cls=None, /, *, eq: bool = True):
+    """`dataclasses.dataclass(frozen=True, eq=eq)` for the fields annotated on
+    `cls`, each with its default or a `field(...)` as class attribute: the same
+    `__init__` (then `__post_init__`), repr (unless `cls` defines one), `==`
+    and `hash` (by identity if eq=False) and FrozenInstanceError."""
+    if cls is None:
+        return lambda cls: record(cls, eq=eq)
+    specs = {}
+    for name in cls.__dict__.get("__annotations__", {}):
+        spec = cls.__dict__.get(name, _MISSING)
+        if not isinstance(spec, field):
+            spec = field(default=spec)
+        specs[name] = spec
+        if spec.default is _MISSING:
+            if name in cls.__dict__:
+                delattr(cls, name)
+        else:
+            setattr(cls, name, spec.default)
+    names = tuple(name for name, spec in specs.items() if spec.init)
+    keys = frozenset(names)
+    defaults = {name: specs[name].default for name in names if specs[name].default is not _MISSING}
+    post_init = getattr(cls, "__post_init__", None)
+
+    # object.__setattr__ keeps the fields in the instance's inline values (a
+    # write to self.__dict__ would build a dict per instance and slow reads);
+    # it returns None, so any() makes every call, in C
+    def __init__(self, *args, **kwargs):
+        given = names
+        if kwargs or len(args) != len(names):
+            if args or kwargs.keys() != keys:
+                kwargs = _bind(cls, names, defaults, args, kwargs)
+            given, args = kwargs, kwargs.values()
+        any(map(_set.__get__(self), given, args))
+        if post_init is not None:
+            post_init(self)
+
+    shown = tuple(name for name, spec in specs.items() if spec.repr)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
+
+    compared = tuple(name for name, spec in specs.items() if spec.compare)
+    # attrgetter of one name returns the bare value, not a 1-tuple
+    key = attrgetter(*compared) if len(compared) > 1 else lambda obj: tuple(getattr(obj, n) for n in compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    methods = [__init__, __setattr__, __delattr__]
+    if "__repr__" not in cls.__dict__:
+        methods.append(__repr__)
+    if eq:
+        methods += [__eq__, __hash__]
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__record_fields__ = tuple(specs)
+    return cls

@@ -17,13 +17,12 @@ l-adic statement unconditional once it holds at one admissible stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # The package registers each layer lazily, so this binds `matgroup` without
 # running it: `tables` and `level-bound` build no group and never load it.
 from . import matgroup
-from .errors import HypothesisFailed, StageTooLow
+from .errors import HypothesisFailed, StageTooLow, record
 from .modarith import divisors, gl2_order, is_prime, valuation
 
 if TYPE_CHECKING:
@@ -55,7 +54,7 @@ def minimal_stage(ell: int) -> int:
     return 2 if ell == 2 else 1
 
 
-@dataclass(frozen=True)
+@record
 class LadicDetection:
     """Outcome of the congruence-kernel check at one stage.
 
@@ -109,7 +108,7 @@ def minimize_level(G: MatGroup) -> int:
     raise AssertionError("unreachable: m = n always passes")
 
 
-@dataclass(frozen=True)
+@record
 class PrimeEvidence:
     prime: int
     exponent: int
@@ -119,7 +118,7 @@ class PrimeEvidence:
     full_kernel: int
 
 
-@dataclass(frozen=True)
+@record
 class LevelCertificate:
     """Certified statement: the group is the full preimage of its mod-M reduction.
 
@@ -207,7 +206,7 @@ def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
     )
 
 
-@dataclass(frozen=True)
+@record
 class BoundInput:
     """Inputs to the valuation bound on the level of a multi-prime image.
 
@@ -270,7 +269,7 @@ def level_bound(B: BoundInput, ell: int) -> int:
     return base + tau
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationRow:
     p: int
     a_p: int

@@ -43,10 +43,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed
+from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed, record
 from .modarith import (
     MatTuple,
     Mat2ModN,
@@ -476,7 +475,7 @@ def borel_group(n: int, cap: int = DEFAULT_CAP) -> MatGroup:
 
 # -- Goursat data -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class GoursatData:
     """Kernel pair and coset graph of a subgroup H of a direct product.
 

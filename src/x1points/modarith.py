@@ -12,12 +12,11 @@ construction, so equality and hashing are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 
-from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch
+from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch, field, record
 
 MAX_MODULUS = 2**63 - 1
 
@@ -94,7 +93,7 @@ def _rho_factor(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
+@record
 class Modulus:
     n: int
     factorization: tuple[tuple[int, int], ...] = field(init=False)
@@ -122,7 +121,7 @@ def modulus(n: int) -> Modulus:
     return Modulus(n)
 
 
-@dataclass(frozen=True)
+@record
 class Mat2ModN:
     modulus: Modulus
     a: int
@@ -146,7 +145,7 @@ class Mat2ModN:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.modulus.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Vec2ModN:
     modulus: Modulus
     x: int

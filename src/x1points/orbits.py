@@ -29,12 +29,11 @@ is even, so the orbit size is even (asserted) and degrees are integers.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import repeat
 from math import gcd
 
 from .curveinv import map_degree
-from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch
+from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
 from .matgroup import MatGroup, project
 from .modarith import (
     MatTuple,
@@ -202,7 +201,7 @@ def _unit_span(units: set[int], n: int) -> frozenset[int]:
     return frozenset(span)
 
 
-@dataclass(frozen=True)
+@record
 class OrbitRecord:
     representative: Vec2ModN
     size: int
@@ -211,7 +210,7 @@ class OrbitRecord:
     degree: int
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DegreeSpectrum:
     modulus: int
     field_degree: int
@@ -258,13 +257,9 @@ def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> Orbi
         degree = size // 2 * field_degree
     else:
         degree = size * field_degree
-    return OrbitRecord(
-        representative=vec2(n, *rep),
-        size=size,
-        point_order=n,
-        minus_closed=minus,
-        degree=degree,
-    )
+    # positional: a record's keyword call pays for a **kwargs dict, and spectra
+    # build one record per orbit
+    return OrbitRecord(vec2(n, *rep), size, n, minus, degree)
 
 
 def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
@@ -291,7 +286,7 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
             # the orbits found cover every vector: the rest claims nothing
             if found == count:
                 break
-    return DegreeSpectrum(modulus=n, field_degree=field_degree, records=tuple(records), _lines=lines)
+    return DegreeSpectrum(n, field_degree, tuple(records), lines)
 
 
 def closed_point_degrees(spectrum: DegreeSpectrum) -> list[int]:
@@ -332,7 +327,7 @@ def fiber_count(P: Vec2ModN, b: int) -> int:
     return exact_order_vector_count(n, n) // exact_order_vector_count(n, n // b)
 
 
-@dataclass(frozen=True)
+@record
 class GrowthReport:
     """Per-orbit comparison of field growth against the fiber count.
 
@@ -368,18 +363,19 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     for rec, drec in up.image_records(down):
         ratio, rem = divmod(rec.size, drec.size)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
+        # fields in declaration order, positional as in `_record`
         reports.append(
             GrowthReport(
-                representative=rec.representative,
-                upstairs_size=rec.size,
-                downstairs_size=drec.size,
-                field_ratio=ratio,
-                fiber=fib,
-                max_growth=ratio == fib,
-                upstairs_degree=rec.degree,
-                downstairs_degree=drec.degree,
-                map_degree=deg_f,
-                product_equal=rec.degree == deg_f * drec.degree,
+                rec.representative,
+                rec.size,
+                drec.size,
+                ratio,
+                fib,
+                ratio == fib,
+                rec.degree,
+                drec.degree,
+                deg_f,
+                rec.degree == deg_f * drec.degree,
             )
         )
     return tuple(reports)

@@ -9,12 +9,11 @@ a certificate is either issued or Inconclusive, never "not sporadic".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .curveinv import map_degree, psl2_index
-from .errors import PreconditionFailed
+from .errors import PreconditionFailed, record
 from .modarith import is_prime
 
 LIFTING_FACTOR = Fraction(7, 1600)
@@ -23,7 +22,7 @@ ISSUED = "SporadicAllLiftsSporadic"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class SporadicCertificate:
     """Outcome of the degree-vs-index criterion for a point of degree d on X_1(N).
 
@@ -113,7 +112,7 @@ def class_number(D: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@record
 class CmOrder:
     """An order in an imaginary quadratic field: discriminant, class number,
     unit count (6 only for discriminant -3, 4 only for -4, else 2)."""

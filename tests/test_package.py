@@ -11,6 +11,7 @@ import x1points
 import x1points.cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 LAYERS = ("modarith", "curveinv", "matgroup", "orbits", "levels", "sporadic", "classify")
 
 # Every name the package re-exports, by the layer that defines it.
@@ -125,3 +126,38 @@ def test_subcommands_without_a_group_leave_matgroup_unrun(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == [f"x1points.{layer}" for layer in ("cli", "errors", "levels", "modarith")]
+
+
+# the standard-library modules a run adds: taken before `cli` is imported,
+# so that modules a site hook loads at startup count as already there
+MODULES_ADDED = """
+import sys
+before = set(sys.modules)
+from x1points import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "11"],
+        ["cm", "--disc", "-7"],
+        ["tables", "--which", "classification"],
+        ["level", "--in", str(INPUTS / "borel_3_to_9.json")],
+        ["degrees", "--in", str(INPUTS / "borel_7.json")],
+        ["classify", "--profile", str(INPUTS / "borel_37.json"), "--n", "37"],
+    ],
+)
+def test_subcommands_load_neither_dataclasses_nor_inspect(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_ADDED, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "x1points.cli" in added
+    assert not added & {"dataclasses", "inspect"}
