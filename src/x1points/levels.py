@@ -17,16 +17,11 @@ l-adic statement unconditional once it holds at one admissible stage.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 # The package registers each layer lazily, so this binds `matgroup` without
 # running it: `tables` and `level-bound` build no group and never load it.
 from . import matgroup
 from .errors import HypothesisFailed, StageTooLow, record
 from .modarith import divisors, gl2_order, is_prime, valuation
-
-if TYPE_CHECKING:
-    from .matgroup import MatGroup
 
 # Smallest single-prime levels M_1({l}) of l-adic images of non-CM elliptic
 # curves over Q, assuming no l-adic level exceeds 169 for 2 < l <= 37.
@@ -75,7 +70,7 @@ class LadicDetection:
         return self.prime**self.stage if self.certified else None
 
 
-def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
+def detect_ladic_level(G: matgroup.MatGroup, s: int | None = None) -> LadicDetection:
     """Kernel-size check for G given mod l^(s+1) (prime-power modulus)."""
     fac = G.modulus.factorization
     if len(fac) != 1:
@@ -99,7 +94,7 @@ def detect_ladic_level(G: MatGroup, s: int | None = None) -> LadicDetection:
     )
 
 
-def minimize_level(G: MatGroup) -> int:
+def minimize_level(G: matgroup.MatGroup) -> int:
     """Smallest divisor M of n with G = full preimage of G mod M: the first
     divisor whose congruence kernel's generators all lie in G."""
     for m in divisors(G.modulus.n):
@@ -138,7 +133,7 @@ class LevelCertificate:
         assert m == self.level
 
 
-def compose_level(G: MatGroup, stages: dict[int, int]) -> LevelCertificate:
+def compose_level(G: matgroup.MatGroup, stages: dict[int, int]) -> LevelCertificate:
     """Combine certified per-prime stages {l: t_l} into M = prod l^t_l.
 
     Every key must be a prime (ValueError otherwise).  G must be available

@@ -21,15 +21,23 @@ nothing of size n^2 and no per-orbit vector set is built.  The exact-order
 vectors are walked in ascending order, so each orbit is found from its
 minimum and orbits come out ordered by it.
 Their number is checked against the group's cap before any is enumerated.
+
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
 exactly when -1 lies in S and the vector does not have order <= 2; then |S|
 is even, so the orbit size is even (asserted) and degrees are integers.
+
+Two walk steps that cannot change the result are skipped.  Once S is all of
+(Z/nZ)^*, nothing can enlarge it, so the rest of its line orbit is walked for
+the lines alone and reads no multiplier.  And a column of vectors (fixed x)
+is skipped once a column of its class g = gcd(n, x) was walked and every
+G-orbit on the line orbits it met is claimed: every column of the class
+meets the same lines, those of key g n + r with r prime to gcd(g, n/g), so
+a skipped column holds only vectors of claimed orbits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import repeat
 from math import gcd
 
 from .curveinv import map_degree
@@ -48,11 +56,12 @@ from .modarith import (
 )
 
 
-def _ascending_exact_order(n: int, d: int) -> Iterator[VecTuple]:
-    """The vectors of exact order d (d | n) in (Z/nZ)^2, ascending.
+def _exact_order_columns(n: int, d: int) -> Iterator[tuple[int, int, list[int]]]:
+    """The vectors of exact order d (d | n) in (Z/nZ)^2, ascending, one
+    column (x, gcd(n, x), ys) per x.
 
     (x, y) has order d iff gcd(n, x, y) = n/d, so the valid y depend on x
-    only through gcd(n, x): one column of y is built per distinct gcd.
+    only through gcd(n, x): one list of y is built per distinct gcd.
     """
     step = n // d
     columns: dict[int, list[int]] = {}
@@ -61,7 +70,7 @@ def _ascending_exact_order(n: int, d: int) -> Iterator[VecTuple]:
         ys = columns.get(g)
         if ys is None:
             ys = columns[g] = [y for y in range(0, n, step) if gcd(g, y) == step]
-        yield from zip(repeat(x), ys)
+        yield x, g, ys
 
 
 def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
@@ -70,7 +79,7 @@ def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
     d = n if d is None else d
     if d < 1 or n % d != 0:
         raise OrderMismatch(f"{d} does not divide {n}")
-    return [Vec2ModN(mod, x, y) for x, y in _ascending_exact_order(n, d)]
+    return [Vec2ModN(mod, x, y) for x, _, ys in _exact_order_columns(n, d) for y in ys]
 
 
 def _dual(x: int, y: int, n: int) -> tuple[int, int]:
@@ -89,10 +98,11 @@ def _dual(x: int, y: int, n: int) -> tuple[int, int]:
 
 class _LineOrbit:
     """A G-orbit of lines: lines first .. first + count - 1 of its `_Lines`,
-    the multiplier group S, the coset index of each unit, and per coset the
-    claim that found the G-orbit t S (None until one does)."""
+    the multiplier group S, the coset index of each unit, per coset the
+    claim that found the G-orbit t S (None until one does), and the number
+    of cosets still unclaimed."""
 
-    __slots__ = ("first", "count", "scalars", "coset", "claims")
+    __slots__ = ("first", "count", "scalars", "coset", "claims", "open")
 
     def __init__(self, first: int):
         self.first = first
@@ -100,6 +110,7 @@ class _LineOrbit:
         self.scalars: frozenset[int] = frozenset()
         self.coset: dict[int, int] = {}
         self.claims: list[int | None] = []
+        self.open = 0
 
 
 class _Lines:
@@ -123,12 +134,22 @@ class _Lines:
     def _grow(self, x: int, y: int, first_key: int) -> int:
         """Grow the line orbit of the order-n vector (x, y), whose line, of
         key `first_key`, is new, with (x, y) as the tracked vector of its
-        first line."""
+        first line.
+
+        S grows as a subgroup as each multiplier arrives, and one inside S
+        costs a lookup.  (Z/nZ)^* is abelian, so a multiplier t outside S
+        extends it to <S, t> = P_k, the union of the cosets t^j S for j < k,
+        for any k with t^k in P_k, which makes P_k closed under t (Dimino).
+        P_2k is P_k with t^k P_k, so k doubles from 1 until then.  Once S is
+        all phi(n) units no multiplier can enlarge it, so edges are then
+        walked only to find lines.
+        """
         n, key, line_of, lines = self.n, self.key, self.line_of, self.lines
         orbit = _LineOrbit(len(lines))
         line_of[first_key] = orbit.first
         lines.append((orbit, x, y, *_dual(x, y, n)))
-        multipliers = set()
+        span = {1 % n}
+        full = len(self.units) == 1
         k = orbit.first
         while k < len(lines):
             _, x, y, a, b = lines[k]
@@ -141,14 +162,21 @@ class _Lines:
                     line_of[k2] = len(lines)
                     # (a, b) g^-1 is the row of g w
                     lines.append((orbit, x2, y2, (a * pi + b * ri) % n, (a * qi + b * si) % n))
-                else:
+                elif not full:
                     _, _, _, a2, b2 = lines[lid]
-                    multipliers.add((a2 * x2 + b2 * y2) % n)
+                    t = (a2 * x2 + b2 * y2) % n
+                    if t not in span:
+                        u = t
+                        while u not in span:
+                            span |= {u * v % n for v in span}
+                            u = u * u % n
+                        full = len(span) == len(self.units)
             k += 1
         orbit.count = len(lines) - orbit.first
-        orbit.scalars = _unit_span(multipliers, n)
+        orbit.scalars = frozenset(span)
         orbit.coset = self._cosets(orbit.scalars)
-        orbit.claims = [None] * (len(self.units) // len(orbit.scalars))
+        orbit.open = len(self.units) // len(span)
+        orbit.claims = [None] * orbit.open
         return orbit.first
 
     def _cosets(self, scalars: frozenset[int]) -> dict[int, int]:
@@ -177,28 +205,46 @@ class _Lines:
         if orbit.claims[c] is not None:
             return None
         orbit.claims[c] = self.claimed
+        orbit.open -= 1
         self.claimed += 1
         return orbit
+
+    def first_claims(self) -> Iterator[tuple[int, int, _LineOrbit]]:
+        """Claim the order-n vectors in ascending order, and yield each
+        (x, y) that claims a G-orbit, with its line orbit: every G-orbit
+        once, at its least vector.
+
+        A column (fixed x) is skipped once a column of its class g =
+        gcd(n, x) was walked and the line orbits it met hold no unclaimed
+        G-orbit.  That skips no unclaimed vector: the lines a column of
+        class g meets are those of key g n + y (x/g)^-1 mod n/g with
+        gcd(g, y) = 1, that is g n + r for every r prime to gcd(g, n/g),
+        whatever x of the class.  The open line orbits of a class are kept
+        in a list that only shrinks, so the check is O(1) amortized.
+        """
+        key, line_of, lines = self.key, self.line_of, self.lines
+        pending: dict[int, list[_LineOrbit]] = {}
+        for x, g, ys in _exact_order_columns(self.n, self.n):
+            open_orbits = pending.get(g)
+            if open_orbits is not None:
+                while open_orbits and not open_orbits[-1].open:
+                    open_orbits.pop()
+                if not open_orbits:
+                    continue
+            for y in ys:
+                orbit = self.claim(x, y)
+                if orbit:
+                    yield x, y, orbit
+            if open_orbits is None:
+                gn, m, _ = key[x]
+                met = {lines[lid][0] for lid in map(line_of.get, range(gn, gn + m)) if lid is not None}
+                pending[g] = [orbit for orbit in met if orbit.open]
 
     def claim_of(self, x: int, y: int) -> int:
         """The claim number of the G-orbit of the order-n vector (x, y),
         whose line orbit is grown and whose G-orbit is claimed."""
         orbit, _, _, a, b = self.lines[self.line_of[self.key(x, y)]]
         return orbit.claims[orbit.coset[(a * x + b * y) % self.n]]
-
-
-def _unit_span(units: set[int], n: int) -> frozenset[int]:
-    """The subgroup of (Z/nZ)^* generated by `units`.  The group is abelian,
-    so a unit u outside the span S so far extends it by the cosets u^k S up
-    to the first u^k in S (Dimino), and a unit inside S costs one lookup."""
-    span = {1 % n}
-    for u in units:
-        if u not in span:
-            base, t = tuple(span), u
-            while t not in span:
-                span.update(t * s % n for s in base)
-                t = t * u % n
-    return frozenset(span)
 
 
 @record
@@ -265,6 +311,14 @@ def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> Orbi
 def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     """G-orbits on exact-order-n vectors with their closed-point degrees.
 
+    Records come in ascending order of their least vector, which is each
+    one's representative.  The walk skips what cannot add a record: once a
+    line orbit's multiplier group S is all of (Z/nZ)^* it reads no more
+    multipliers, since nothing enlarges S past the whole group; and a
+    column (fixed x) whose gcd class g = gcd(n, x) was walked before, and
+    whose line orbits are all claimed, holds no unclaimed vector, since every
+    column of a class meets the same lines.
+
     Raises CapExceeded, with the true count, before enumerating when the
     vectors outnumber G's cap.  That bound never falls below DEFAULT_CAP: a
     smaller cap limits what the group engine stores, and orbits never store
@@ -278,14 +332,12 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
         raise CapExceeded(limit, count, "vector enumeration", "vectors")
     lines = _Lines(n, G.raw_generators)
     records, found = [], 0
-    for v in _ascending_exact_order(n, n):
-        orbit = lines.claim(*v)
-        if orbit:
-            records.append(_record(n, v, orbit, field_degree))
-            found += records[-1].size
-            # the orbits found cover every vector: the rest claims nothing
-            if found == count:
-                break
+    for x, y, orbit in lines.first_claims():
+        records.append(_record(n, (x, y), orbit, field_degree))
+        found += records[-1].size
+        # the orbits found cover every vector: the rest claims nothing
+        if found == count:
+            break
     return DegreeSpectrum(n, field_degree, tuple(records), lines)
 
 

@@ -20,8 +20,9 @@ from x1points.matgroup import (
     gl2_group,
     sl2_group,
 )
-from x1points.modarith import factorize, mat2, mat_inv, mat_mul, modulus, vec2
+from x1points.modarith import divisors, factorize, mat2, mat_inv, mat_mul, modulus, vec2
 from x1points.orbits import (
+    _Lines,
     closed_point_degrees,
     degree_spectrum,
     exact_order_vector_count,
@@ -267,6 +268,26 @@ def test_degree_spectrum_full_preimage_borel_3_at_3_to_the_7():
     # 3^12 = 531441 lifts of order 3^7; both orbits are closed under -1
     spec = degree_spectrum(full_preimage(borel_group(3), 3**7))
     assert [r.degree for r in spec.records] == [1594323, 531441]
+
+
+def test_walk_claims_only_the_first_column_of_each_gcd_class(monkeypatch):
+    # the lower-triangular group mod n has one orbit per class g = gcd(n, x),
+    # all of whose columns are one orbit: once the first column x = g is
+    # walked, the class's later columns are skipped
+    n = 120
+    G = MatGroup(modulus(n), [(d, c, b, a) for a, b, c, d in borel_group(n).raw_generators])
+    columns = []
+    claim = _Lines.claim
+
+    def counted(self, x, y):
+        columns.append(x)
+        return claim(self, x, y)
+
+    monkeypatch.setattr(_Lines, "claim", counted)
+    spec = degree_spectrum(G)
+    assert [r.representative.x for r in spec.records] == sorted(g % n for g in divisors(n))
+    assert set(columns) == {g % n for g in divisors(n)}
+    assert len(columns) < exact_order_vector_count(n, n)
 
 
 @pytest.mark.parametrize("n", [12, 49, 64, 169])

@@ -161,3 +161,23 @@ def test_subcommands_load_neither_dataclasses_nor_inspect(argv):
     added = set(proc.stderr.split())
     assert "x1points.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--which", "m1"],
+        ["level", "--in", str(INPUTS / "borel_3_to_9.json")],
+        ["classify", "--profile", str(INPUTS / "borel_37.json"), "--n", "37"],
+    ],
+)
+def test_subcommands_running_levels_import_no_typing(argv):
+    # `python -S`: a site hook may import `typing` before `cli` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-S", "-c", MODULES_ADDED, *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "x1points.levels" in added
+    assert "typing" not in added

@@ -24,6 +24,7 @@ from conftest import (
 from x1points.levels import minimize_level
 from x1points.matgroup import (
     MatGroup,
+    borel_group,
     closure,
     full_preimage,
     goursat,
@@ -375,22 +376,46 @@ ORACLE_ORDER_LIMIT = 20_000
 SL2_ORACLE_MODULI = [n for n in range(1, 61) if sl2_order(n) <= ORACLE_ORDER_LIMIT]
 
 
+# moduli at which a Borel group (order n phi(n)^2) is small enough for the
+# element-by-element oracle
+BOREL_ORACLE_MODULI = [
+    n for n in range(2, 61) if n * sum(gcd(u, n) == 1 for u in range(n)) ** 2 <= ORACLE_ORDER_LIMIT
+]
+
+
 @st.composite
 def spectrum_cases(draw):
     """A random subgroup, or one whose only scalars are +-1: SL2, or the
-    unipotent group, whose multiplier groups are all trivial."""
-    kind = draw(st.sampled_from(["random", "sl2", "unipotent"]))
+    unipotent group, whose multiplier groups are all trivial.  Or, for the
+    walk's shortcuts, the trivial group, or c G c^-1 for c invertible and G
+    a Borel group, which holds the scalars, so every multiplier group S is
+    all of (Z/nZ)^* and columns whose orbits are all claimed are skipped, or
+    a Borel group whose diagonal is restricted to diag(<a>, <d>), where some
+    S stays a proper subgroup."""
+    kind = draw(st.sampled_from(["random", "sl2", "unipotent", "trivial", "borel", "restricted"]))
     if kind == "random":
         return draw(subgroup_gens(st.integers(1, 60)))
     if kind == "sl2":
         n = draw(st.sampled_from(SL2_ORACLE_MODULI))
         return n, sl2_gens(n)
-    n = draw(st.integers(1, 60))
-    return n, list(unipotent_group(n).raw_generators)
+    if kind == "unipotent":
+        n = draw(st.integers(1, 60))
+        return n, list(unipotent_group(n).raw_generators)
+    if kind == "trivial":
+        return draw(st.integers(1, 60)), []
+    n = draw(st.sampled_from(BOREL_ORACLE_MODULI))
+    if kind == "borel":
+        gens = list(borel_group(n).raw_generators)
+    else:
+        units = st.sampled_from([u for u in range(n) if gcd(u, n) == 1])
+        gens = [(1, 1, 0, 1), (draw(units), 0, 0, 1), (1, 0, 0, draw(units))]
+    c = draw(invertible(n))
+    ci = inv_raw(c, n)
+    return n, [matmul_oracle(matmul_oracle(c, g, n), ci, n) for g in gens]
 
 
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
@@ -400,6 +425,13 @@ def spectrum_cases(draw):
 @example((2, [(0, 1, 1, 1), (0, 1, 1, 0)]), 1)
 @example((60, [(1, 1, 0, 1), (7, 0, 0, 1)]), 1)
 @example((36, [(1, 0, 0, 5), (1, 6, 0, 1)]), 3)
+# lower-triangular groups: one orbit per gcd class, found in its first column
+@example((12, [(1, 0, 1, 1), (1, 0, 0, 7), (7, 0, 0, 1), (1, 0, 0, 5), (5, 0, 0, 1)]), 1)
+@example((36, [(1, 0, 1, 1), (1, 0, 0, 19), (19, 0, 0, 1), (1, 0, 0, 29), (29, 0, 0, 1)]), 1)
+@example((60, [(1, 0, 1, 1), (1, 0, 0, 31), (31, 0, 0, 1), (1, 0, 0, 41), (41, 0, 0, 1),
+               (1, 0, 0, 37), (37, 0, 0, 1)]), 1)
+@example((60, [(1, 1, 0, 1), (49, 0, 0, 1), (1, 0, 0, 11)]), 1)
+@example((36, []), 1)
 def test_degree_spectrum_matches_oracle(case, field_degree):
     n, gens = case
     G = MatGroup(modulus(n), gens)
