@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Detecting the level of an open subgroup from one congruence-kernel check,
-minimizing it over divisors, composing per-prime levels, and rebuilding the
-exponent-bound table from the valuation inequality."""
+minimizing it one prime at a time, composing per-prime levels, and
+rebuilding the exponent-bound table from the valuation inequality."""
 
 from x1points import (
     BoundInput,
@@ -19,8 +19,8 @@ from x1points import (
 )
 
 # The full preimage mod 32 of SL2(Z/8) has level 8.  One full kernel
-# (2^4 cosets) between stages certifies the level bound; minimization over
-# divisors then finds the exact level.
+# (2^4 cosets) between stages certifies the level bound; minimization, one
+# prime at a time, then finds the exact level.
 base = sl2_group(8)
 G = full_preimage(base, 32)
 det = detect_ladic_level(G, 3)

@@ -54,7 +54,7 @@ class CapExceeded(X1PointsError):
     the vector count, known before any is built).
     """
 
-    def __init__(self, cap: int, partial_count: int, what: str = "closure", unit: str = "elements"):
+    def __init__(self, cap: int, partial_count: int, what: str, unit: str):
         super().__init__(f"{what} exceeded cap of {cap} {unit} ({partial_count} found)")
         self.cap = cap
         self.partial_count = partial_count

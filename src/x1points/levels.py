@@ -5,10 +5,10 @@ A group G known mod l^(s+1) whose congruence kernel down to l^s is full
 reduction at every higher stage; that is the entire content of the
 detection step, which reports the kernel order, the quotient of the orders
 of G mod l^(s+1) and G mod l^s.  "Level" is handled as a divisibility
-certificate plus a separate minimization pass over divisors.  Minimization
-and composition ask only whether a kernel is full, a membership test of the
-congruence kernel's generators in G's own chain
-(`matgroup.is_full_preimage`).
+certificate plus a minimization that finds the level's exponent one prime
+at a time.  Minimization and composition ask only whether a kernel is
+full, a membership test of the congruence kernel's generators in G's own
+chain (`matgroup.is_full_preimage`).
 
 Claims about the profinite group are always conditional on the supplied
 finite truncation representing it faithfully; the kernel check makes the
@@ -21,7 +21,7 @@ from __future__ import annotations
 # running it: `tables` and `level-bound` build no group and never load it.
 from . import matgroup
 from .errors import HypothesisFailed, StageTooLow, record
-from .modarith import divisors, gl2_order, is_prime, valuation
+from .modarith import gl2_order, is_prime, valuation
 
 # Smallest single-prime levels M_1({l}) of l-adic images of non-CM elliptic
 # curves over Q, assuming no l-adic level exceeds 169 for 2 < l <= 37.
@@ -95,12 +95,15 @@ def detect_ladic_level(G: matgroup.MatGroup, s: int | None = None) -> LadicDetec
 
 
 def minimize_level(G: matgroup.MatGroup) -> int:
-    """Smallest divisor M of n with G = full preimage of G mod M: the first
-    divisor whose congruence kernel's generators all lie in G."""
-    for m in divisors(G.modulus.n):
-        if matgroup.is_full_preimage(G, m):
-            return m
-    raise AssertionError("unreachable: m = n always passes")
+    """Smallest M | n with G = full preimage of G mod M, found per prime: t_l
+    is the least t for which (n / l^e) l^t passes (l^e || n), and M = prod l^t_l.
+    By CRT ker(n -> m1) ker(n -> m2) = ker(n -> gcd(m1, m2)), so the m that pass
+    are the multiples of M.  m = n is never asked: at most sum(e_l) rounds."""
+    n, level = G.modulus.n, 1
+    for ell, e in G.modulus.factorization:
+        passing = (t for t in range(e) if matgroup.is_full_preimage(G, n // ell ** (e - t)))
+        level *= ell ** next(passing, e)
+    return level
 
 
 @record
@@ -119,7 +122,7 @@ class LevelCertificate:
 
     `prime_powers` lists (l, t_l) with M = prod l^t_l; `evidence` records the
     per-prime full-preimage checks on the mixed moduli followed by one record
-    with prime 0 for the direct composite order check down to M.
+    with prime 0 for the composite statement down to M (implied, not re-checked).
     """
 
     prime_powers: tuple[tuple[int, int], ...]
@@ -140,9 +143,9 @@ def compose_level(G: matgroup.MatGroup, stages: dict[int, int]) -> LevelCertific
     mod prod l^(t_l+1) (larger moduli are projected down).  For each prime
     the full-preimage hypothesis is checked on the mixed modulus (only that
     prime's exponent lowered); a failure raises HypothesisFailed naming the
-    prime.  The composite statement is then verified directly.  Each check
-    is a membership test in the chain of G mod prod l^(t_l+1), so a
-    record's `kernel_order` is the full kernel order it certifies.
+    prime.  By CRT these imply the composite statement down to M, which is not
+    checked again.  Each check is a membership test in the chain of G mod prod
+    l^(t_l+1), so a record's `kernel_order` is the full kernel order it certifies.
     """
 
     if not stages:
@@ -180,9 +183,6 @@ def compose_level(G: matgroup.MatGroup, stages: dict[int, int]) -> LevelCertific
                 full_kernel=ell**4,
             )
         )
-    # composite conclusion, verified directly rather than trusted
-    if not matgroup.is_full_preimage(G, level):
-        raise HypothesisFailed(0, f"composite full-preimage check failed at M={level}")
     full_kernel = gl2_order(check_mod) // gl2_order(level)
     evidence.append(
         PrimeEvidence(

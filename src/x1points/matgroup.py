@@ -274,7 +274,7 @@ class MatGroup:
         if self._elements is None:
             chain = self._get_chain()
             if chain.order > self.cap:
-                raise CapExceeded(self.cap, chain.order)
+                raise CapExceeded(self.cap, chain.order, "element set", "elements")
             self._elements = chain.elements()
         return self._elements
 

@@ -7,8 +7,15 @@ from math import gcd
 import pytest
 
 from x1points.errors import DEFAULT_CAP
-from x1points.matgroup import MatGroup, crt_product, gl2_group, sl2_group
-from x1points.modarith import apply_raw, crt_scalar, modulus, mul_raw, unit_group_generators
+from x1points.matgroup import MatGroup, crt_product, gl2_group, is_full_preimage, sl2_group
+from x1points.modarith import (
+    apply_raw,
+    crt_scalar,
+    divisors,
+    modulus,
+    mul_raw,
+    unit_group_generators,
+)
 from x1points.orbits import degree_spectrum
 
 
@@ -122,6 +129,15 @@ def gl2_count_oracle(n):
                     if gcd((a * d - b * c) % n, n) == 1:
                         count += 1
     return count
+
+
+def level_oracle(G: MatGroup) -> int:
+    """The level of G by scanning every divisor m of n in ascending order for
+    the first with G the full preimage of G mod m."""
+    for m in divisors(G.modulus.n):
+        if is_full_preimage(G, m):
+            return m
+    raise AssertionError("unreachable: m = n always passes")
 
 
 def orbit_partition_oracle(G: MatGroup, vectors):

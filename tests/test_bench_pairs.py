@@ -1,0 +1,67 @@
+"""The verdicts of `tools/bench_pairs.py`'s summary on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+WORKLOAD = bench_pairs.WORKLOADS[0]
+
+
+def paired_runs(metric: str, parent: list[float], change: list[float]) -> list[dict]:
+    """One parent and one change run per seed; every other end-to-end metric
+    reads 1.0 on both sides."""
+    runs = []
+    for seed, values in enumerate(zip(parent, change), 1):
+        for side, value in zip(bench_pairs.SIDES, values):
+            metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.BENCHMARK["end_to_end"]}
+            metrics[metric] = {"value": value}
+            runs.append({"workload": WORKLOAD, "seed": seed, "side": side,
+                         "result": {"metrics": metrics}})
+    return runs
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5, 100.0, 100.2]
+
+
+def test_claim_met_within_bound():
+    runs = paired_runs("jobs_per_s", PARENT, [v + 20 for v in PARENT])
+    summary = bench_pairs.summarize(runs, f"{WORKLOAD}:jobs_per_s")
+    s = summary[WORKLOAD]["jobs_per_s"]
+    assert s["pairs_won"] == 10 and s["worse_by"] < 0
+    assert s["within_bound"] and not s["unresolved"]
+    assert summary["claim"]["met"] and summary["no_regression"]
+
+
+def test_claim_not_met_when_the_change_reads_the_same():
+    change = PARENT[1:] + PARENT[:1]
+    summary = bench_pairs.summarize(paired_runs("jobs_per_s", PARENT, change), f"{WORKLOAD}:jobs_per_s")
+    assert not summary["claim"]["met"]
+    assert summary[WORKLOAD]["jobs_per_s"]["within_bound"] and summary["no_regression"]
+
+
+def test_past_the_bound_is_a_regression():
+    # jobs_per_s is higher-better and job_p50_s lower-better; each bound is 0.25
+    for metric, change in (("jobs_per_s", [v * 0.7 for v in PARENT]),
+                           ("job_p50_s", [v * 1.3 for v in PARENT])):
+        summary = bench_pairs.summarize(paired_runs(metric, PARENT, change), None)
+        s = summary[WORKLOAD][metric]
+        assert s["worse_by"] > s["bound"] and not s["within_bound"], metric
+        assert not summary["no_regression"] and "claim" not in summary, metric
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    # the parent's interquartile range exceeds 0.25 x its median, so a change
+    # inside the bound cannot be told apart unless every run of it beats every
+    # parent run
+    wide = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 55.0, 145.0, 100.0, 100.0]
+    summary = bench_pairs.summarize(paired_runs("jobs_per_s", wide, wide[::-1]), None)
+    s = summary[WORKLOAD]["jobs_per_s"]
+    assert s["parent_iqr"] > s["bound"] * s["parent_median"]
+    assert s["within_bound"] and s["unresolved"] and not summary["no_regression"]
+    summary = bench_pairs.summarize(paired_runs("jobs_per_s", wide, [v + 200 for v in wide]), None)
+    s = summary[WORKLOAD]["jobs_per_s"]
+    assert not s["unresolved"] and summary["no_regression"]

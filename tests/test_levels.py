@@ -17,6 +17,7 @@ from x1points.matgroup import (
     MatGroup,
     borel_group,
     closure,
+    congruence_kernel_generators,
     crt_product,
     full_preimage,
     gl2_group,
@@ -184,6 +185,28 @@ def test_minimize_level_builds_only_the_groups_chain(monkeypatch):
     built = chains_built(monkeypatch)
     assert minimize_level(sl2_group(72)) == 72
     assert built == [72]
+
+
+def test_minimize_level_takes_one_round_per_exponent(monkeypatch):
+    import x1points.matgroup
+
+    asked = []
+    real = x1points.matgroup.is_full_preimage
+
+    def spy(G, m):
+        asked.append(m)
+        return real(G, m)
+
+    monkeypatch.setattr(x1points.matgroup, "is_full_preimage", spy)
+    n = 720720  # 2^4 3^2 5 7 11 13: 240 divisors, exponents summing to 10
+    # the unipotent group has level n, and with K_360 added level 360; both
+    # chains build in well under a second, where SL2's mod n takes seconds
+    unipotent = [(1, 1, 0, 1)]
+    for gens, level in ((unipotent, n), (unipotent + list(congruence_kernel_generators(n, 360)), 360)):
+        asked.clear()
+        assert minimize_level(MatGroup(modulus(n), gens)) == level
+        assert len(asked) <= 10
+        assert n not in asked
 
 
 def test_compose_level_builds_only_the_groups_chain(monkeypatch):

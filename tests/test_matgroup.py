@@ -114,7 +114,7 @@ def test_elements_past_the_cap_fail_before_any_is_built():
     with pytest.raises(CapExceeded) as info:
         closure([(1, 1, 0, 1)], n=n, cap=10**6)
     assert info.value.partial_count == n
-    assert str(info.value) == f"closure exceeded cap of {10**6} elements ({n} found)"
+    assert str(info.value) == f"element set exceeded cap of {10**6} elements ({n} found)"
 
 
 def test_unipotent_group_at_a_61_bit_prime():

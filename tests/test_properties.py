@@ -13,6 +13,7 @@ from conftest import (
     closure_oracle,
     fiber_count_oracle,
     goursat_oracle,
+    level_oracle,
     matmul_oracle,
     orbit_partition_oracle,
     pair_closure_oracle,
@@ -21,11 +22,13 @@ from conftest import (
     vectors_by_order_oracle,
 )
 
-from x1points.levels import minimize_level
+from x1points.errors import HypothesisFailed
+from x1points.levels import compose_level, minimize_level
 from x1points.matgroup import (
     MatGroup,
     borel_group,
     closure,
+    congruence_kernel_generators,
     full_preimage,
     goursat,
     goursat_product,
@@ -43,6 +46,7 @@ from x1points.modarith import (
     mat2,
     modulus,
     sl2_order,
+    valuation,
 )
 from x1points.orbits import (
     degree_spectrum,
@@ -241,6 +245,73 @@ def test_is_full_preimage_matches_kernel_order(case):
         assert full == (kernel_order(G, m) == gl2_order(n) // gl2_order(m)), m
         if members is not None:
             assert full == all(g in members for g in congruence_matrices(n, m)), m
+
+
+@st.composite
+def level_cases(draw, moduli=st.integers(1, 60)):
+    """Up to two random invertible matrices mod n and a random part of the
+    generators of the congruence kernel down to a random m | n, so that
+    levels strictly between 1 and n are common."""
+    n = draw(moduli)
+    kernel = list(congruence_kernel_generators(n, draw(st.sampled_from(divisors(n)))))
+    part = st.lists(st.sampled_from(kernel), max_size=len(kernel), unique=True)
+    return n, draw(st.lists(invertible(n), max_size=2)) + draw(part)
+
+
+@PROPERTY_SETTINGS
+@given(level_cases())
+@example((16, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)]))  # level 4
+@example((72, list(congruence_kernel_generators(72, 6)) + [(1, 1, 0, 1)]))  # level 6
+@example((60, [(1, 1, 0, 1), (1, 0, 1, 1)]))  # SL2: level 60
+@example((1, []))
+def test_minimize_level_matches_divisor_scan(case):
+    # the per-prime search against the scan of every divisor, and the divisors
+    # that pass are exactly the multiples of the level
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    level = minimize_level(G)
+    assert level == level_oracle(G)
+    for m in divisors(n):
+        assert is_full_preimage(G, m) == (m % level == 0), m
+
+
+# moduli up to 150 at which every prime's exponent is at least 2, so every
+# prime can take a stage t with G known mod l^(t+1)
+SQUAREFUL = [n for n in range(4, 151) if all(e >= 2 for _, e in factorize(n))]
+
+
+@st.composite
+def compose_cases(draw):
+    n, gens = draw(level_cases(st.sampled_from(SQUAREFUL)))
+    return n, gens, {ell: draw(st.integers(1, e - 1)) for ell, e in factorize(n)}
+
+
+@PROPERTY_SETTINGS
+@given(compose_cases())
+@example((36, [], {2: 1, 3: 1}))
+@example((36, [(1, 3, 0, 1)] + list(congruence_kernel_generators(36, 9)), {2: 1, 3: 1}))
+def test_compose_level_certifies_or_names_the_least_failing_prime(case):
+    # a certificate's level M makes G mod prod l^(t_l+1) the full preimage of
+    # its reduction mod M, which compose_level does not check itself; a
+    # failure names the least prime whose mixed-modulus check fails, which is
+    # the least l with v_l(level) > t_l, and never prime 0
+    n, gens, stages = case
+    check_mod = 1
+    for ell, t in stages.items():
+        check_mod *= ell ** (t + 1)
+    G = project(MatGroup(modulus(n), gens), check_mod)
+    failing = [ell for ell in sorted(stages) if not is_full_preimage(G, check_mod // ell)]
+    level = minimize_level(G)
+    assert failing == [ell for ell in sorted(stages) if valuation(level, ell) > stages[ell]]
+    try:
+        cert = compose_level(G, stages)
+    except HypothesisFailed as exc:
+        assert failing and exc.prime == failing[0] != 0
+    else:
+        assert not failing
+        assert is_full_preimage(G, cert.level)
+        assert cert.level % level == 0
+        assert (cert.evidence[-1].prime, cert.evidence[-1].target_modulus) == (0, cert.level)
 
 
 @PROPERTY_SETTINGS

@@ -16,9 +16,14 @@ side's median and quartiles (statistics.quantiles(n=4, method='inclusive')),
 the parent's and change's interquartile range, `pairs_won` (pairs in which
 the change read better; ties count for neither) and `worse_by`, the relative
 worsening of the change's median (negative when it is better), beside the
-metric's bound.  With --claim the summary also says whether the claimed
-metric is met: the change wins at least 9 of 10 pairs and its median beats
-the parent's by more than the parent's interquartile range.
+metric's bound.  `within_bound` says whether worse_by is at most the bound.
+`unresolved` says the runs spread too widely to tell: the parent's
+interquartile range exceeds bound x parent median, and not every change run
+beats every parent run.  The summary's `no_regression` holds when every
+metric of every workload is within its bound and none is unresolved.  With
+--claim the summary also says whether the claimed metric is met: the change
+wins at least 9 of 10 pairs and its median beats the parent's by more than
+the parent's interquartile range.
 """
 
 import argparse
@@ -72,12 +77,17 @@ def summarize_metric(runs: list[dict], workload: str, metric: dict) -> dict | No
     won = sum((p["change"] > p["parent"]) if higher else (p["change"] < p["parent"]) for p in pairs)
     parent, change = out["parent_median"], out["change_median"]
     worse = (parent - change) if higher else (change - parent)
+    worse_by, bound = worse / parent if parent else 0.0, metric["bound"]
+    parents, changes = [p["parent"] for p in pairs], [p["change"] for p in pairs]
+    separated = min(changes) > max(parents) if higher else max(changes) < min(parents)
     out.update(
         runs_per_side=len(pairs),
         pairs_won=won,
         pairs=len(pairs),
-        worse_by=worse / parent if parent else 0.0,
-        bound=metric["bound"],
+        worse_by=worse_by,
+        bound=bound,
+        within_bound=worse_by <= bound,
+        unresolved=out["parent_iqr"] > bound * parent and not separated,
     )
     return out
 
@@ -89,6 +99,9 @@ def summarize(runs: list[dict], claim: str | None) -> dict:
         metrics = {k: v for k, v in metrics.items() if v is not None}
         if metrics:
             summary[w] = metrics
+    summary["no_regression"] = all(
+        s["within_bound"] and not s["unresolved"] for ms in summary.values() for s in ms.values()
+    )
     if claim:
         workload, metric = claim.split(":")
         s = summary.get(workload, {}).get(metric)
@@ -130,7 +143,10 @@ def main(argv=None) -> int:
                "exceeds the parent's by more than the parent's interquartile range); "
                if args.claim else "")
             + "every end-to-end metric is checked against its BENCHMARK.json bound (worse_by is "
-            "the relative worsening of the change's median, negative when it is better); "
+            "the relative worsening of the change's median, negative when it is better; "
+            "within_bound when worse_by <= bound; unresolved when the parent's interquartile "
+            "range exceeds bound x parent median and not every change run beats every parent "
+            "run; summary.no_regression when every metric is within_bound and none unresolved); "
             "pairs_won counts the pairs in which the change read better; quartiles by "
             "statistics.quantiles(n=4, method='inclusive'); no trace runs; each run object is "
             "the last stdout line of run.py; written by tools/bench_pairs.py"
