@@ -6,10 +6,13 @@ level (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
 ch. 4).  The chain has four levels.
 
 - L1 is the orbit of <e1> among the psi(n) = n prod(1 + 1/p) lines, keyed by
-  `modarith.line_key`.  The transversal element u = [[w0, p], [w1, q]] of a
-  line maps <e1> to it and is stored as (w0, w1, p, q, det(u)^-1), so
-  u^-1 = det(u)^-1 [[q, -p], [-w1, w0]] needs no inversion; the inverse
-  determinant is carried along each orbit edge.
+  `modarith.line_key` and grown by `walk_lines`, the one line walk, which
+  the degree spectra of `orbits` share.  A line's entry (w0, w1, p, q, dv,
+  tag) holds its transversal element u = [[w0, p], [w1, q]] and dv =
+  det(u)^-1, so u^-1 = dv [[q, -p], [-w1, w0]] needs no inversion; a new line
+  reached by g gets g u, with dv = det(g)^-1 dv.  An edge g into a known line
+  u' hands the caller the Schreier residue u'^-1 g u = (a, b, d) until the
+  caller says stop, and then only finds lines.
 - The stabilizer H of <e1> is upper triangular: [[a, b], [0, d]], written
   (a, b, d).  L2 is A, the image of a (the isogeny character), and L3 is D,
   the image of d on the elements with a = 1.  Each keeps a transversal of
@@ -18,12 +21,12 @@ ch. 4).  The chain has four levels.
 
 So |G| = lines * |A| * |D| * n/g, from at most psi(n) + 2 phi(n) stored
 entries and g; the cost grows with the lines, not with the n^2 vectors or
-with |G| (up to n^4).  Each edge of the line orbit into a known line gives a
-Schreier generator of H, and each (point, generator) pair of A or D one of
-the next level's kernel; each is sifted and kept only if it is no member.
-A generator kept at L3 from the line orbit also joins the generators of A,
-so its conjugates by the A transversal are sifted too.  L4 needs no such
-step: gZ/nZ is an ideal, so conjugation keeps it.
+with |G| (up to n^4).  Each residue of the line walk is a Schreier generator
+of H, and each (point, generator) pair of A or D gives one of the next
+level's kernel; each is sifted and kept only if it is no member.  A
+generator kept at L3 from the line walk also joins the generators of A, so
+its conjugates by the A transversal are sifted too.  L4 needs no such step:
+gZ/nZ is an ideal, so conjugation keeps it.
 
 Whether G is the full preimage of G mod m is a membership test: a few
 generators of the congruence kernel ker(GL2(Z/n) -> GL2(Z/m)) are sifted
@@ -42,7 +45,7 @@ Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from math import gcd
 
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed, record
@@ -61,6 +64,8 @@ from .modarith import (
 
 # An element [[a, b], [0, d]] of H as (a, b, d); (a, b, d)(a', b', d') = (aa', ab' + bd', dd').
 Triangular = tuple[int, int, int]
+# A line's entry (w0, w1, p, q, det(u)^-1, tag) for u = [[w0, p], [w1, q]].
+Line = tuple[int, int, int, int, int, object]
 # A generator (x, y) of a subgroup of GL2(Z/n1) x GL2(Z/n2).
 PairTuple = tuple[MatTuple, MatTuple]
 
@@ -68,8 +73,8 @@ PairTuple = tuple[MatTuple, MatTuple]
 class Chain:
     """The stabilizer chain of a group through <e1> (see the module doc).
 
-    `lines` maps a line key to the transversal entry (w0, w1, p, q, det(u)^-1);
-    `a_level` and `d_level` map each point of A (by a) and of D (by d) to its
+    `lines` maps a line key to its `walk_lines` entry, tagged None; `a_level`
+    and `d_level` map each point of A (by a) and of D (by d) to its
     transversal element and that element's inverse, (a, b, d, a', b', d');
     `g` spans the translations.
     """
@@ -81,7 +86,7 @@ class Chain:
         ident = (one, 0, one, one, 0, one)
         self.n = n
         self.key = line_key(n)
-        self.lines: dict[int, tuple[int, int, int, int, int]] = {}
+        self.lines: dict[int, Line] = {}
         self.a_level: dict[int, tuple[int, ...]] = {one: ident}
         self.d_level: dict[int, tuple[int, ...]] = {one: ident}
         self.g = n
@@ -116,7 +121,7 @@ class Chain:
         t = self.lines.get(self.key(x, z))
         if t is None:
             return False
-        w0, w1, p, q, dv = t
+        w0, w1, p, q, dv, _ = t
         a = dv * (q * x - p * z) % n
         return self.sift(a, dv * (q * y - p * w) % n, dv * (w0 * w - w1 * y) % n) is None
 
@@ -132,34 +137,77 @@ class Chain:
         ]
         return frozenset(
             (w0 * a % n, (w0 * b + p * d) % n, w1 * a % n, (w1 * b + q * d) % n)
-            for w0, w1, p, q, _ in self.lines.values()
+            for w0, w1, p, q, *_ in self.lines.values()
             for a, b, d in H
         )
+
+
+def line_edges(n: int, gens: tuple[MatTuple, ...]) -> list[tuple[int, ...]]:
+    """The edges of `walk_lines`: each generator's entries and det(g)^-1."""
+    return [(a, b, c, d, pow((a * d - b * c) % n, -1, n)) for a, b, c, d in gens]
+
+
+def walk_lines(
+    n: int, key: dict, lines: dict[int, Line], start: Line, edges: list[tuple[int, ...]],
+    residue: Callable[[int, int, int], object], spend: Callable[[int], None] | None = None,
+) -> int:
+    """Grow the orbit of the line of `start` (see the module doc) under
+    `edges`, add its lines to `lines` with the tag of `start`, and return
+    their number.  `residue` gets each residue until it returns true; g (p,
+    q) is computed only for a new line or a residue read.  `spend`, if
+    given, is charged each line's edges as the walk reaches the line."""
+    tag = start[5]
+    lines[key(start[0], start[1])] = start
+    queue = [start]
+    reading = True
+    for w0, w1, p, q, dv, _ in queue:
+        if spend is not None:
+            spend(len(edges))
+        for ga, gb, gc, gd, dg in edges:
+            x0, x1 = (ga * w0 + gb * w1) % n, (gc * w0 + gd * w1) % n
+            gn, m, inv = key[x0]
+            k = gn + x1 * inv % m
+            t = lines.get(k)
+            if t is None:
+                lines[k] = t = (x0, x1, (ga * p + gb * q) % n, (gc * p + gd * q) % n, dg * dv % n, tag)
+                queue.append(t)
+            elif reading:
+                y0, y1 = (ga * p + gb * q) % n, (gc * p + gd * q) % n
+                v0, v1, r, s, dw, _ = t
+                reading = not residue(
+                    dw * (s * x0 - r * x1) % n, dw * (s * y0 - r * y1) % n, dw * (v0 * y1 - v1 * y0) % n
+                )
+    return len(queue)
 
 
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     """The line chain of the group generated by `gens` (see the module doc).
 
-    A new line reached by g from the line of u gets the transversal element
-    g u, whose inverse determinant is det(g)^-1 det(u)^-1.  An edge into a
-    known line with element u' gives the Schreier generator u'^-1 g u of H,
-    read off from the closed form of u'^-1.  A and D grow one generator at a
-    time, and each (point, generator) pair is visited once.  The pairs are
-    what the chain costs, a sift or a new entry each, so they are what the
-    cap bounds: CapExceeded is raised at the first pair past `cap`.
+    `walk_lines` grows the orbit of <e1> from I and hands each residue to
+    `keep`.  A and D grow one generator at a time, and each (point,
+    generator) pair is visited once.  These pairs and the lines' edges are
+    what the chain costs, so the cap bounds them: CapExceeded, with partial
+    count cap + 1, is raised once they exceed `cap`.  Charging a line's
+    edges as the walk reaches it raises at the same point of the total.
     """
     chain = Chain(n)
     one = 1 % n
-    key, lines, A, D = chain.key, chain.lines, chain.a_level, chain.d_level
+    A, D = chain.a_level, chain.d_level
     a_points, a_gens, d_points, d_gens = [one], [], [one], []
     pairs = 0
 
-    def over_cap() -> CapExceeded:
-        unit = "(point, generator) pairs on its lines, A and D"
-        return CapExceeded(cap, pairs, "stabilizer chain", unit)
+    def spend(k: int) -> None:
+        nonlocal pairs
+        pairs += k
+        if pairs > cap:
+            unit = "(point, generator) pairs on its lines, A and D"
+            raise CapExceeded(cap, cap + 1, "stabilizer chain", unit)
 
-    def keep(residue: Triangular, from_lines: bool) -> None:
-        """Add a residue of `Chain.sift` to the level where it failed."""
+    def keep(a: int, b: int, d: int, from_lines: bool = True) -> None:
+        """Sift (a, b, d) and add its residue to the level where it failed."""
+        residue = chain.sift(a, b, d)
+        if residue is None:
+            return
         a, b, d = residue
         if a != one:
             extend(A, a_points, a_gens, residue)
@@ -176,8 +224,7 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
         """Add `gen` to the generators of `level` (A or D) and grow its
         orbit: the old points meet `gen`, the new ones every generator.  The
         kernel element u_y^-1 s h_x of each pair that meets a known point y
-        is sifted and kept if it is no member."""
-        nonlocal pairs
+        goes to `keep`."""
         a, b, d = gen
         t = pow(a * d % n, -1, n)
         level_gens.append((a, b, d, t * d % n, -b * t % n, t * a % n))
@@ -187,9 +234,7 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
         while j < len(points):
             ha, hb, hd, hia, hib, hid = level[points[j]]
             for sa, sb, sd, sia, sib, sid in level_gens[-1:] if j < old else level_gens:
-                pairs += 1
-                if pairs > cap:
-                    raise over_cap()
+                spend(1)
                 ya, yb, yd = sa * ha % n, (sa * hb + sb * hd) % n, sd * hd % n
                 y = ya if on_a else yd
                 u = level.get(y)
@@ -199,34 +244,10 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
                     continue
                 # u^-1 y has a = 1 (and d = 1 in D)
                 _, _, _, uia, uib, uid = u
-                residue = chain.sift(one, (uia * yb + uib * yd) % n, uid * yd % n)
-                if residue is not None:
-                    keep(residue, False)
+                keep(one, (uia * yb + uib * yd) % n, uid * yd % n, False)
             j += 1
 
-    edges = [(*g, pow((g[0] * g[3] - g[1] * g[2]) % n, -1, n)) for g in gens]
-    start = (one, 0, 0, one, one)
-    lines[key(one, 0)] = start
-    queue = [start]
-    for w0, w1, p, q, dv in queue:
-        for ga, gb, gc, gd, dg in edges:
-            pairs += 1
-            if pairs > cap:
-                raise over_cap()
-            x0, x1 = (ga * w0 + gb * w1) % n, (gc * w0 + gd * w1) % n
-            y0, y1 = (ga * p + gb * q) % n, (gc * p + gd * q) % n
-            k = key(x0, x1)
-            t = lines.get(k)
-            if t is None:
-                lines[k] = t = (x0, x1, y0, y1, dg * dv % n)
-                queue.append(t)
-                continue
-            v0, v1, r, s, dw = t
-            residue = chain.sift(
-                dw * (s * x0 - r * x1) % n, dw * (s * y0 - r * y1) % n, dw * (v0 * y1 - v1 * y0) % n
-            )
-            if residue is not None:
-                keep(residue, True)
+    walk_lines(n, chain.key, chain.lines, (one, 0, 0, one, one, None), line_edges(n, gens), keep, spend)
     return chain
 
 

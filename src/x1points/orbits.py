@@ -5,21 +5,22 @@ The orbit kernel walks G on lines, not on vectors.  A line is the unit class
 {u v : u in (Z/nZ)^*} of an order-n vector: a cyclic subgroup of order n,
 that is a point of X_0(n) above j, where X_1(n) -> X_0(n) sends a point to
 the subgroup it generates.  There are psi(n) = n prod(1 + 1/p) lines, phi(n)
-times fewer than vectors.  Line orbits are grown breadth-first.  Each line
-keeps one tracked vector w and a row (a, b) with a w = 1, which reads off the
-scalar t of a vector v = t w on the line as t = a v.  An edge that lands on
-a known line gives the multiplier t of the image of its tracked vector; by
-Schreier's lemma these multipliers generate S, the image of the isogeny
+times fewer than vectors.  Line orbits are grown by `matgroup.walk_lines`,
+the walk the stabilizer chain runs, from u0 = [[x, -b], [y, a]], a x + b y
+= 1.  A line's entry holds its transversal element u, whose first column is
+the line's tracked vector w, and no row: dv (q, -p), the first row of u^-1,
+reads off the scalar t of a vector v = t w on the line.  The a-component of
+an edge's Schreier residue is the multiplier t of the image of a tracked
+vector; by Schreier's lemma these generate S, the image of the isogeny
 character Stab_G(<w>) -> (Z/nZ)^*.  The G-orbits inside a line orbit L are
 then the unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
-A line is named by `modarith.line_key`, its point of P^1(Z/nZ), the key
-the stabilizer chain of `matgroup` uses too.  One dict maps the key of each
-grown line to the line, so what is stored grows with the lines walked, and
-nothing of size n^2 and no per-orbit vector set is built.  The exact-order
-vectors are walked in ascending order, so each orbit is found from its
-minimum and orbits come out ordered by it.
+A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  One dict
+maps the key of each grown line to its entry, so what is stored grows with
+the lines walked, and nothing of size n^2 and no per-orbit vector set is
+built.  The exact-order vectors are walked in ascending order, so each orbit
+is found from its minimum and orbits come out ordered by it.
 Their number is checked against the group's cap before any is enumerated.
 
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
@@ -42,13 +43,12 @@ from math import gcd
 
 from .curveinv import map_degree
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
-from .matgroup import MatGroup, project
+from .matgroup import Line, MatGroup, line_edges, project, walk_lines
 from .modarith import (
     MatTuple,
     VecTuple,
     Vec2ModN,
     exact_order_vector_count,
-    inv_raw,
     line_key,
     modulus,
     vec2,
@@ -97,87 +97,65 @@ def _dual(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 class _LineOrbit:
-    """A G-orbit of lines: lines first .. first + count - 1 of its `_Lines`,
-    the multiplier group S, the coset index of each unit, per coset the
-    claim that found the G-orbit t S (None until one does), and the number
-    of cosets still unclaimed."""
+    """A G-orbit of lines, the tag of their entries, filled in once its walk
+    is done: its number of lines, the multiplier group S, the coset index of
+    each unit, per coset the claim that found the G-orbit t S (None until one
+    does), and the number of cosets still unclaimed."""
 
-    __slots__ = ("first", "count", "scalars", "coset", "claims", "open")
-
-    def __init__(self, first: int):
-        self.first = first
-        self.count = 0
-        self.scalars: frozenset[int] = frozenset()
-        self.coset: dict[int, int] = {}
-        self.claims: list[int | None] = []
-        self.open = 0
+    __slots__ = ("count", "scalars", "coset", "claims", "open")
 
 
 class _Lines:
     """G acting on the lines of (Z/nZ)^2, grown one line orbit at a time.
 
-    `line_of` maps the `modarith.line_key` of a grown line to its id.  Line
-    k is `lines[k]` = (orbit, x, y, a, b): its tracked vector (x, y) and the
-    row (a, b) with a x + b y = 1.
+    `lines` maps the `modarith.line_key` of each grown line to its
+    `matgroup.walk_lines` entry (w0, w1, p, q, dv, orbit), whose tag is its
+    `_LineOrbit`.  The scalar of a vector v on it is dv (q v0 - p v1): the
+    row dv (q, -p) is read off the entry, not stored.
     """
 
     def __init__(self, n: int, gens: tuple[MatTuple, ...]):
         self.n = n
-        self.gens = [(g, inv_raw(g, n)) for g in gens]
+        self.edges = line_edges(n, gens)
         self.units = [u for u in range(n) if gcd(u, n) == 1]
         self.key = line_key(n)
-        self.line_of: dict[int, int] = {}
-        self.lines: list[tuple[_LineOrbit, int, int, int, int]] = []
+        self.lines: dict[int, Line] = {}
         self.cosets: dict[frozenset[int], dict[int, int]] = {}
         self.claimed = 0
 
-    def _grow(self, x: int, y: int, first_key: int) -> int:
-        """Grow the line orbit of the order-n vector (x, y), whose line, of
-        key `first_key`, is new, with (x, y) as the tracked vector of its
-        first line.
+    def _grow(self, x: int, y: int) -> Line:
+        """Grow the line orbit of the order-n vector (x, y), whose line is
+        new, from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`), and
+        return the entry of that line.  Each residue read is upper
+        triangular, and only its a-component, the multiplier, is kept.
 
         S grows as a subgroup as each multiplier arrives, and one inside S
         costs a lookup.  (Z/nZ)^* is abelian, so a multiplier t outside S
         extends it to <S, t> = P_k, the union of the cosets t^j S for j < k,
         for any k with t^k in P_k, which makes P_k closed under t (Dimino).
         P_2k is P_k with t^k P_k, so k doubles from 1 until then.  Once S is
-        all phi(n) units no multiplier can enlarge it, so edges are then
-        walked only to find lines.
+        all phi(n) units no multiplier can enlarge it, so the walk reads no
+        more.
         """
-        n, key, line_of, lines = self.n, self.key, self.line_of, self.lines
-        orbit = _LineOrbit(len(lines))
-        line_of[first_key] = orbit.first
-        lines.append((orbit, x, y, *_dual(x, y, n)))
+        n, phi = self.n, len(self.units)
+        a, b = _dual(x, y, n)
+        orbit = _LineOrbit()
         span = {1 % n}
-        full = len(self.units) == 1
-        k = orbit.first
-        while k < len(lines):
-            _, x, y, a, b = lines[k]
-            for (p, q, r, s), (pi, qi, ri, si) in self.gens:
-                x2, y2 = (p * x + q * y) % n, (r * x + s * y) % n
-                gn, m, inv = key[x2]
-                k2 = gn + y2 * inv % m
-                lid = line_of.get(k2)
-                if lid is None:
-                    line_of[k2] = len(lines)
-                    # (a, b) g^-1 is the row of g w
-                    lines.append((orbit, x2, y2, (a * pi + b * ri) % n, (a * qi + b * si) % n))
-                elif not full:
-                    _, _, _, a2, b2 = lines[lid]
-                    t = (a2 * x2 + b2 * y2) % n
-                    if t not in span:
-                        u = t
-                        while u not in span:
-                            span |= {u * v % n for v in span}
-                            u = u * u % n
-                        full = len(span) == len(self.units)
-            k += 1
-        orbit.count = len(lines) - orbit.first
+
+        def multiplier(t: int, _b: int, _d: int) -> bool:
+            nonlocal span
+            while t not in span:
+                span |= {t * v % n for v in span}
+                t = t * t % n
+            return len(span) == phi
+
+        start = (x, y, -b % n, a, 1 % n, orbit)
+        orbit.count = walk_lines(n, self.key, self.lines, start, self.edges, multiplier)
         orbit.scalars = frozenset(span)
         orbit.coset = self._cosets(orbit.scalars)
-        orbit.open = len(self.units) // len(span)
+        orbit.open = phi // len(span)
         orbit.claims = [None] * orbit.open
-        return orbit.first
+        return start
 
     def _cosets(self, scalars: frozenset[int]) -> dict[int, int]:
         """Coset index of each unit mod the subgroup `scalars`."""
@@ -196,12 +174,11 @@ class _Lines:
         """For an order-n vector v = (x, y): its line orbit if no vector of
         the G-orbit of v was claimed before, else None."""
         gn, m, inv = self.key[x]
-        k = gn + y * inv % m
-        lid = self.line_of.get(k)
-        if lid is None:
-            lid = self._grow(x, y, k)
-        orbit, _, _, a, b = self.lines[lid]
-        c = orbit.coset[(a * x + b * y) % self.n]
+        t = self.lines.get(gn + y * inv % m)
+        if t is None:
+            t = self._grow(x, y)
+        _, _, p, q, dv, orbit = t
+        c = orbit.coset[dv * (q * x - p * y) % self.n]
         if orbit.claims[c] is not None:
             return None
         orbit.claims[c] = self.claimed
@@ -222,7 +199,7 @@ class _Lines:
         whatever x of the class.  The open line orbits of a class are kept
         in a list that only shrinks, so the check is O(1) amortized.
         """
-        key, line_of, lines = self.key, self.line_of, self.lines
+        key, lines = self.key, self.lines
         pending: dict[int, list[_LineOrbit]] = {}
         for x, g, ys in _exact_order_columns(self.n, self.n):
             open_orbits = pending.get(g)
@@ -237,14 +214,14 @@ class _Lines:
                     yield x, y, orbit
             if open_orbits is None:
                 gn, m, _ = key[x]
-                met = {lines[lid][0] for lid in map(line_of.get, range(gn, gn + m)) if lid is not None}
+                met = {t[5] for t in map(lines.get, range(gn, gn + m)) if t is not None}
                 pending[g] = [orbit for orbit in met if orbit.open]
 
     def claim_of(self, x: int, y: int) -> int:
         """The claim number of the G-orbit of the order-n vector (x, y),
         whose line orbit is grown and whose G-orbit is claimed."""
-        orbit, _, _, a, b = self.lines[self.line_of[self.key(x, y)]]
-        return orbit.claims[orbit.coset[(a * x + b * y) % self.n]]
+        _, _, p, q, dv, orbit = self.lines[self.key(x, y)]
+        return orbit.claims[orbit.coset[dv * (q * x - p * y) % self.n]]
 
 
 @record

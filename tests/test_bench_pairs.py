@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -65,3 +67,19 @@ def test_a_parent_spread_past_the_bound_is_unresolved():
     summary = bench_pairs.summarize(paired_runs("jobs_per_s", wide, [v + 200 for v in wide]), None)
     s = summary[WORKLOAD]["jobs_per_s"]
     assert not s["unresolved"] and summary["no_regression"]
+
+
+def test_within_parent_iqr_compares_the_median_shift_with_the_parent_spread():
+    # PARENT's quartiles are 99.625 and 100.425, so its interquartile range
+    # is 0.8, and its median is 100.0
+    s = bench_pairs.summarize(paired_runs("jobs_per_s", PARENT, [v - 0.5 for v in PARENT]), None)
+    s = s[WORKLOAD]["jobs_per_s"]
+    assert s["parent_iqr"] == pytest.approx(0.8) and s["within_parent_iqr"] and s["within_bound"]
+    s = bench_pairs.summarize(paired_runs("jobs_per_s", PARENT, [v - 1.0 for v in PARENT]), None)
+    s = s[WORKLOAD]["jobs_per_s"]
+    assert not s["within_parent_iqr"] and s["within_bound"]
+    # lower-better: a median 1.0 lower is better, so inside the spread
+    s = bench_pairs.summarize(paired_runs("job_p50_s", PARENT, [v - 1.0 for v in PARENT]), None)
+    assert s[WORKLOAD]["job_p50_s"]["within_parent_iqr"]
+    s = bench_pairs.summarize(paired_runs("job_p50_s", PARENT, [v + 1.0 for v in PARENT]), None)
+    assert not s[WORKLOAD]["job_p50_s"]["within_parent_iqr"]

@@ -95,6 +95,27 @@ def test_cap_exceeded_from_chain_reports_true_count():
     assert str(info.value).startswith("stabilizer chain exceeded cap of 1000")
 
 
+# the least cap at which each chain fits: the (point, generator) pairs on
+# its lines, A and D
+LEAST_CHAIN_CAPS = [
+    ("gl2_group(8)", lambda cap: gl2_group(8, cap=cap), 72),
+    ("gl2_group(125)", lambda cap: gl2_group(125, cap=cap), 750),
+    ("sl2_group(1296)", lambda cap: sl2_group(1296, cap=cap), 6_480),
+    ("borel_group(300)", lambda cap: borel_group(300, cap=cap), 727),
+    ("full_preimage(borel_group(3), 3**7)", lambda cap: full_preimage(borel_group(3), 3**7, cap=cap), 9_477),
+    ("gl2_group(3**7)", lambda cap: gl2_group(3**7, cap=cap), 13_122),
+]
+
+
+@pytest.mark.parametrize("make, least", [c[1:] for c in LEAST_CHAIN_CAPS], ids=[c[0] for c in LEAST_CHAIN_CAPS])
+def test_chain_fits_exactly_its_least_cap(make, least):
+    # an off-by-one in the per-line or per-point pair count moves the boundary
+    assert make(least).order > 0
+    with pytest.raises(CapExceeded) as info:
+        make(least - 1).order
+    assert info.value.partial_count == least
+
+
 def test_gl2_order_at_3_to_the_7_within_a_linear_cap():
     # psi(3^7) = 2916 lines and phi(3^7) = 1458 points each in A and D; each
     # meets at most the three generators of GL2, so the pairs stay below

@@ -292,12 +292,15 @@ def test_walk_claims_only_the_first_column_of_each_gcd_class(monkeypatch):
 
 @pytest.mark.parametrize("n", [12, 49, 64, 169])
 def test_line_index_of_a_full_image_holds_psi_entries(n):
-    # one entry per line of P^1(Z/nZ), none per vector
+    # one index entry per line of P^1(Z/nZ), none per vector: GL2 has one
+    # line orbit, and every entry names it
     psi = n
     for p, _ in factorize(n):
         psi = psi // p * (p + 1)
-    lines = degree_spectrum(gl2_group(n))._lines
-    assert len(lines.line_of) == len(lines.lines) == psi
+    lines = degree_spectrum(gl2_group(n))._lines.lines
+    assert len(lines) == psi
+    assert len({entry[5] for entry in lines.values()}) == 1
+    assert next(iter(lines.values()))[5].count == psi
 
 
 def test_record_of_rejects_vector_not_of_exact_order():

@@ -1,9 +1,8 @@
-"""Cross-module consistency over random subgroups: a seeded sweep, and
-hypothesis properties of the stabilizer chain against breadth-first closure
-and of the orbit kernel and Goursat data against the brute-force oracles."""
+"""Hypothesis properties: the stabilizer chain against breadth-first closure,
+the orbit kernel and Goursat data against the brute-force oracles, and the
+consistency of the modules with one another over random subgroups."""
 
 import itertools
-import random
 from math import gcd
 
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -55,62 +54,6 @@ from x1points.orbits import (
     fiber_count,
     max_growth_check,
 )
-
-
-def random_subgroup(rng, n):
-    gens = []
-    while len(gens) < rng.randint(1, 3):
-        cand = tuple(rng.randrange(n) for _ in range(4))
-        det = (cand[0] * cand[3] - cand[1] * cand[2]) % n
-        if gcd(det, n) == 1:
-            gens.append(cand)
-    return closure(gens, n=n)
-
-
-def test_random_subgroup_consistency_sweep():
-    rng = random.Random(424242)
-    for _ in range(12):
-        n = rng.choice([4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20])
-        G = random_subgroup(rng, n)
-        assert gl2_order(n) % G.order == 0
-
-        for m in divisors(n):
-            assert G.order == kernel_of_projection(G, m).order * project(G, m).order
-
-        level = minimize_level(G)
-        assert is_full_preimage(G, level)
-        for m in divisors(n):
-            if m < level:
-                assert not is_full_preimage(G, m)
-
-        spec = degree_spectrum(G)
-        assert sum(r.size for r in spec.records) == exact_order_vector_count(n, n)
-        for r in spec.records:
-            assert G.order % r.size == 0
-            if r.minus_closed and n > 2:
-                assert 2 * r.degree == r.size
-            else:
-                assert r.degree == r.size
-
-        for m in divisors(n):
-            if m in (1, n):
-                continue
-            for rep in max_growth_check(G, n // m):
-                assert rep.upstairs_degree <= rep.map_degree * rep.downstairs_degree
-
-        for a in divisors(n):
-            b = n // a
-            if a > 1 and b > 1 and gcd(a, b) == 1:
-                data = goursat(G, a, b)
-                assert G.order == (
-                    data.common_quotient_order
-                    * data.left_kernel.order
-                    * data.right_kernel.order
-                )
-                assert (
-                    data.left_image.order * data.right_kernel.order
-                    == data.right_image.order * data.left_kernel.order
-                )
 
 
 # -- stabilizer chain against breadth-first closure ----------------------------
@@ -543,3 +486,81 @@ def test_fiber_count_matches_enumeration(n, data):
     vectors = exact_order_vectors(n)
     for P in vectors[:: max(1, len(vectors) // 4)]:
         assert fiber_count(P, b) == fiber_count_oracle(P, b)
+
+
+# -- cross-module consistency over random subgroups -----------------------------
+
+# the moduli of the consistency properties: composite, with divisors and
+# coprime splits to check, and GL2 small enough to build
+SWEEP_MODULI = st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20])
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(SWEEP_MODULI))
+def test_random_subgroup_orders_kernels_and_level(case):
+    n, gens = case
+    G = closure(gens, n=n)
+    assert gl2_order(n) % G.order == 0
+    for m in divisors(n):
+        assert G.order == kernel_of_projection(G, m).order * project(G, m).order, m
+    level = minimize_level(G)
+    assert is_full_preimage(G, level)
+    for m in divisors(n):
+        if m < level:
+            assert not is_full_preimage(G, m), m
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(SWEEP_MODULI))
+def test_random_subgroup_spectrum_and_growth(case):
+    n, gens = case
+    G = closure(gens, n=n)
+    spec = degree_spectrum(G)
+    assert sum(r.size for r in spec.records) == exact_order_vector_count(n, n)
+    for r in spec.records:
+        assert G.order % r.size == 0
+        if r.minus_closed and n > 2:
+            assert 2 * r.degree == r.size
+        else:
+            assert r.degree == r.size
+    for m in divisors(n):
+        if m in (1, n):
+            continue
+        for rep in max_growth_check(G, n // m):
+            assert rep.upstairs_degree <= rep.map_degree * rep.downstairs_degree, m
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(SWEEP_MODULI))
+def test_random_subgroup_goursat_orders(case):
+    n, gens = case
+    G = closure(gens, n=n)
+    for a in divisors(n):
+        b = n // a
+        if a > 1 and b > 1 and gcd(a, b) == 1:
+            data = goursat(G, a, b)
+            assert G.order == (
+                data.common_quotient_order * data.left_kernel.order * data.right_kernel.order
+            ), a
+            assert (
+                data.left_image.order * data.right_kernel.order
+                == data.right_image.order * data.left_kernel.order
+            ), a
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(st.integers(1, 36)))
+@example((1, [(0, 0, 0, 0)]))
+@example((12, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)]))
+def test_spectrum_walks_the_chain_line_orbit(case):
+    # the chain and the spectrum both grow lines with matgroup.walk_lines:
+    # the spectrum's line orbit through <e1> is the chain's first level, and
+    # its multiplier group S is the chain's A
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    chain = G._get_chain()
+    spec = degree_spectrum(G)
+    orbit = spec._lines.lines[line_key(n)(1 % n, 0)][5]
+    assert orbit.count == len(chain.lines)
+    assert orbit.scalars == set(chain.a_level)
+    assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level)

@@ -16,7 +16,9 @@ side's median and quartiles (statistics.quantiles(n=4, method='inclusive')),
 the parent's and change's interquartile range, `pairs_won` (pairs in which
 the change read better; ties count for neither) and `worse_by`, the relative
 worsening of the change's median (negative when it is better), beside the
-metric's bound.  `within_bound` says whether worse_by is at most the bound.
+metric's bound.  `within_bound` says whether worse_by is at most the bound,
+and `within_parent_iqr` whether the change's median is worse than the
+parent's by at most the parent's interquartile range.
 `unresolved` says the runs spread too widely to tell: the parent's
 interquartile range exceeds bound x parent median, and not every change run
 beats every parent run.  The summary's `no_regression` holds when every
@@ -87,6 +89,7 @@ def summarize_metric(runs: list[dict], workload: str, metric: dict) -> dict | No
         worse_by=worse_by,
         bound=bound,
         within_bound=worse_by <= bound,
+        within_parent_iqr=worse <= out["parent_iqr"],
         unresolved=out["parent_iqr"] > bound * parent and not separated,
     )
     return out
@@ -144,7 +147,8 @@ def main(argv=None) -> int:
                if args.claim else "")
             + "every end-to-end metric is checked against its BENCHMARK.json bound (worse_by is "
             "the relative worsening of the change's median, negative when it is better; "
-            "within_bound when worse_by <= bound; unresolved when the parent's interquartile "
+            "within_bound when worse_by <= bound; within_parent_iqr when the change's median is "
+            "worse than the parent's by at most the parent's interquartile range; unresolved when the parent's interquartile "
             "range exceeds bound x parent median and not every change run beats every parent "
             "run; summary.no_regression when every metric is within_bound and none unresolved); "
             "pairs_won counts the pairs in which the change read better; quartiles by "
