@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,8 +25,6 @@ from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
 from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError, fields
 from .modarith import MAX_MODULUS, Mat2ModN, Vec2ModN, gl2_order, factorize
-
-CAP_ENV_VAR = "X1POINTS_CAP"
 
 # Each cmd_* reads the parsed arguments and returns (result, exit code): a
 # result record, or a dict of them with the keys that are not fields.
@@ -54,15 +51,19 @@ def _encode(value):
     return value
 
 
-def _load_group(path: str, cap: int) -> matgroup.MatGroup:
+def _load_group(args: argparse.Namespace) -> matgroup.MatGroup:
+    """The group of --in, bounded by --cap (the options of the group-file
+    subcommands)."""
+    if args.cap < 1:
+        raise ValueError(f"cap must be >= 1, got {args.cap}")
     try:
-        return matgroup.load_group(path, cap)
+        return matgroup.load_group(args.infile, args.cap)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise X1PointsError(f"group file contract violated by {path}: {exc}") from exc
+        raise X1PointsError(f"group file contract violated by {args.infile}: {exc}") from exc
 
 
 def cmd_group(args: argparse.Namespace) -> Result:
-    G = _load_group(args.infile, args.cap)
+    G = _load_group(args)
     order = G.order
     return {
         "modulus": G.modulus.n,
@@ -75,7 +76,7 @@ def cmd_group(args: argparse.Namespace) -> Result:
 
 
 def cmd_orbits(args: argparse.Namespace) -> Result:
-    G = _load_group(args.infile, args.cap)
+    G = _load_group(args)
     n = G.modulus.n
     spec = orbits.degree_spectrum(G)
     return {
@@ -86,13 +87,13 @@ def cmd_orbits(args: argparse.Namespace) -> Result:
 
 
 def cmd_degrees(args: argparse.Namespace) -> Result:
-    G = _load_group(args.infile, args.cap)
+    G = _load_group(args)
     spec = orbits.degree_spectrum(G, args.field_degree)
     return {**_fields(spec), "closed_point_degrees": orbits.closed_point_degrees(spec)}, 0
 
 
 def cmd_level(args: argparse.Namespace) -> Result:
-    G = _load_group(args.infile, args.cap)
+    G = _load_group(args)
     detections = []
     for ell, e in G.modulus.factorization:
         s = e - 1
@@ -160,6 +161,13 @@ def cmd_level_bound(args: argparse.Namespace) -> Result:
         args.primes, image_orders=dict(args.image_order), tau=dict(args.tau)
     )
     bound = levels.level_bound(B, args.ell)
+    # ell^bound is printed, so it must fit the int-to-str limit; 16^limit >
+    # 10^limit, so a bound past 4 * limit is refused before the power is taken
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if bound > 4 * limit or args.ell**bound >= 10**limit:
+        raise ValueError(
+            f"{args.ell}^{bound} has more than {limit} digits, the int-to-str limit"
+        )
     return {
         "primes": sorted(B.primes),
         "ell": args.ell,
@@ -270,11 +278,13 @@ FORMAT_OPTION = {"choices": ("json", "csv", "markdown"), "default": "json", "des
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # the options of the subcommands that build a group, the only ones the cap bounds
+    group_file = argparse.ArgumentParser(add_help=False)
+    group_file.add_argument("--in", dest="infile", required=True)
+    group_file.add_argument(
         "--cap",
         type=int,
-        default=None,
+        default=DEFAULT_CAP,
         help="bounds the chain pairs a group visits, the elements it stores and the vectors orbits enumerate",
     )
     parser = argparse.ArgumentParser(
@@ -283,20 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("group", parents=[common], help="order and basic facts of a group file")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("orbits", parents=[common], help="orbits on exact-order-n torsion vectors")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("degrees", parents=[common], help="degree spectrum above a j-invariant")
-    p.add_argument("--in", dest="infile", required=True)
+    sub.add_parser("group", parents=[group_file], help="order and basic facts of a group file")
+    sub.add_parser("orbits", parents=[group_file], help="orbits on exact-order-n torsion vectors")
+    p = sub.add_parser("degrees", parents=[group_file], help="degree spectrum above a j-invariant")
     p.add_argument("--field-degree", type=int, default=1)
+    sub.add_parser("level", parents=[group_file], help="detect and minimize the level of a group")
 
-    p = sub.add_parser("level", parents=[common], help="detect and minimize the level of a group")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = sub.add_parser("level-bound", parents=[common], help="valuation bound for a multi-prime level")
+    p = sub.add_parser("level-bound", help="valuation bound for a multi-prime level")
     p.add_argument(
         "--primes", type=_prime_list, required=True, help="comma-separated prime set"
     )
@@ -312,27 +315,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--tau", type=_override, action="append", default=[], help="override, formatted ell=tau"
     )
 
-    p = sub.add_parser("curve", parents=[common], help="invariants of X_1(N)")
+    p = sub.add_parser("curve", help="invariants of X_1(N)")
     p.add_argument("N", type=_bounded_int)
     p.add_argument("--format", **FORMAT_OPTION)
 
-    p = sub.add_parser("sporadic-check", parents=[common], help="lifting and gonality certificates")
+    p = sub.add_parser("sporadic-check", help="lifting and gonality certificates")
     p.add_argument("--level", type=_bounded_int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--gonality", type=int, default=None)
     p.add_argument("--require", action="store_true", help="exit 1 unless certified")
 
-    p = sub.add_parser("cm", parents=[common], help="CM sporadic-point pipeline")
+    p = sub.add_parser("cm", help="CM sporadic-point pipeline")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--h", type=int, default=None, help="class number cross-check (h is counted)")
     p.add_argument("--ell", type=_bounded_int, default=None, help="prime (default: smallest admissible)")
     p.add_argument("--require", action="store_true")
 
-    p = sub.add_parser("classify", parents=[common], help="decision tree over a Galois profile")
+    p = sub.add_parser("classify", help="decision tree over a Galois profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--n", type=_bounded_int, required=True)
 
-    p = sub.add_parser("tables", parents=[common], help="built-in data tables")
+    p = sub.add_parser("tables", help="built-in data tables")
     p.add_argument(
         "--which", required=True, choices=("classification", "gl2", "m1", "sz")
     )
@@ -354,35 +357,18 @@ COMMANDS = {
 }
 
 
-def _env_cap() -> int:
-    """The cap from X1POINTS_CAP, or the default when it is unset."""
-    text = os.environ.get(CAP_ENV_VAR)
-    if text is None:
-        return DEFAULT_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer >= 1, got {text!r}")
-    return cap
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cap is None:
-            args.cap = _env_cap()
-        if args.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {args.cap}")
         result, code = COMMANDS[args.subcommand](args)
+        text = _render(result, getattr(args, "output_format", "json"))
     except X1PointsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: input contract violated: {exc}", file=sys.stderr)
         return 2
-    print(_render(result, getattr(args, "output_format", "json")))
+    print(text)
     return code
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch, field, record
 
@@ -40,7 +40,8 @@ _MR_LIMIT = 3317044064679887385961981
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization, primes strictly increasing.
 
-    Exact for every n: a cofactor is declared prime only by `is_prime`.
+    Exact for every n: a cofactor is declared prime only by `is_prime`, so a
+    cofactor it cannot decide raises ValueError.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -306,15 +307,15 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below 3.3 * 10^24, trial
-    division from there on."""
+    """Exact primality by deterministic Miller-Rabin below 3.3 * 10^24, the
+    exact primality bound; ValueError from there on."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_LIMIT:
-        return all(n % p for p in range(43, isqrt(n) + 1, 2))
+        raise ValueError(f"{n} is past the exact primality bound {_MR_LIMIT}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

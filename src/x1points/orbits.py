@@ -255,22 +255,6 @@ class DegreeSpectrum:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
         return self.records[self._lines.claim_of(x, y)]
 
-    def image_records(self, down: DegreeSpectrum) -> list[tuple[OrbitRecord, OrbitRecord]]:
-        """Each record with the record of its image under X_1(n) -> X_1(a),
-        for `down` the spectrum mod a (a | n) of the same group reduced mod
-        a, at the same field degree.
-
-        The image of a point P is bP, b = n/a.  The basis of E[a] inside
-        E[n] is b times that of E[n], so bP has coordinates (x, y) mod a in
-        E[a] =~ (Z/aZ)^2, to which `record_of` reduces.
-        """
-        n, a = self.modulus, down.modulus
-        if n % a != 0:
-            raise ValueError(f"{a} does not divide {n}")
-        if self.field_degree != down.field_degree:
-            raise ValueError("spectra have different field degrees")
-        return [(rec, down.record_of(rec.representative.entries)) for rec in self.records]
-
 
 def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> OrbitRecord:
     size = orbit.count * len(orbit.scalars)
@@ -389,7 +373,10 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     # the fiber count depends on a and b only; every exact-order-n vector has one
     fib = fiber_count(up.records[0].representative, b)
     reports = []
-    for rec, drec in up.image_records(down):
+    for rec in up.records:
+        # the image of P is bP, and the basis of E[a] inside E[n] is b times
+        # that of E[n], so bP has coordinates (x, y) mod a in E[a] =~ (Z/aZ)^2
+        drec = down.record_of(rec.representative.entries)
         ratio, rem = divmod(rec.size, drec.size)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         # fields in declaration order, positional as in `_record`

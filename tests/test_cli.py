@@ -41,7 +41,7 @@ def run(capsys, argv):
 def run_fresh(argv):
     """Exit code and stdout of `argv` in a new interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if k != "X1POINTS_CAP"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "x1points.cli", *argv], env=env, capture_output=True, text=True,
@@ -93,10 +93,9 @@ def test_level_command(capsys, tmp_path):
     assert data["detections"][0]["certified"]
 
 
-def test_level_command_at_3_to_the_4(capsys, tmp_path, monkeypatch):
+def test_level_command_at_3_to_the_4(capsys, tmp_path):
     from x1points.matgroup import borel_group, full_preimage
 
-    monkeypatch.delenv("X1POINTS_CAP", raising=False)
     path = tmp_path / "pre81.json"
     save_group(full_preimage(borel_group(3), 81), str(path))
     code, out, _ = run(capsys, ["level", "--in", str(path)])
@@ -163,6 +162,20 @@ def test_level_bound_malformed_option_names_it(capsys, option, text):
     assert "invalid literal" not in out.err
     if option != "--primes":
         assert "ell=value" in out.err
+
+
+# the bound is 5 + tau, and 2^14284 < 10^4300 < 2^14285: the largest
+# printable power has 4300 digits, and a larger one is refused unbuilt
+@pytest.mark.parametrize("tau", ["2=14280", "2=20000", "2=1000000000"])
+def test_level_bound_power_past_the_digit_limit_exit_2(capsys, tau):
+    code, out, err = run(capsys, ["level-bound", "--primes", "2,3", "--ell", "2", "--tau", tau])
+    assert code == 2 and out == ""
+    assert "has more than 4300 digits, the int-to-str limit" in err
+
+
+def test_level_bound_power_at_the_digit_limit(capsys):
+    code, out, _ = run(capsys, ["level-bound", "--primes", "2,3", "--ell", "2", "--tau", "2=14279"])
+    assert code == 0 and json.loads(out)["bound_prime_power"] == 2**14284
 
 
 def test_cm_class_number_contradicting_table_exit_2(capsys):
@@ -309,6 +322,14 @@ def test_classify_profile_contracts_exit_2(capsys, tmp_path):
     assert "unknown profile key 'nonsurjectiv'" in err
 
 
+def test_classify_profile_prime_past_the_primality_bound_exit_2(tmp_path):
+    # 2^89 - 1 is prime and past the deterministic Miller-Rabin range, where
+    # no primality test finishes in time: the profile is refused, not tested
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"nonsurjective": [{"prime": 2**89 - 1, "type": "borel"}]}))
+    assert run_fresh(["classify", "--profile", str(path), "--n", "37"]) == (2, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -424,39 +445,13 @@ def test_cap_flag_exceeded_exit_2(capsys, tmp_path):
     assert "cap" in err
 
 
-def test_cap_zero_rejected(capsys):
-    code, _, err = run(capsys, ["curve", "5", "--cap", "0"])
-    assert code == 2
-    assert "cap" in err
+def test_cap_zero_rejected(capsys, gl2_5_file):
+    code, out, err = run(capsys, ["group", "--in", gl2_5_file, "--cap", "0"])
+    assert code == 2 and out == ""
+    assert "cap must be >= 1, got 0" in err
 
 
-def test_cap_env_override(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "gl2_8.json"
-    save_group(gl2_group(8), str(path))
-    monkeypatch.setenv("X1POINTS_CAP", "10")
-    code, _, err = run(capsys, ["group", "--in", str(path)])
-    assert code == 2
-    monkeypatch.setenv("X1POINTS_CAP", "100000")
-    code, _, _ = run(capsys, ["group", "--in", str(path)])
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-def test_cap_env_malformed_names_the_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("X1POINTS_CAP", value)
-    code, out, err = run(capsys, ["curve", "11"])
-    assert code == 2
-    assert out == ""
-    assert f"X1POINTS_CAP must be an integer >= 1, got {value!r}" in err
-    # the --cap message is unchanged, and the flag wins over the variable
-    code, _, err = run(capsys, ["curve", "11", "--cap", "0"])
-    assert code == 2
-    assert "cap must be >= 1, got 0" in err and "X1POINTS_CAP" not in err
-    assert run(capsys, ["curve", "11", "--cap", "5"])[0] == 0
-
-
-def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
-    monkeypatch.delenv("X1POINTS_CAP", raising=False)
+def test_cached_parser_keeps_no_state_between_calls(capsys):
     corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
     golden = {c["name"]: (c["exit"], c["stdout"]) for c in corpus}
     tau = ["level-bound", "--primes", "2,3,5", "--ell", "3", "--tau", "5=2"]
@@ -480,7 +475,7 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         assert in_process(bad) == (2, "")
     assert build_parser() is build_parser()
     args = build_parser().parse_args(plain)
-    assert args.tau == [] and args.image_order == [] and args.cap is None
+    assert args.tau == [] and args.image_order == [] and not hasattr(args, "cap")
 
 
 @pytest.mark.parametrize("command", ["orbits", "degrees"])

@@ -12,9 +12,14 @@ from pathlib import Path
 import pytest
 
 from x1points.cli import main
+from x1points.errors import DEFAULT_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = json.loads((GOLDEN / "corpus.json").read_text())
+SUBCOMMANDS = (
+    "group", "orbits", "degrees", "level", "level-bound",
+    "curve", "sporadic-check", "cm", "classify", "tables",
+)
 
 
 def run_cli(argv) -> int:
@@ -28,7 +33,6 @@ def run_cli(argv) -> int:
 @pytest.mark.parametrize("case", CORPUS, ids=[c["name"] for c in CORPUS])
 def test_golden_invocation(case, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("X1POINTS_CAP", raising=False)
     code = run_cli(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
@@ -63,7 +67,21 @@ def test_corpus_covers_every_format_of_curve_and_tables():
         if "--format" in c["argv"]
     }
     assert covered == {(cmd, fmt) for cmd in ("curve", "tables") for fmt in ("json", "csv", "markdown")}
-    assert {c["argv"][0] for c in CORPUS} == {
-        "group", "orbits", "degrees", "level", "level-bound",
-        "curve", "sporadic-check", "cm", "classify", "tables",
-    }
+    assert {c["argv"][0] for c in CORPUS} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cap_only_on_the_group_file_subcommands(command, capsys, monkeypatch):
+    # the first successful corpus invocation of the subcommand
+    case = next(c for c in CORPUS if c["argv"][0] == command and c["exit"] == 0)
+    monkeypatch.chdir(GOLDEN)
+    # no environment variable sets the cap
+    monkeypatch.setenv("X1POINTS_CAP", "abc")
+    assert run_cli(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+    code = run_cli([*case["argv"], "--cap", str(DEFAULT_CAP)])
+    out = capsys.readouterr().out
+    if command in ("group", "orbits", "degrees", "level"):
+        assert (code, out) == (0, case["stdout"])
+    else:
+        assert (code, out) == (2, "")

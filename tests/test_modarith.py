@@ -304,8 +304,9 @@ def test_pseudoprimes_rejected():
     assert not is_prime(3825123056546413051)
     assert not is_prime(318665857834031151167461)
     assert factorize(318665857834031151167461) == ((399165290221, 1), (798330580441, 1))
-    # past the deterministic Miller-Rabin range the answer comes from trial division
-    assert not is_prime(43**16)
+    # past the deterministic Miller-Rabin range there is no answer
+    with pytest.raises(ValueError, match="past the exact primality bound"):
+        is_prime(43**16)
 
 
 def test_reduce_mat_rejects_zero_modulus():
