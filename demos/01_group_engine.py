@@ -6,31 +6,29 @@ direct products."""
 from x1points import (
     closure,
     contains_sl2,
-    crt_join,
-    crt_split,
     gl2_group,
     gl2_order,
     goursat_product,
-    identity,
     kernel_of_projection,
     mat2,
-    mat_inv,
-    mat_mul,
     project,
     sl2_order,
 )
+from x1points.modarith import crt_scalar, inv_raw, mul_raw
 
-# Matrices live over a fixed modulus and are always reduced.
-A = mat2(5, 1, 1, 0, 1)
-B = mat2(5, 1, 0, 1, 1)
-print("A =", A)
-print("A*B =", mat_mul(A, B))
-print("A * A^-1 =", mat_mul(A, mat_inv(A)))
+# The arithmetic runs on raw row-major 4-tuples (a, b, c, d), always reduced mod n.
+A = (1, 1, 0, 1)
+B = (1, 0, 1, 1)
+print("A =", A, "mod 5")
+print("A*B =", mul_raw(A, B, 5))
+print("A^-1 =", inv_raw(A, 5))
+print("A * A^-1 =", mul_raw(A, inv_raw(A, 5), 5))
 
-# CRT splits a matrix mod 35 into its mod-5 and mod-7 parts and back.
-J = crt_join((identity(5), mat2(7, 2, 0, 0, 1)))
+# CRT joins a mod-5 and a mod-7 matrix, entry by entry, into one mod 35;
+# reducing it mod 5 and mod 7 gives the parts back.
+J = tuple(crt_scalar((x, y), (5, 7)) for x, y in zip((1, 0, 0, 1), (2, 0, 0, 1)))
 print("\njoined mod 35:", J)
-print("split back:", crt_split(J))
+print("mod 5:", tuple(e % 5 for e in J), " mod 7:", tuple(e % 7 for e in J))
 
 # Closure materializes the subgroup generated by a few matrices.
 sl2_5 = closure([mat2(5, 1, 1, 0, 1), mat2(5, 1, 0, 1, 1)])

@@ -87,16 +87,10 @@ _EXPORTS = {
         "Mat2ModN",
         "Modulus",
         "Vec2ModN",
-        "crt_join",
-        "crt_split",
         "gl2_order",
         "identity",
         "mat2",
-        "mat_det",
-        "mat_inv",
-        "mat_mul",
         "modulus",
-        "reduce_mat",
         "sl2_order",
         "vec2",
         "vec_order",

@@ -52,6 +52,9 @@ class NonsurjectivePrime:
             raise ValueError(f"unknown image type {self.image_type!r}")
         if not is_prime(self.prime):
             raise ValueError(f"not a prime: {self.prime}")
+        ell, level = self.prime, self.level
+        if level is not None and (level < ell or ell ** valuation(level, ell) != level):
+            raise ValueError(f"level must be {ell}^k with k >= 1, got {level}")
 
 
 @record
@@ -61,6 +64,8 @@ class GaloisProfile:
     assume_sz: bool = False
 
     def __post_init__(self):
+        if self.field_degree < 1:
+            raise ValueError(f"field_degree must be >= 1, got {self.field_degree}")
         seen = set()
         for entry in self.nonsurjective:
             if entry.prime in seen:
@@ -102,15 +107,16 @@ def _check_keys(data, allowed: frozenset[str], where: str) -> None:
 
 
 def profile_from_dict(data: dict) -> GaloisProfile:
-    """Profile from its file form; integers and booleans must have those JSON types."""
+    """Profile from its file form; integers, booleans, strings and arrays must
+    have those JSON types."""
     _check_keys(data, PROFILE_KEYS, "profile")
-    raw_entries = data.get("nonsurjective", ())
+    raw_entries = json_typed(data.get("nonsurjective", []), list, "nonsurjective")
     for e in raw_entries:
         _check_keys(e, ENTRY_KEYS, "nonsurjective entry")
     entries = tuple(
         NonsurjectivePrime(
             prime=json_typed(e["prime"], int, f"nonsurjective[{i}].prime"),
-            image_type=str(e.get("type", "unknown")),
+            image_type=json_typed(e.get("type", "unknown"), str, f"nonsurjective[{i}].type"),
             level=json_typed(e["level"], int, f"nonsurjective[{i}].level")
             if "level" in e
             else None,

@@ -17,14 +17,16 @@ from operator import attrgetter
 # bound on the vectors orbit enumeration may hold, unless a cap is given.
 DEFAULT_CAP = 2**24
 
+_JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array"}
+
 
 def json_typed(value, kind: type, where: str):
-    """`value` if its type is exactly `kind` (int or bool), else ValueError
-    naming `where`: a JSON 1.5 or true is no integer, "false" no boolean."""
+    """`value` if its type is exactly `kind` (bool, int, str or list), else
+    ValueError naming `where`: a JSON 1.5 or true is no integer, "false" no
+    boolean, ["borel"] no string and null no array."""
     if type(value) is not kind:
         got = json.dumps(value, default=repr)
-        name = "boolean" if kind is bool else "integer"
-        raise ValueError(f"{where} must be a JSON {name}, got {got}")
+        raise ValueError(f"{where} must be a JSON {_JSON_NAMES[kind]}, got {got}")
     return value
 
 

@@ -53,8 +53,7 @@ from .modarith import (
     MatTuple,
     Mat2ModN,
     Modulus,
-    crt_join,
-    identity,
+    crt_scalar,
     inv_raw,
     line_key,
     modulus,
@@ -464,13 +463,15 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
 
 
 def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatGroup:
-    """Direct product of groups with coprime moduli, as one group mod n1*n2."""
+    """Direct product of groups with coprime moduli, as one group mod n1*n2:
+    each generator g of `left` joined by CRT with the identity mod n2, then
+    the identity mod n1 joined with each generator of `right`."""
     n1, n2 = left.modulus.n, right.modulus.n
     if gcd(n1, n2) != 1:
         raise NonCoprimeModuli(f"moduli {n1} and {n2} share a prime")
-    i1, i2 = identity(n1), identity(n2)
-    gens = [crt_join((Mat2ModN(left.modulus, *g), i2)).entries for g in left.raw_generators]
-    gens += [crt_join((i1, Mat2ModN(right.modulus, *g))).entries for g in right.raw_generators]
+    one = (1, 0, 0, 1)
+    pairs = [(g, one) for g in left.raw_generators] + [(one, h) for h in right.raw_generators]
+    gens = [tuple(crt_scalar(r, (n1, n2)) for r in zip(g, h)) for g, h in pairs]
     return MatGroup(modulus(n1 * n2), gens, cap)
 
 

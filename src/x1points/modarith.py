@@ -16,12 +16,13 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, lcm, prod
 
-from .errors import ModulusMismatch, NonCoprimeModuli, NotInvertible, OrderMismatch, field, record
+from .errors import NotInvertible, OrderMismatch, field, record
 
 MAX_MODULUS = 2**63 - 1
 
-# Raw representations used in hot loops: matrices are row-major 4-tuples
-# (a, b, c, d), vectors are pairs (x, y).
+# All arithmetic runs on raw values: matrices are row-major 4-tuples
+# (a, b, c, d), vectors are pairs (x, y).  Mat2ModN and Vec2ModN are the
+# typed values that the group API takes and returns.
 MatTuple = tuple[int, int, int, int]
 VecTuple = tuple[int, int]
 
@@ -108,10 +109,6 @@ class Modulus:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factorization)
 
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**e for p, e in self.factorization)
-
     def __repr__(self):
         return f"Modulus({self.n})"
 
@@ -177,12 +174,6 @@ def identity(n: int) -> Mat2ModN:
     return mat2(n, 1, 0, 0, 1)
 
 
-def _same_modulus(a: Mat2ModN, b: Mat2ModN) -> int:
-    if a.modulus.n != b.modulus.n:
-        raise ModulusMismatch(f"moduli differ: {a.modulus.n} vs {b.modulus.n}")
-    return a.modulus.n
-
-
 def mul_raw(x: MatTuple, y: MatTuple, n: int) -> MatTuple:
     a, b, c, d = x
     e, f, g, h = y
@@ -209,51 +200,6 @@ def apply_raw(m: MatTuple, v: VecTuple, n: int) -> VecTuple:
     return ((a * x + b * y) % n, (c * x + d * y) % n)
 
 
-def mat_mul(A: Mat2ModN, B: Mat2ModN) -> Mat2ModN:
-    n = _same_modulus(A, B)
-    return Mat2ModN(A.modulus, *mul_raw(A.entries, B.entries, n))
-
-
-def mat_det(A: Mat2ModN) -> int:
-    return (A.a * A.d - A.b * A.c) % A.modulus.n
-
-
-def mat_inv(A: Mat2ModN) -> Mat2ModN:
-    return Mat2ModN(A.modulus, *inv_raw(A.entries, A.modulus.n))
-
-
-def reduce_mat(A: Mat2ModN, m: int) -> Mat2ModN:
-    if m < 1 or A.modulus.n % m != 0:
-        raise ModulusMismatch(f"{m} does not divide {A.modulus.n}")
-    return mat2(m, A.a, A.b, A.c, A.d)
-
-
-def _check_coprime_cover(n: int, factors: tuple[int, ...]) -> None:
-    prod = 1
-    for f in factors:
-        prod *= f
-    if prod != n:
-        raise NonCoprimeModuli(f"factors {factors} do not multiply to {n}")
-    for i, f in enumerate(factors):
-        for g in factors[i + 1 :]:
-            if gcd(f, g) != 1:
-                raise NonCoprimeModuli(f"factors {f} and {g} share a prime")
-
-
-def crt_split(A: Mat2ModN, factors: tuple[int, ...] | None = None) -> tuple[Mat2ModN, ...]:
-    """Split a matrix mod n into components mod pairwise-coprime factors of n.
-
-    Default factors are the prime powers of the modulus.
-    """
-    n = A.modulus.n
-    if factors is None:
-        factors = A.modulus.prime_powers
-    else:
-        factors = tuple(factors)
-    _check_coprime_cover(n, factors)
-    return tuple(reduce_mat(A, f) for f in factors)
-
-
 @lru_cache(maxsize=None)
 def _crt_coefficients(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     n = 1
@@ -269,17 +215,6 @@ def _crt_coefficients(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def crt_scalar(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     n, coeffs = _crt_coefficients(moduli)
     return sum(r * c for r, c in zip(residues, coeffs)) % n
-
-
-def crt_join(parts: tuple[Mat2ModN, ...]) -> Mat2ModN:
-    """Inverse of crt_split: parts with pairwise coprime moduli join mod the product."""
-    moduli = tuple(P.modulus.n for P in parts)
-    n = 1
-    for m in moduli:
-        n *= m
-    _check_coprime_cover(n, moduli)
-    entries = [crt_scalar(tuple(P.entries[i] for P in parts), moduli) for i in range(4)]
-    return mat2(n, *entries)
 
 
 def euler_phi(n: int) -> int:

@@ -6,7 +6,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import fiber_product_group, orbit_partition_oracle, spectrum_partition
+from conftest import fiber_product_group, join2, orbit_partition_oracle, spectrum_partition
 from x1points.classify import GaloisProfile, NonsurjectivePrime, classify_profile, sporadic_screen
 from x1points.cli import main
 from x1points.curveinv import frey_gonality_cert, known_gonality, map_degree, psl2_index
@@ -20,7 +20,7 @@ from x1points.matgroup import (
     kernel_of_projection,
     sl2_group,
 )
-from x1points.modarith import crt_join, factorize, gl2_order, identity, mat2
+from x1points.modarith import factorize, gl2_order, identity
 from x1points.orbits import degree_spectrum, exact_order_vectors, fiber_count
 from x1points.sporadic import cm_order, cm_point_degree, cm_threshold, lifting_certificate
 from x1points.modarith import vec2
@@ -109,7 +109,7 @@ def test_criterion_5_kernel_criterion_desk_scale(large_image_samples):
             H = closure(G.generators)
             K = kernel_of_projection(H, m)
             for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
-                lifted = crt_join((mat2(ell, *g), identity(m)))
+                lifted = join2(ell, m, g, (1, 0, 0, 1))
                 assert K.contains(lifted), (n, ell, m)
 
 

@@ -226,11 +226,26 @@ def test_profile_json_types():
         ({"nonsurjective": [{**entry, "prime": 37.0}]}, r"nonsurjective\[0\].prime"),
         ({"nonsurjective": [entry, {"prime": 17, "level": 1.5}]}, r"nonsurjective\[1\].level"),
         ({"nonsurjective": [{**entry, "level": None}]}, r"nonsurjective\[0\].level"),
+        ({"nonsurjective": 5}, "nonsurjective must be a JSON array, got 5"),
+        ({"nonsurjective": None}, "nonsurjective must be a JSON array, got null"),
+        (
+            {"nonsurjective": [{**entry, "type": ["borel"]}]},
+            r"nonsurjective\[0\].type must be a JSON string",
+        ),
+        ({"nonsurjective": [{**entry, "level": 0}]}, r"level must be 37\^k with k >= 1, got 0"),
+        ({"nonsurjective": [{**entry, "level": 1}]}, r"level must be 37\^k with k >= 1, got 1"),
+        ({"nonsurjective": [{"prime": 5, "level": 6}]}, r"level must be 5\^k with k >= 1, got 6"),
+        ({"nonsurjective": [{"prime": 7, "level": -49}]}, r"level must be 7\^k with k >= 1, got -49"),
+        ({"field_degree": -3}, "field_degree must be >= 1, got -3"),
+        ({"field_degree": 0}, "field_degree must be >= 1, got 0"),
     )
     for data, message in bad:
         with pytest.raises(ValueError, match=message):
             profile_from_dict(data)
     assert not profile_from_dict({"flags": {"assume_sz": False}}).assume_sz
+    for ell, level in ((5, 25), (37, 37), (3, 243), (5, 625)):
+        profile = profile_from_dict({"nonsurjective": [{"prime": ell, "level": level}]})
+        assert profile.entry(ell).level == level
 
 
 def test_prime_level_screen_small_and_surjective():

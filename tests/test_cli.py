@@ -417,6 +417,17 @@ def test_group_file_non_integer_exit_2(capsys, tmp_path, data, key):
         ({"field_degree": 1.5}, "field_degree must be a JSON integer, got 1.5"),
         ({"nonsurjective": [{"prime": 37.0, "type": "borel"}]}, "nonsurjective[0].prime"),
         ({"nonsurjective": [{"prime": 37, "level": 1.5}]}, "nonsurjective[0].level"),
+        ({"nonsurjective": 5}, "nonsurjective must be a JSON array, got 5"),
+        ({"nonsurjective": None}, "nonsurjective must be a JSON array, got null"),
+        (
+            {"nonsurjective": [{"prime": 37, "type": ["borel"]}]},
+            'nonsurjective[0].type must be a JSON string, got ["borel"]',
+        ),
+        ({"nonsurjective": [{"prime": 37, "level": 0}]}, "level must be 37^k with k >= 1, got 0"),
+        ({"nonsurjective": [{"prime": 5, "level": 6}]}, "level must be 5^k with k >= 1, got 6"),
+        ({"nonsurjective": [{"prime": 7, "level": -49}]}, "level must be 7^k with k >= 1, got -49"),
+        ({"field_degree": -3}, "field_degree must be >= 1, got -3"),
+        ({"field_degree": 0}, "field_degree must be >= 1, got 0"),
     ],
 )
 def test_profile_json_types_exit_2(capsys, tmp_path, data, message):
@@ -425,6 +436,7 @@ def test_profile_json_types_exit_2(capsys, tmp_path, data, message):
     code, out, err = run(capsys, ["classify", "--profile", str(path), "--n", "37"])
     assert code == 2 and out == ""
     assert "profile file contract violated" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_missing_generator_entries_exit_2(capsys, tmp_path):

@@ -24,7 +24,6 @@ from x1points.matgroup import (
     sl2_group,
 )
 from x1points.modarith import (
-    crt_join,
     divisors,
     euler_phi,
     gl2_order,
@@ -228,7 +227,7 @@ def test_kernel_contains_coprime_sl2_factor():
     G = closure(crt_product(sl2_group(5), sl2_group(7)).generators)
     K = kernel_of_projection(G, 7)
     for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
-        lifted = crt_join((mat2(5, *g), identity(7)))
+        lifted = join2(5, 7, g, (1, 0, 0, 1))
         assert K.contains(lifted)
 
 
@@ -425,7 +424,7 @@ def test_kernel_of_large_image_contains_sl2_generators(large_image_samples):
         H = closure(G.generators)
         K = kernel_of_projection(H, m)
         for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
-            lifted = crt_join((mat2(ell, *g), identity(m)))
+            lifted = join2(ell, m, g, (1, 0, 0, 1))
             assert K.contains(lifted), (n, ell, m, g)
 
 
@@ -437,7 +436,7 @@ def test_kernel_criterion_mod_30(large_image_sample_mod30):
     assert closure(project(H, 5).generators).order == gl2_order(5)
     K = kernel_of_projection(H, 6)
     for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
-        assert K.contains(crt_join((mat2(5, *g), identity(6))))
+        assert K.contains(join2(5, 6, g, (1, 0, 0, 1)))
 
 
 def test_fiber_product_kernels_are_proper():

@@ -41,9 +41,8 @@ EXPORTS = {
         "save_group", "sl2_group",
     ],
     "modarith": [
-        "Mat2ModN", "Modulus", "Vec2ModN", "crt_join", "crt_split", "gl2_order", "identity",
-        "mat2", "mat_det", "mat_inv", "mat_mul", "modulus", "reduce_mat", "sl2_order", "vec2",
-        "vec_order",
+        "Mat2ModN", "Modulus", "Vec2ModN", "gl2_order", "identity", "mat2", "modulus",
+        "sl2_order", "vec2", "vec_order",
     ],
     "orbits": [
         "DegreeSpectrum", "OrbitRecord", "closed_point_degrees", "degree_spectrum",

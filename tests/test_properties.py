@@ -28,6 +28,7 @@ from x1points.matgroup import (
     borel_group,
     closure,
     congruence_kernel_generators,
+    crt_product,
     full_preimage,
     goursat,
     goursat_product,
@@ -320,6 +321,36 @@ def test_goursat_product_matches_oracle(case):
     assume(pairs is not None)
     data = goursat_product([(mat2(n1, *x), mat2(n2, *y)) for x, y in gen_pairs])
     assert_goursat_matches_oracle(data, n1, n2, pairs)
+
+
+@st.composite
+def coprime_factors(draw):
+    n1 = draw(st.integers(1, 30))
+    n2 = draw(st.sampled_from([m for m in range(1, 31) if gcd(m, n1) == 1]))
+    left, right = (draw(st.lists(invertible(n), max_size=3)) for n in (n1, n2))
+    return n1, n2, left, right
+
+
+@PROPERTY_SETTINGS
+@given(coprime_factors())
+@example((1, 1, [], []))
+@example((7, 1, [(3, 0, 0, 1)], [(0, 0, 0, 0)]))
+def test_crt_product_pads_each_generator_with_the_identity(case):
+    # each generator of L x R reduces to (g, I) for the generators g of L,
+    # then to (I, h) for those h of R, and the order is |L| |R|
+    n1, n2, left, right = case
+    L, R = MatGroup(modulus(n1), left), MatGroup(modulus(n2), right)
+    P = crt_product(L, R)
+
+    def mod(x, m):
+        return tuple(e % m for e in x)
+
+    one = (1, 0, 0, 1)
+    pairs = [(g, one) for g in L.raw_generators] + [(one, h) for h in R.raw_generators]
+    assert [(mod(x, n1), mod(x, n2)) for x in P.raw_generators] == [
+        (mod(g, n1), mod(h, n2)) for g, h in pairs
+    ]
+    assert P.order == L.order * R.order
 
 
 @st.composite
