@@ -465,7 +465,8 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
 def crt_product(left: MatGroup, right: MatGroup, cap: int = DEFAULT_CAP) -> MatGroup:
     """Direct product of groups with coprime moduli, as one group mod n1*n2:
     each generator g of `left` joined by CRT with the identity mod n2, then
-    the identity mod n1 joined with each generator of `right`."""
+    the identity mod n1 joined with each generator of `right`, a generator
+    that repeats mod n1*n2 kept once."""
     n1, n2 = left.modulus.n, right.modulus.n
     if gcd(n1, n2) != 1:
         raise NonCoprimeModuli(f"moduli {n1} and {n2} share a prime")

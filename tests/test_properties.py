@@ -335,9 +335,11 @@ def coprime_factors(draw):
 @given(coprime_factors())
 @example((1, 1, [], []))
 @example((7, 1, [(3, 0, 0, 1)], [(0, 0, 0, 0)]))
+@example((1, 1, [(0, 0, 0, 0)], [(0, 0, 0, 0)]))
 def test_crt_product_pads_each_generator_with_the_identity(case):
     # each generator of L x R reduces to (g, I) for the generators g of L,
-    # then to (I, h) for those h of R, and the order is |L| |R|
+    # then to (I, h) for those h of R, a pair that repeats mod n1 n2 kept
+    # once as in every MatGroup, and the order is |L| |R|
     n1, n2, left, right = case
     L, R = MatGroup(modulus(n1), left), MatGroup(modulus(n2), right)
     P = crt_product(L, R)
@@ -347,9 +349,9 @@ def test_crt_product_pads_each_generator_with_the_identity(case):
 
     one = (1, 0, 0, 1)
     pairs = [(g, one) for g in L.raw_generators] + [(one, h) for h in R.raw_generators]
-    assert [(mod(x, n1), mod(x, n2)) for x in P.raw_generators] == [
-        (mod(g, n1), mod(h, n2)) for g, h in pairs
-    ]
+    assert [(mod(x, n1), mod(x, n2)) for x in P.raw_generators] == list(
+        dict.fromkeys((mod(g, n1), mod(h, n2)) for g, h in pairs)
+    )
     assert P.order == L.order * R.order
 
 
