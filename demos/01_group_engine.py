@@ -10,7 +10,6 @@ from x1points import (
     gl2_order,
     goursat_product,
     kernel_of_projection,
-    mat2,
     project,
     sl2_order,
 )
@@ -31,13 +30,13 @@ print("\njoined mod 35:", J)
 print("mod 5:", tuple(e % 5 for e in J), " mod 7:", tuple(e % 7 for e in J))
 
 # Closure materializes the subgroup generated by a few matrices.
-sl2_5 = closure([mat2(5, 1, 1, 0, 1), mat2(5, 1, 0, 1, 1)])
+sl2_5 = closure([(1, 1, 0, 1), (1, 0, 1, 1)], 5)
 print("\n|<unipotents mod 5>| =", sl2_5.order, "= #SL2(Z/5) =", sl2_order(5))
 
 G = gl2_group(35)
 print("#GL2(Z/35) =", G.order, "=", gl2_order(35))
 print("projection to 7 has order", project(G, 7).order)
-K = kernel_of_projection(closure(gl2_group(15).generators), 3)
+K = kernel_of_projection(gl2_group(15), 3)
 print("kernel of GL2(Z/15) -> GL2(Z/3) has order", K.order, "= #GL2(Z/5)")
 
 print("\ncontains_sl2(GL2 mod 7):", contains_sl2(gl2_group(7)))
@@ -45,7 +44,7 @@ print("\ncontains_sl2(GL2 mod 7):", contains_sl2(gl2_group(7)))
 # Goursat: the diagonal subgroup of GL2(Z/5) x GL2(Z/5) is the graph of the
 # identity isomorphism, so both kernels are trivial and the common quotient
 # is the whole group.
-data = goursat_product([(g, g) for g in gl2_group(5).generators])
+data = goursat_product([(g, g) for g in gl2_group(5).raw_generators], 5, 5)
 print("\ndiagonal subgroup of GL2(5) x GL2(5):")
 print("  common quotient order:", data.common_quotient_order)
 print("  kernels:", data.left_kernel.order, data.right_kernel.order)

@@ -7,7 +7,6 @@ from x1points import (
     BoundInput,
     borel_group,
     classification_table,
-    closure,
     compose_level,
     crt_product,
     detect_ladic_level,
@@ -30,7 +29,7 @@ print(
 )
 
 # Stage 1 is enough for odd primes: the preimage mod 25 of the Borel mod 5.
-G25 = full_preimage(closure(borel_group(5).generators), 25)
+G25 = full_preimage(borel_group(5), 25)
 print("Borel preimage mod 25: certified:", detect_ladic_level(G25, 1).certified,
       "minimal level:", minimize_level(G25))
 

@@ -84,12 +84,9 @@ _EXPORTS = {
         "sl2_group",
     ),
     "modarith": (
-        "Mat2ModN",
         "Modulus",
         "Vec2ModN",
         "gl2_order",
-        "identity",
-        "mat2",
         "modulus",
         "sl2_order",
         "vec2",

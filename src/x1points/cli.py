@@ -3,9 +3,10 @@
 Each subcommand returns the library's result objects, and one encoder turns
 them into JSON values: a record (`errors.record`) becomes an object of its
 fields by name (fields with a leading underscore are private and left out), a
-Fraction becomes {"num": ..., "den": ...}, a matrix or vector mod n becomes
-its list of entries, and tuples become lists.  So the result records are the
-output schema: a field declared on one reaches stdout with no edit here.
+Fraction becomes {"num": ..., "den": ...}, a vector mod n (`Vec2ModN`)
+becomes its list of entries, and tuples, matrices among them, become lists.
+So the result records are the output schema: a field declared on one reaches
+stdout with no edit here.
 Output is deterministic (sorted keys, canonical row order) and every numeric
 value is exact.  Every subcommand prints JSON; `curve` and `tables` also
 print CSV or Markdown rows under --format.  Exit codes: 0 success, 1
@@ -24,7 +25,7 @@ from fractions import Fraction
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
 from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError, fields
-from .modarith import MAX_MODULUS, Mat2ModN, Vec2ModN, gl2_order, factorize
+from .modarith import MAX_MODULUS, Vec2ModN, gl2_order, factorize
 
 # Each cmd_* reads the parsed arguments and returns (result, exit code): a
 # result record, or a dict of them with the keys that are not fields.
@@ -38,7 +39,7 @@ def _fields(obj) -> dict:
 
 def _encode(value):
     """The JSON value of a command result (the rule is in the module docstring)."""
-    if isinstance(value, (Mat2ModN, Vec2ModN)):
+    if isinstance(value, Vec2ModN):
         return list(value.entries)
     if fields(value):
         value = _fields(value)

@@ -51,7 +51,6 @@ from math import gcd
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed, record
 from .modarith import (
     MatTuple,
-    Mat2ModN,
     Modulus,
     crt_scalar,
     inv_raw,
@@ -250,6 +249,14 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     return chain
 
 
+def _reduced(m, n: int) -> MatTuple:
+    """The matrix m, four row-major entries, reduced mod n."""
+    m = tuple(m)
+    if len(m) != 4:
+        raise ValueError(f"matrix {m} needs 4 entries, got {len(m)}")
+    return tuple(e % n for e in m)
+
+
 class MatGroup:
     """Subgroup of GL2(Z/nZ): lazily built stabilizer chain and element set."""
 
@@ -258,7 +265,7 @@ class MatGroup:
         n = mod.n
         raw = []
         for g in gens:
-            g = tuple(e % n for e in g)
+            g = _reduced(g, n)
             inv_raw(g, n)  # invertibility check on every generator
             raw.append(g)
         self._gens: tuple[MatTuple, ...] = tuple(dict.fromkeys(raw))
@@ -267,10 +274,6 @@ class MatGroup:
         self._chain: Chain | None = None
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def generators(self) -> tuple[Mat2ModN, ...]:
-        return tuple(Mat2ModN(self.modulus, *g) for g in self._gens)
 
     @property
     def raw_generators(self) -> tuple[MatTuple, ...]:
@@ -299,14 +302,9 @@ class MatGroup:
         return self._elements
 
     def contains(self, A) -> bool:
-        """Membership by sifting through the chain.  A `Mat2ModN` must have the
-        group's modulus; a tuple is read mod n."""
-        n = self.modulus.n
-        if isinstance(A, Mat2ModN):
-            if A.modulus.n != n:
-                raise ModulusMismatch(f"matrix modulus {A.modulus.n} != group modulus {n}")
-            A = A.entries
-        return self._get_chain().contains(tuple(e % n for e in A))
+        """Membership of A, four row-major entries read mod n, by sifting
+        through the chain."""
+        return self._get_chain().contains(_reduced(A, self.modulus.n))
 
     def __repr__(self):
         order = self.order if self._chain is not None else "?"
@@ -316,24 +314,10 @@ class MatGroup:
 # -- public operations --------------------------------------------------------
 
 
-def _entries(g, n: int) -> MatTuple:
-    """The entries of a generator: a `Mat2ModN`, which must have modulus n,
-    or a tuple."""
-    if isinstance(g, Mat2ModN):
-        if g.modulus.n != n:
-            raise ModulusMismatch(f"generator modulus {g.modulus.n} != {n}")
-        return g.entries
-    return tuple(g)
-
-
-def closure(generators, n: int | None = None, cap: int = DEFAULT_CAP) -> MatGroup:
-    """Materialize the subgroup generated by `generators` (Mat2ModN or tuples)."""
-    gens = list(generators)
-    if n is None:
-        if not gens or not isinstance(gens[0], Mat2ModN):
-            raise ValueError("modulus required when generators are not Mat2ModN")
-        n = gens[0].modulus.n
-    grp = MatGroup(modulus(n), [_entries(g, n) for g in gens], cap)
+def closure(generators, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
+    """Materialize the subgroup of GL2(Z/nZ) generated by `generators`, each
+    four row-major entries read mod n."""
+    grp = MatGroup(modulus(n), list(generators), cap)
     grp.elements()
     return grp
 
@@ -457,8 +441,7 @@ def full_preimage(base: MatGroup, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
         raise ValueError(f"prime support of {n} differs from base modulus {m}")
     if n == m:
         return base
-    gens: list[MatTuple] = [tuple(int(e) for e in g) for g in base.raw_generators]
-    gens += congruence_kernel_generators(n, m)
+    gens = [*base.raw_generators, *congruence_kernel_generators(n, m)]
     return MatGroup(modulus(n), gens, cap)
 
 
@@ -506,8 +489,9 @@ class GoursatData:
     reduced generators of H.  `left_kernel` is N' = {x : (x, 1) in H} inside
     G, `right_kernel` is N = {y : (1, y) in H} inside G', each generated by
     Schreier generators of H (see `_left_kernel`); `graph_pairs` is the
-    induced bijection between cosets of N' in G and cosets of N in G' (least
-    representatives, sorted on the left entry).
+    induced bijection between cosets of N' in G and cosets of N in G', as
+    pairs (x, y) of 4-tuples, x mod n1 and y mod n2, the least representatives
+    of their cosets, sorted on x.
     """
 
     left_image: MatGroup
@@ -515,7 +499,7 @@ class GoursatData:
     left_kernel: MatGroup
     right_kernel: MatGroup
     common_quotient_order: int
-    graph_pairs: tuple[tuple[Mat2ModN, Mat2ModN], ...]
+    graph_pairs: tuple[PairTuple, ...]
 
 
 def _goursat(
@@ -568,10 +552,7 @@ def _goursat(
         left_kernel=kernel_l,
         right_kernel=kernel_r,
         common_quotient_order=len(graph),
-        graph_pairs=tuple(
-            (Mat2ModN(left.modulus, *lx), Mat2ModN(right.modulus, *ly))
-            for lx, ly in sorted(graph.items())
-        ),
+        graph_pairs=tuple(sorted(graph.items())),
     )
 
 
@@ -588,25 +569,18 @@ def goursat(H: MatGroup, a: int, b: int) -> GoursatData:
     return _goursat(project(H, a), project(H, b), gen_pairs, H.cap, H.order)
 
 
-def goursat_product(gen_pairs, cap: int = DEFAULT_CAP) -> GoursatData:
-    """Goursat data of the subgroup of GL2(Z/n1) x GL2(Z/n2) generated by pairs.
+def goursat_product(gen_pairs, n1: int, n2: int, cap: int = DEFAULT_CAP) -> GoursatData:
+    """Goursat data of the subgroup of GL2(Z/n1) x GL2(Z/n2) generated by
+    `gen_pairs`, each a pair (x, y) of four row-major entries, x read mod n1
+    and y mod n2.
 
     Accepts the external direct-product form, so n1 = n2 is allowed
-    (e.g. the diagonal subgroup of GL2(Z/5) x GL2(Z/5)).  The first pair
-    must be `Mat2ModN`s, which fix n1 and n2; a later `Mat2ModN` of another
-    modulus on its side raises ModulusMismatch.
+    (e.g. the diagonal subgroup of GL2(Z/5) x GL2(Z/5)).
     """
     pairs = list(gen_pairs)
-    if not pairs:
-        raise ValueError("at least one generator pair required")
-    first = pairs[0]
-    if not (isinstance(first[0], Mat2ModN) and isinstance(first[1], Mat2ModN)):
-        raise ValueError("generator pairs must be Mat2ModN instances")
-    n1, n2 = first[0].modulus.n, first[1].modulus.n
-    raw = [(_entries(x, n1), _entries(y, n2)) for x, y in pairs]
-    left = MatGroup(modulus(n1), [x for x, _ in raw], cap)
-    right = MatGroup(modulus(n2), [y for _, y in raw], cap)
-    return _goursat(left, right, raw, cap)
+    left = MatGroup(modulus(n1), [x for x, _ in pairs], cap)
+    right = MatGroup(modulus(n2), [y for _, y in pairs], cap)
+    return _goursat(left, right, pairs, cap)
 
 
 # -- group files --------------------------------------------------------------
@@ -631,9 +605,6 @@ def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> MatGroup:
         raise ValueError(f"malformed group file: {exc}") from exc
     if n < 1:
         raise ValueError(f"malformed group file: modulus {n} < 1")
-    for g in gens:
-        if len(g) != 4:
-            raise ValueError(f"malformed group file: generator {g} needs 4 entries")
     return MatGroup(modulus(n), gens, cap)
 
 

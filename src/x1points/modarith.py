@@ -21,8 +21,9 @@ from .errors import NotInvertible, OrderMismatch, field, record
 MAX_MODULUS = 2**63 - 1
 
 # All arithmetic runs on raw values: matrices are row-major 4-tuples
-# (a, b, c, d), vectors are pairs (x, y).  Mat2ModN and Vec2ModN are the
-# typed values that the group API takes and returns.
+# (a, b, c, d), vectors are pairs (x, y).  A matrix is a 4-tuple everywhere,
+# the group API included; Vec2ModN is the typed vector that orbit records
+# carry.
 MatTuple = tuple[int, int, int, int]
 VecTuple = tuple[int, int]
 
@@ -120,30 +121,6 @@ def modulus(n: int) -> Modulus:
 
 
 @record
-class Mat2ModN:
-    modulus: Modulus
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        n = self.modulus.n
-        s = object.__setattr__
-        s(self, "a", self.a % n)
-        s(self, "b", self.b % n)
-        s(self, "c", self.c % n)
-        s(self, "d", self.d % n)
-
-    @property
-    def entries(self) -> MatTuple:
-        return (self.a, self.b, self.c, self.d)
-
-    def __repr__(self):
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.modulus.n}"
-
-
-@record
 class Vec2ModN:
     modulus: Modulus
     x: int
@@ -162,16 +139,8 @@ class Vec2ModN:
         return f"({self.x},{self.y}) mod {self.modulus.n}"
 
 
-def mat2(n: int, a: int, b: int, c: int, d: int) -> Mat2ModN:
-    return Mat2ModN(modulus(n), a, b, c, d)
-
-
 def vec2(n: int, x: int, y: int) -> Vec2ModN:
     return Vec2ModN(modulus(n), x, y)
-
-
-def identity(n: int) -> Mat2ModN:
-    return mat2(n, 1, 0, 0, 1)
 
 
 def mul_raw(x: MatTuple, y: MatTuple, n: int) -> MatTuple:

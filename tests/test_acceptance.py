@@ -20,7 +20,7 @@ from x1points.matgroup import (
     kernel_of_projection,
     sl2_group,
 )
-from x1points.modarith import factorize, gl2_order, identity
+from x1points.modarith import factorize, gl2_order
 from x1points.orbits import degree_spectrum, exact_order_vectors, fiber_count
 from x1points.sporadic import cm_order, cm_point_degree, cm_threshold, lifting_certificate
 from x1points.modarith import vec2
@@ -98,7 +98,7 @@ def test_criterion_4_orbit_oracle_equivalence():
         assert sorted(r.degree for r in borel7.records) == [3, 21]
         # independent full-element orbit enumeration
         for G in (gl2_group(5), borel_group(7), gl2_group(8), fiber_product_group(5, 2)):
-            G = closure(G.generators)
+            G = closure(G.raw_generators, G.modulus.n)
             vectors = exact_order_vectors(G.modulus.n)
             assert spectrum_partition(G, vectors) == orbit_partition_oracle(G, vectors)
 
@@ -106,7 +106,7 @@ def test_criterion_4_orbit_oracle_equivalence():
 def test_criterion_5_kernel_criterion_desk_scale(large_image_samples):
     with criterion(5, 60.0, "kernels of projection contain the SL2 generators"):
         for (n, ell, m), G in large_image_samples.items():
-            H = closure(G.generators)
+            H = closure(G.raw_generators, n)
             K = kernel_of_projection(H, m)
             for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
                 lifted = join2(ell, m, g, (1, 0, 0, 1))
@@ -122,18 +122,18 @@ def test_criterion_6_level_machinery():
         assert detect_ladic_level(g32, 3).certified
         assert minimize_level(g32) == 8
 
-        b9 = closure(borel_group(9).generators)
+        b9 = closure(borel_group(9).raw_generators, 9)
         g27 = full_preimage(b9, 27)
         assert detect_ladic_level(g27, 2).certified
         assert minimize_level(g27) == 9
 
-        b5 = closure(borel_group(5).generators)
+        b5 = closure(borel_group(5).raw_generators, 5)
         g25 = full_preimage(b5, 25)
         assert detect_ladic_level(g25, 1).certified
         assert minimize_level(g25) == 5
 
         # composition on mixed moduli 72 and 100
-        g72 = full_preimage(closure([identity(6)]), 72)
+        g72 = full_preimage(closure([(1, 0, 0, 1)], 6), 72)
         assert compose_level(g72, {2: 1, 3: 1}).level == 6
         assert minimize_level(g72) == 6
 

@@ -85,7 +85,7 @@ def test_level_command(capsys, tmp_path):
     from x1points.matgroup import closure, borel_group, full_preimage
 
     path = tmp_path / "pre9.json"
-    save_group(full_preimage(closure(borel_group(3).generators), 9), str(path))
+    save_group(full_preimage(closure(borel_group(3).raw_generators, 3), 9), str(path))
     code, out, _ = run(capsys, ["level", "--in", str(path)])
     data = json.loads(out)
     assert code == 0

@@ -24,7 +24,7 @@ from x1points.matgroup import (
     is_full_preimage,
     sl2_group,
 )
-from x1points.modarith import gl2_order, identity, modulus, valuation
+from x1points.modarith import gl2_order, modulus, valuation
 
 # Frozen expected table: all fourteen (a_p, b_p) entries.
 EXPECTED_TABLE = {
@@ -90,8 +90,8 @@ def test_detect_inconclusive_is_a_value():
 def test_detection_implies_full_preimage_at_all_later_stages():
     cases = [
         (full_preimage(sl2_group(8), 32), 2, 8),
-        (full_preimage(closure(borel_group(9).generators), 27), 3, 9),
-        (full_preimage(closure(borel_group(5).generators), 25), 5, 5),
+        (full_preimage(closure(borel_group(9).raw_generators, 9), 27), 3, 9),
+        (full_preimage(closure(borel_group(5).raw_generators, 5), 25), 5, 5),
     ]
     for G, ell, construction_level in cases:
         e = G.modulus.factorization[0][1]
@@ -104,7 +104,7 @@ def test_detection_implies_full_preimage_at_all_later_stages():
 
 def test_minimize_level_examples():
     assert minimize_level(gl2_group(24)) == 1
-    assert minimize_level(full_preimage(closure(borel_group(3).generators), 9)) == 3
+    assert minimize_level(full_preimage(closure(borel_group(3).raw_generators, 3), 9)) == 3
     # det-square subgroup mod 8 is SL2(8) (all units square to 1): level 8
     assert minimize_level(sl2_group(8)) == 8
 
@@ -123,7 +123,7 @@ def test_compose_level_gl2_36():
 
 
 def test_compose_level_preimage_72():
-    G = full_preimage(closure([identity(6)]), 72)
+    G = full_preimage(closure([(1, 0, 0, 1)], 6), 72)
     cert = compose_level(G, {2: 1, 3: 1})
     assert cert.level == 6
     assert minimize_level(G) == 6
@@ -236,7 +236,7 @@ def test_compose_level_rejects_non_prime_keys():
 
 
 def test_compose_level_projects_larger_modulus():
-    G = full_preimage(closure([identity(6)]), 144)  # available mod 144, needs 36
+    G = full_preimage(closure([(1, 0, 0, 1)], 6), 144)  # available mod 144, needs 36
     cert = compose_level(G, {2: 1, 3: 1})
     assert cert.level == 6
     assert cert.evidence[0].checked_modulus == 36

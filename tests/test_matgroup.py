@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -27,33 +28,31 @@ from x1points.modarith import (
     divisors,
     euler_phi,
     gl2_order,
-    identity,
-    mat2,
     modulus,
     sl2_order,
 )
 
 
 def test_closure_trivial():
-    G = closure([identity(5)])
+    G = closure([(1, 0, 0, 1)], 5)
     assert G.order == 1
 
 
 def test_closure_sl2_mod_5():
-    G = closure([mat2(5, 1, 1, 0, 1), mat2(5, 1, 0, 1, 1)])
+    G = closure([(1, 1, 0, 1), (1, 0, 1, 1)], 5)
     assert G.order == sl2_order(5) == 120
 
 
 def test_closure_gl2_mod_8():
-    G = closure(gl2_group(8).generators)
+    G = closure(gl2_group(8).raw_generators, 8)
     assert G.order == gl2_order(8) == 1536
 
 
 def test_standard_generator_orders_match_closure():
     # the preset orders of gl2_group / sl2_group against actual closure
     for n in (2, 3, 4, 5, 8, 9, 12, 15):
-        assert closure(gl2_group(n).generators).order == gl2_order(n) == gl2_group(n).order
-        assert closure(sl2_group(n).generators).order == sl2_order(n) == sl2_group(n).order
+        assert closure(gl2_group(n).raw_generators, n).order == gl2_order(n) == gl2_group(n).order
+        assert closure(sl2_group(n).raw_generators, n).order == sl2_order(n) == sl2_group(n).order
 
 
 def test_standard_group_orders_from_the_chain():
@@ -69,12 +68,12 @@ def test_standard_group_orders_from_the_chain():
 
 def test_closure_rejects_singular_generator():
     with pytest.raises(NotInvertible):
-        closure([mat2(4, 2, 0, 0, 1)])
+        closure([(2, 0, 0, 1)], 4)
 
 
 def test_closure_cap_exceeded():
     with pytest.raises(CapExceeded) as info:
-        closure(gl2_group(8).generators, cap=100)
+        closure(gl2_group(8).raw_generators, 8, cap=100)
     # the chain fits the cap, and the count is the true order
     assert info.value.partial_count == gl2_order(8)
 
@@ -146,17 +145,33 @@ def test_unipotent_group_at_a_61_bit_prime():
     assert G.contains((1, 12345, 0, 1)) and not G.contains((1, 0, 1, 1))
 
 
-def test_contains_rejects_a_matrix_of_another_modulus():
-    with pytest.raises(ModulusMismatch) as info:
-        sl2_group(8).contains(mat2(4, 3, 0, 0, 3))
-    assert "4" in str(info.value) and "8" in str(info.value)
-    assert sl2_group(8).contains(mat2(8, 3, 0, 0, 3))
+def test_contains_reads_a_tuple_mod_n():
+    assert sl2_group(8).contains((3, 0, 0, 3))
+
+
+@pytest.mark.parametrize("matrix", [(1, 0, 0), (1, 1, 0, 1, 3), ()])
+def test_matrix_needs_four_entries(matrix):
+    message = re.escape(f"matrix {matrix} needs 4 entries, got {len(matrix)}")
+    with pytest.raises(ValueError, match=message):
+        gl2_group(5).contains(matrix)
+    with pytest.raises(ValueError, match=message):
+        MatGroup(modulus(5), [(1, 1, 0, 1), matrix])
+    with pytest.raises(ValueError, match=message):
+        group_from_dict({"modulus": 5, "generators": [list(matrix)]})
+    with pytest.raises(ValueError, match=message):
+        goursat_product([((1, 1, 0, 1), matrix)], 5, 7)
+
+
+def test_goursat_product_of_no_pairs_is_trivial():
+    data = goursat_product([], 5, 7)
+    assert data.common_quotient_order == 1
+    assert data.graph_pairs == (((1, 0, 0, 1), (1, 0, 0, 1)),)
 
 
 def test_lagrange_for_materialized_subgroups():
     for G in (borel_group(7), sl2_group(9), split_cartan_group(8), fiber_product_group(5, 3)):
         n = G.modulus.n
-        order = closure(G.generators).order
+        order = closure(G.raw_generators, n).order
         assert gl2_order(n) % order == 0
 
 
@@ -164,7 +179,7 @@ def test_project_gl2_35_to_7():
     G = gl2_group(35)
     P = project(G, 7)
     assert P.modulus.n == 7
-    assert closure(P.generators).order == gl2_order(7) == 2016
+    assert closure(P.raw_generators, 7).order == gl2_order(7) == 2016
 
 
 def test_project_identity():
@@ -181,7 +196,7 @@ def test_projection_of_a_projection_is_the_projection():
 
 def test_project_sl2_25_to_5():
     P = project(sl2_group(25), 5)
-    assert closure(P.generators).order == sl2_order(5)
+    assert closure(P.raw_generators, 5).order == sl2_order(5)
 
 
 def test_project_requires_divisor():
@@ -190,13 +205,13 @@ def test_project_requires_divisor():
 
 
 def test_project_of_materialized_matches_closure_of_reduced_generators():
-    G = closure(borel_group(15).generators)
+    G = closure(borel_group(15).raw_generators, 15)
     P = project(G, 5)
-    assert P.elements() == closure(borel_group(5).generators).elements()
+    assert P.elements() == closure(borel_group(5).raw_generators, 5).elements()
 
 
 def test_kernel_of_projection_gl2_15_to_3():
-    G = closure(gl2_group(15).generators)
+    G = closure(gl2_group(15).raw_generators, 15)
     K = kernel_of_projection(G, 3)
     assert K.order == gl2_order(15) // gl2_order(3) == 480
     assert K.order == gl2_order(5)
@@ -218,13 +233,13 @@ def test_kernel_walk_past_cap_names_the_walk():
 
 
 def test_kernel_of_projection_trivial():
-    G = closure(gl2_group(6).generators)
+    G = closure(gl2_group(6).raw_generators, 6)
     K = kernel_of_projection(G, 6)
     assert K.order == 1
 
 
 def test_kernel_contains_coprime_sl2_factor():
-    G = closure(crt_product(sl2_group(5), sl2_group(7)).generators)
+    G = closure(crt_product(sl2_group(5), sl2_group(7)).raw_generators, 35)
     K = kernel_of_projection(G, 7)
     for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
         lifted = join2(5, 7, g, (1, 0, 0, 1))
@@ -232,7 +247,10 @@ def test_kernel_contains_coprime_sl2_factor():
 
 
 def test_order_product_identity_kernel_times_image():
-    for G in (closure(gl2_group(15).generators), closure(borel_group(12).generators)):
+    for G in (
+        closure(gl2_group(15).raw_generators, 15),
+        closure(borel_group(12).raw_generators, 12),
+    ):
         for m in (3, 1, G.modulus.n):
             if G.modulus.n % m:
                 continue
@@ -244,13 +262,13 @@ def test_contains_sl2():
     assert contains_sl2(sl2_group(9))
     assert not contains_sl2(borel_group(7))
     # Borel order is below sl2_order(7), so containment is impossible anyway
-    assert closure(borel_group(7).generators).order == 252 < sl2_order(7)
+    assert closure(borel_group(7).raw_generators, 7).order == 252 < sl2_order(7)
 
 
 def test_is_full_preimage_cases():
     assert is_full_preimage(gl2_group(8), 2)
     assert not is_full_preimage(sl2_group(4), 2)
-    pre = full_preimage(closure(borel_group(3).generators), 9)
+    pre = full_preimage(closure(borel_group(3).raw_generators, 3), 9)
     assert is_full_preimage(pre, 3)
     assert not is_full_preimage(pre, 1)
 
@@ -280,7 +298,7 @@ def test_congruence_kernel_generators_are_lazy(monkeypatch):
 
 
 def test_full_preimage_order_and_elements_agree():
-    base = closure(borel_group(3).generators)
+    base = closure(borel_group(3).raw_generators, 3)
     pre = full_preimage(base, 9)
     assert pre.order == base.order * (9 // 3) ** 4
     assert len(pre.elements()) == pre.order
@@ -290,7 +308,7 @@ def test_full_preimage_order_and_elements_agree():
 
 def test_full_preimage_requires_same_support():
     with pytest.raises(ValueError):
-        full_preimage(closure(borel_group(3).generators), 18)
+        full_preimage(closure(borel_group(3).raw_generators, 3), 18)
 
 
 def test_crt_product_order_and_projections():
@@ -310,7 +328,7 @@ def test_crt_product_rejects_common_factor():
 
 
 def test_goursat_full_product_mod_6():
-    H = closure(gl2_group(6).generators)
+    H = closure(gl2_group(6).raw_generators, 6)
     data = goursat(H, 2, 3)
     assert data.common_quotient_order == 1
     assert data.left_kernel.order == gl2_order(2)
@@ -319,8 +337,8 @@ def test_goursat_full_product_mod_6():
 
 
 def test_goursat_diagonal_mod_5():
-    gens = [(g, g) for g in gl2_group(5).generators]
-    data = goursat_product(gens)
+    gens = [(g, g) for g in gl2_group(5).raw_generators]
+    data = goursat_product(gens, 5, 5)
     assert data.common_quotient_order == gl2_order(5) == 480
     assert data.left_kernel.order == 1
     assert data.right_kernel.order == 1
@@ -333,11 +351,11 @@ def test_goursat_index_two_fiber_product():
     H = fiber_product_group(5, 3)  # same recipe, but check the 2x3 case directly
     from conftest import GL2_F2_THREE_CYCLE
 
-    g2 = closure(gl2_group(2).generators).elements()
-    g3 = closure(gl2_group(3).generators).elements()
+    g2 = closure(gl2_group(2).raw_generators, 2).elements()
+    g3 = closure(gl2_group(3).raw_generators, 3).elements()
 
     def sign2(g):
-        even = closure([mat2(2, *GL2_F2_THREE_CYCLE)]).elements()
+        even = closure([GL2_F2_THREE_CYCLE], 2).elements()
         return 1 if g in even else -1
 
     def det3(g):
@@ -361,7 +379,7 @@ def test_goursat_index_two_fiber_product():
 
 def test_goursat_invariant_on_samples(large_image_samples):
     for (n, ell, m), G in large_image_samples.items():
-        H = closure(G.generators)
+        H = closure(G.raw_generators, n)
         data = goursat(H, ell, m)
         assert H.order == (
             data.common_quotient_order * data.left_kernel.order * data.right_kernel.order
@@ -383,26 +401,17 @@ def test_goursat_leaves_h_unmaterialized():
 def test_goursat_product_full_product_5_7():
     # the walk of GL2(7) finds N' = GL2(5); then |H| is known, so N stops early
     data = goursat_product(
-        [(g, identity(7)) for g in gl2_group(5).generators]
-        + [(identity(5), g) for g in gl2_group(7).generators]
+        [(g, (1, 0, 0, 1)) for g in gl2_group(5).raw_generators]
+        + [((1, 0, 0, 1), g) for g in gl2_group(7).raw_generators],
+        5,
+        7,
     )
     assert data.common_quotient_order == 1
     assert (data.left_kernel.order, data.right_kernel.order) == (480, 2016)
 
 
-def test_goursat_product_rejects_generator_of_another_modulus():
-    with pytest.raises(ModulusMismatch, match="generator modulus 7 != 5"):
-        goursat_product(
-            [(mat2(5, 1, 1, 0, 1), mat2(3, 1, 1, 0, 1)), (mat2(7, 2, 0, 0, 1), mat2(3, 1, 0, 1, 1))]
-        )
-    with pytest.raises(ModulusMismatch, match="generator modulus 5 != 3"):
-        goursat_product(
-            [(mat2(5, 1, 1, 0, 1), mat2(3, 1, 1, 0, 1)), ((1, 0, 1, 1), mat2(5, 2, 0, 0, 1))]
-        )
-
-
 def test_goursat_rejects_noncoprime():
-    H = closure(sl2_group(12).generators)
+    H = closure(sl2_group(12).raw_generators, 12)
     with pytest.raises(NonCoprimeModuli):
         goursat(H, 2, 6)
 
@@ -414,14 +423,14 @@ def test_large_image_samples_have_large_projection(large_image_samples):
     for (n, ell, m), G in large_image_samples.items():
         Gl = project(G, ell)
         if ell == 5:
-            assert closure(Gl.generators).order == gl2_order(5)
+            assert closure(Gl.raw_generators, ell).order == gl2_order(5)
         else:
-            assert contains_sl2(closure(Gl.generators))
+            assert contains_sl2(closure(Gl.raw_generators, ell))
 
 
 def test_kernel_of_large_image_contains_sl2_generators(large_image_samples):
     for (n, ell, m), G in large_image_samples.items():
-        H = closure(G.generators)
+        H = closure(G.raw_generators, n)
         K = kernel_of_projection(H, m)
         for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
             lifted = join2(ell, m, g, (1, 0, 0, 1))
@@ -431,9 +440,9 @@ def test_kernel_of_large_image_contains_sl2_generators(large_image_samples):
 def test_kernel_criterion_mod_30(large_image_sample_mod30):
     # coprime part 6: the mod-5 projection is full GL2 and the kernel of
     # projection to 6 still contains the SL2 generators
-    H = closure(large_image_sample_mod30.generators)
+    H = closure(large_image_sample_mod30.raw_generators, 30)
     assert H.order == gl2_order(5) * gl2_order(6) // 2
-    assert closure(project(H, 5).generators).order == gl2_order(5)
+    assert closure(project(H, 5).raw_generators, 5).order == gl2_order(5)
     K = kernel_of_projection(H, 6)
     for g in ((1, 1, 0, 1), (1, 0, 1, 1)):
         assert K.contains(join2(5, 6, g, (1, 0, 0, 1)))
@@ -441,7 +450,7 @@ def test_kernel_criterion_mod_30(large_image_sample_mod30):
 
 def test_fiber_product_kernels_are_proper():
     # the index-2 fiber products have kernels strictly between SL2 and GL2
-    G = closure(fiber_product_group(5, 3).generators)
+    G = closure(fiber_product_group(5, 3).raw_generators, 15)
     K = kernel_of_projection(G, 3)
     assert K.order == gl2_order(5) // 2
 
@@ -454,7 +463,7 @@ def test_fiber_product_orders():
         (7, 3): gl2_order(7) * gl2_order(3) // 2,
     }
     for (ell, m), order in expected.items():
-        assert closure(fiber_product_group(ell, m).generators).order == order
+        assert closure(fiber_product_group(ell, m).raw_generators, ell * m).order == order
 
 
 # -- group files ----------------------------------------------------------------
@@ -465,7 +474,7 @@ def test_group_file_round_trip(tmp_path):
     data = group_to_dict(G)
     assert data["modulus"] == 8
     H = group_from_dict(json.loads(json.dumps(data)))
-    assert closure(H.generators).order == gl2_order(8)
+    assert closure(H.raw_generators, 8).order == gl2_order(8)
 
 
 def test_group_file_rejects_non_integers():

@@ -6,6 +6,7 @@ import pytest
 from conftest import gl2_count_oracle, matmul_oracle
 from x1points import orbits
 from x1points.errors import NotInvertible
+from x1points.matgroup import MatGroup
 from x1points.modarith import (
     Modulus,
     crt_scalar,
@@ -16,7 +17,6 @@ from x1points.modarith import (
     gl2_order,
     inv_raw,
     is_prime,
-    mat2,
     modulus,
     mul_raw,
     sl2_order,
@@ -38,8 +38,7 @@ def test_modulus_factorization():
 
 
 def test_entries_reduced_on_construction():
-    A = mat2(5, 7, -1, 10, 3)
-    assert A.entries == (2, 4, 0, 3)
+    assert MatGroup(modulus(5), [(7, -1, 10, 3)]).raw_generators == ((2, 4, 0, 3),)
     v = vec2(4, -1, 6)
     assert v.entries == (3, 2)
 

@@ -20,7 +20,7 @@ from x1points.matgroup import (
     gl2_group,
     sl2_group,
 )
-from x1points.modarith import divisors, factorize, inv_raw, mat2, modulus, mul_raw, vec2
+from x1points.modarith import divisors, factorize, inv_raw, modulus, mul_raw, vec2
 from x1points.orbits import (
     _Lines,
     closed_point_degrees,
@@ -74,7 +74,7 @@ def test_degree_spectrum_borel_7():
 
 
 def test_degree_spectrum_trivial_group_mod_3():
-    spec = degree_spectrum(closure([mat2(3, 1, 0, 0, 1)]))
+    spec = degree_spectrum(closure([(1, 0, 0, 1)], 3))
     assert len(spec.records) == 8
     assert all(r.size == 1 and r.degree == 1 and not r.minus_closed for r in spec.records)
 
@@ -102,14 +102,14 @@ def test_orbits_match_full_element_oracle():
     cases = [
         gl2_group(5),
         borel_group(7),
-        closure([mat2(3, 1, 0, 0, 1)]),
+        closure([(1, 0, 0, 1)], 3),
         split_cartan_group(8),
         fiber_product_group(5, 2),
         sl2_group(9),
         gl2_group(12),
     ]
     for G in cases:
-        G = closure(G.generators)
+        G = closure(G.raw_generators, G.modulus.n)
         vectors = exact_order_vectors(G.modulus.n)
         assert spectrum_partition(G, vectors) == orbit_partition_oracle(G, vectors)
 
@@ -175,7 +175,7 @@ def test_max_growth_identity_map():
 
 
 def test_max_growth_full_preimage_mod_25():
-    base = closure(borel_group(5).generators)
+    base = closure(borel_group(5).raw_generators, 5)
     G = full_preimage(base, 25)
     reports = max_growth_check(G, 5)
     assert reports and all(r.max_growth and r.product_equal for r in reports)
@@ -227,7 +227,7 @@ def test_record_sizes_partition_exact_order_vectors(large_image_samples):
 
 def test_orbit_sizes_divide_group_order(large_image_samples):
     for (n, ell, m), G in large_image_samples.items():
-        order = closure(G.generators).order
+        order = closure(G.raw_generators, n).order
         for rec in degree_spectrum(G).records:
             assert order % rec.size == 0
 

@@ -41,8 +41,7 @@ EXPORTS = {
         "save_group", "sl2_group",
     ],
     "modarith": [
-        "Mat2ModN", "Modulus", "Vec2ModN", "gl2_order", "identity", "mat2", "modulus",
-        "sl2_order", "vec2", "vec_order",
+        "Modulus", "Vec2ModN", "gl2_order", "modulus", "sl2_order", "vec2", "vec_order",
     ],
     "orbits": [
         "DegreeSpectrum", "OrbitRecord", "closed_point_degrees", "degree_spectrum",
