@@ -34,16 +34,34 @@ is skipped once a column of its class g = gcd(n, x) was walked and every
 G-orbit on the line orbits it met is claimed: every column of the class
 meets the same lines, those of key g n + r with r prime to gcd(g, n/g), so
 a skipped column holds only vectors of claimed orbits.
+
+The growth check along X_1(n) -> X_1(a), a | n, reads the orbits mod a off
+the line index mod n; G mod a gets no walk of its own.  Let O be a line
+orbit with multiplier group S, and bar mean reduction mod a.  Each tracked
+vector w_l is g w_r for the first line r of O, so all lie in G w_r, and by
+the above G w_r is the union of the S w_l.  The lines l of O with det(w_l,
+w_r) = 0 mod a form F, the fibre of O over the line of bar w_r mod a; as
+bar w_r has exact order a, bar w_l = mu_l bar w_r there, with the unit mu_l
+= d0 w_l0 + e0 w_l1 for (d0, e0) = `_dual` of bar w_r.  The fibres of O
+over its image are G-translates of F, so the image holds |O| / |F| lines;
+and G w_r mod a meets the line of bar w_r in S' bar w_r, S' = (S mod a)
+{mu_l : l in F}, the multiplier group mod a.  So every G-orbit mod a under
+O has |O| / |F| |S'| vectors, and the half factor applies when -1 lies in
+S' and a > 2.  A G-orbit t G w mod n reduces to t G w mod a, of the same
+size, so one pass over the psi(n) entries prices every record, an orbit's
+entries being contiguous since each walk inserts a whole orbit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 from .curveinv import map_degree
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
-from .matgroup import Line, MatGroup, line_edges, project, walk_lines
+from .matgroup import Line, MatGroup, line_edges, walk_lines
 from .modarith import (
     MatTuple,
     VecTuple,
@@ -96,6 +114,18 @@ def _dual(x: int, y: int, n: int) -> tuple[int, int]:
     return a0 * inv % n, b0 * inv % n
 
 
+def _adjoin(span: set[int], t: int, n: int) -> None:
+    """Extend the subgroup `span` of (Z/nZ)^* to <span, t> in place.
+
+    (Z/nZ)^* is abelian, so <S, t> = P_k, the union of the cosets t^j S for
+    j < k, for any k with t^k in P_k, which makes P_k closed under t
+    (Dimino).  P_2k is P_k with t^k P_k, so k doubles from 1 until then.
+    """
+    while t not in span:
+        span |= {t * v % n for v in span}
+        t = t * t % n
+
+
 class _LineOrbit:
     """A G-orbit of lines, the tag of their entries, filled in once its walk
     is done: its number of lines, the multiplier group S, the coset index of
@@ -129,13 +159,9 @@ class _Lines:
         return the entry of that line.  Each residue read is upper
         triangular, and only its a-component, the multiplier, is kept.
 
-        S grows as a subgroup as each multiplier arrives, and one inside S
-        costs a lookup.  (Z/nZ)^* is abelian, so a multiplier t outside S
-        extends it to <S, t> = P_k, the union of the cosets t^j S for j < k,
-        for any k with t^k in P_k, which makes P_k closed under t (Dimino).
-        P_2k is P_k with t^k P_k, so k doubles from 1 until then.  Once S is
-        all phi(n) units no multiplier can enlarge it, so the walk reads no
-        more.
+        S grows as a subgroup as each multiplier arrives (`_adjoin`), and one
+        inside S costs a lookup.  Once S is all phi(n) units no multiplier can
+        enlarge it, so the walk reads no more.
         """
         n, phi = self.n, len(self.units)
         a, b = _dual(x, y, n)
@@ -143,10 +169,8 @@ class _Lines:
         span = {1 % n}
 
         def multiplier(t: int, _b: int, _d: int) -> bool:
-            nonlocal span
-            while t not in span:
-                span |= {t * v % n for v in span}
-                t = t * t % n
+            if t not in span:
+                _adjoin(span, t, n)
             return len(span) == phi
 
         start = (x, y, -b % n, a, 1 % n, orbit)
@@ -256,17 +280,21 @@ class DegreeSpectrum:
         return self.records[self._lines.claim_of(x, y)]
 
 
+def _degree(size: int, minus: bool, n: int, field_degree: int) -> int:
+    """The degree of the closed points of a G-orbit of `size` vectors of
+    order n, closed under negation iff `minus`."""
+    if minus and n > 2:
+        assert size % 2 == 0, "negation-closed orbit of a point of order > 2 must be even"
+        return size // 2 * field_degree
+    return size * field_degree
+
+
 def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> OrbitRecord:
     size = orbit.count * len(orbit.scalars)
     minus = -1 % n in orbit.scalars
-    if minus and n > 2:
-        assert size % 2 == 0, "negation-closed orbit of a point of order > 2 must be even"
-        degree = size // 2 * field_degree
-    else:
-        degree = size * field_degree
     # positional: a record's keyword call pays for a **kwargs dict, and spectra
     # build one record per orbit
-    return OrbitRecord(vec2(n, *rep), size, n, minus, degree)
+    return OrbitRecord(vec2(n, *rep), size, n, minus, _degree(size, minus, n, field_degree))
 
 
 def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
@@ -340,6 +368,30 @@ def fiber_count(P: Vec2ModN, b: int) -> int:
     return exact_order_vector_count(n, n) // exact_order_vector_count(n, n // b)
 
 
+def _downstairs(lines: _Lines, a: int, field_degree: int) -> dict[_LineOrbit, tuple[int, int]]:
+    """Per line orbit O of a full line index mod n, the size and degree of
+    the G-orbits mod a (a | n) that O's vectors reduce to, from one pass
+    over the index (see the module doc): |O| / |F| lines mod a, times the
+    multiplier group S' mod a, grown from S mod a by the mu_l of F."""
+    out = {}
+    for orbit, entries in groupby(lines.lines.values(), itemgetter(5)):
+        r0, r1, _, _, _, _ = next(entries)
+        r0, r1 = r0 % a, r1 % a
+        d0, e0 = _dual(r0, r1, a)
+        # S mod a, the image of a subgroup, is one already
+        span = {s % a for s in orbit.scalars}
+        fibre = 1
+        for w0, w1, _, _, _, _ in entries:
+            if (w0 * r1 - w1 * r0) % a == 0:
+                fibre += 1
+                mu = (d0 * w0 + e0 * w1) % a
+                if mu not in span:
+                    _adjoin(span, mu, a)
+        size = orbit.count // fibre * len(span)
+        out[orbit] = size, _degree(size, -1 % a in span, a, field_degree)
+    return out
+
+
 @record
 class GrowthReport:
     """Per-orbit comparison of field growth against the fiber count.
@@ -362,36 +414,48 @@ class GrowthReport:
 
 
 def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[GrowthReport, ...]:
-    """Compare orbit-size growth along X_1(ab) -> X_1(a) with fiber counts."""
+    """Compare orbit-size growth along X_1(ab) -> X_1(a) with fiber counts.
+
+    The image of P is bP, and the basis of E[a] inside E[n] is b times that
+    of E[n], so bP has coordinates P mod a in E[a] =~ (Z/aZ)^2.  Its G-orbit
+    is read off the line index of the spectrum mod n (see the module doc):
+    for a line orbit O with multiplier group S, F is the set of lines l of O
+    with det(w_l, w_r) = 0 mod a for the first line r, the image of O holds
+    |O| / |F| lines mod a, and S' = (S mod a) {mu_l : l in F} is the
+    multiplier group mod a, mu_l the unit with w_l = mu_l w_r mod a.  Every
+    record of O gets |O| / |F| |S'| vectors downstairs, halved in degree when
+    -1 lies in S' and a > 2.  G mod a is never built or walked.
+    """
     n = G.modulus.n
     if b < 1 or n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
     a = n // b
     up = degree_spectrum(G, field_degree)
-    down = degree_spectrum(project(G, a), field_degree)
+    # the spectrum stops once its records cover every vector, so every line
+    # orbit, and with it every line, is in the index
+    lines = up._lines
+    down = _downstairs(lines, a, field_degree)
     deg_f = map_degree(a, b).degree
     # the fiber count depends on a and b only; every exact-order-n vector has one
     fib = fiber_count(up.records[0].representative, b)
     reports = []
     for rec in up.records:
-        # the image of P is bP, and the basis of E[a] inside E[n] is b times
-        # that of E[n], so bP has coordinates (x, y) mod a in E[a] =~ (Z/aZ)^2
-        drec = down.record_of(rec.representative.entries)
-        ratio, rem = divmod(rec.size, drec.size)
+        dsize, ddegree = down[lines.lines[lines.key(*rec.representative.entries)][5]]
+        ratio, rem = divmod(rec.size, dsize)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         # fields in declaration order, positional as in `_record`
         reports.append(
             GrowthReport(
                 rec.representative,
                 rec.size,
-                drec.size,
+                dsize,
                 ratio,
                 fib,
                 ratio == fib,
                 rec.degree,
-                drec.degree,
+                ddegree,
                 deg_f,
-                rec.degree == deg_f * drec.degree,
+                rec.degree == deg_f * ddegree,
             )
         )
     return tuple(reports)

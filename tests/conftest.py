@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from x1points.errors import DEFAULT_CAP
-from x1points.matgroup import MatGroup, crt_product, gl2_group, is_full_preimage, sl2_group
+from x1points.matgroup import MatGroup, crt_product, gl2_group, is_full_preimage, project, sl2_group
 from x1points.modarith import (
     apply_raw,
     crt_scalar,
@@ -16,7 +16,7 @@ from x1points.modarith import (
     mul_raw,
     unit_group_generators,
 )
-from x1points.orbits import degree_spectrum
+from x1points.orbits import degree_spectrum, max_growth_check
 
 
 def join2(n1, n2, g1, g2):
@@ -163,6 +163,28 @@ def spectrum_partition(G: MatGroup, vectors):
     for v in vectors:
         parts.setdefault(spec.record_of(v).representative.entries, set()).add(v.entries)
     return sorted(map(frozenset, parts.values()), key=min)
+
+
+def growth_oracle(G: MatGroup, b: int, field_degree: int = 1) -> list[tuple[int, int]]:
+    """The (size, degree) downstairs of each record of `degree_spectrum(G)`
+    along X_1(n) -> X_1(a), a = n/b, from a spectrum of G mod a of its own:
+    the record of P mod a for each representative P."""
+    down = degree_spectrum(project(G, G.modulus.n // b), field_degree)
+    return [
+        (drec.size, drec.degree)
+        for drec in (
+            down.record_of(rec.representative.entries)
+            for rec in degree_spectrum(G, field_degree).records
+        )
+    ]
+
+
+def growth_downstairs(G: MatGroup, b: int, field_degree: int = 1) -> list[tuple[int, int]]:
+    """The (downstairs_size, downstairs_degree) of each report of
+    `max_growth_check`, in the layout of `growth_oracle`."""
+    return [
+        (r.downstairs_size, r.downstairs_degree) for r in max_growth_check(G, b, field_degree)
+    ]
 
 
 def vectors_by_order_oracle(n: int) -> dict:

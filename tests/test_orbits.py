@@ -1,14 +1,18 @@
 import re
+from math import gcd
 
 import pytest
 
 from conftest import (
     fiber_product_group,
+    growth_downstairs,
+    growth_oracle,
     orbit_partition_oracle,
     spectrum_partition,
     split_cartan_group,
     unipotent_group,
 )
+from x1points import matgroup, orbits
 from x1points.curveinv import map_degree, psl2_index
 from x1points.errors import CapExceeded, ModulusMismatch, OrderMismatch
 from x1points.matgroup import (
@@ -217,6 +221,71 @@ def test_max_growth_detects_non_maximal_cases():
     scalars = MatGroup(modulus(25), [(2, 0, 0, 2)])
     reports = max_growth_check(scalars, 5)
     assert any(not r.max_growth for r in reports)
+
+
+# groups whose orbits mod a differ from those mod n in their line counts,
+# their multiplier groups, or both
+def growth_groups(n):
+    u = next(u for u in range(2, n) if gcd(u, n) == 1)
+    return [
+        gl2_group(n),
+        borel_group(n),
+        split_cartan_group(n),
+        unipotent_group(n),
+        MatGroup(modulus(n), [(1, 1, 0, 1), (1, 0, 0, u)]),
+        MatGroup(modulus(n), []),
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 25, 35])
+def test_growth_to_level_one(n):
+    # a = 1: one vector mod 1, of degree [k:Q]
+    for G in growth_groups(n):
+        assert growth_downstairs(G, n, 2) == growth_oracle(G, n, 2)
+        assert all(r.downstairs_size == 1 and r.downstairs_degree == 2 for r in max_growth_check(G, n, 2))
+
+
+@pytest.mark.parametrize("n", [12, 20, 50])
+def test_growth_to_level_two_never_halves(n):
+    # a = 2: -1 = 1 lies in every S', but a point of order 2 is its own
+    # negative, so the degree is the size
+    for G in growth_groups(n):
+        assert growth_downstairs(G, n // 2) == growth_oracle(G, n // 2)
+        assert all(r.downstairs_degree == r.downstairs_size for r in max_growth_check(G, n // 2))
+
+
+def test_growth_with_b_prime_to_a():
+    # n = 35, b = 7: the fibres over a line mod 5 are whole lines mod 7
+    for G in growth_groups(35):
+        assert growth_downstairs(G, 7) == growth_oracle(G, 7)
+        assert growth_downstairs(G, 5) == growth_oracle(G, 5)
+
+
+def test_growth_field_degree_three():
+    for G in growth_groups(25):
+        assert growth_downstairs(G, 5, 3) == growth_oracle(G, 5, 3)
+        assert all(r.downstairs_degree % 3 == 0 for r in max_growth_check(G, 5, 3))
+
+
+@pytest.mark.parametrize("G", [gl2_group(120), borel_group(120)], ids=["gl2", "borel"])
+def test_growth_check_walks_the_lines_once(G, monkeypatch):
+    # the orbits mod 60 come from the line index mod 120: psi(120) = 288
+    # lines are walked in all, and G mod 60 is never built
+    walked = []
+    walk = orbits.walk_lines
+
+    def counted(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    def refuse(*args):
+        raise AssertionError("project called")
+
+    monkeypatch.setattr(orbits, "walk_lines", counted)
+    monkeypatch.setattr(matgroup, "project", refuse)
+    assert not hasattr(orbits, "project")
+    assert max_growth_check(G, 2)
+    assert sum(walked) == 288
 
 
 def test_record_sizes_partition_exact_order_vectors(large_image_samples):

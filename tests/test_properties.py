@@ -12,6 +12,8 @@ from conftest import (
     closure_oracle,
     fiber_count_oracle,
     goursat_oracle,
+    growth_downstairs,
+    growth_oracle,
     level_oracle,
     matmul_oracle,
     orbit_partition_oracle,
@@ -560,6 +562,20 @@ def test_random_subgroup_spectrum_and_growth(case):
             continue
         for rep in max_growth_check(G, n // m):
             assert rep.upstairs_degree <= rep.map_degree * rep.downstairs_degree, m
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(SWEEP_MODULI), st.integers(1, 2))
+@example((16, [(1, 1, 0, 1)]), 1)
+def test_growth_downstairs_matches_a_spectrum_mod_a(case, field_degree):
+    # max_growth_check reads the orbits mod a off the line index mod n; the
+    # oracle builds G mod a and its own spectrum.  In the example S is
+    # trivial, and S' mod 8 and mod 4 gains the units that relate the lines
+    # of a fibre
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    for b in divisors(n):
+        assert growth_downstairs(G, b, field_degree) == growth_oracle(G, b, field_degree), b
 
 
 @PROPERTY_SETTINGS
