@@ -7,12 +7,15 @@ ch. 4).  The chain has four levels.
 
 - L1 is the orbit of <e1> among the psi(n) = n prod(1 + 1/p) lines, keyed by
   `modarith.line_key` and grown by `walk_lines`, the one line walk, which
-  the degree spectra of `orbits` share.  A line's entry (w0, w1, p, q, dv,
-  tag) holds its transversal element u = [[w0, p], [w1, q]] and dv =
-  det(u)^-1, so u^-1 = dv [[q, -p], [-w1, w0]] needs no inversion; a new line
-  reached by g gets g u, with dv = det(g)^-1 dv.  An edge g into a known line
-  u' hands the caller the Schreier residue u'^-1 g u = (a, b, d) until the
-  caller says stop, and then only finds lines.
+  the degree spectra of `orbits` share.  The key table is one per modulus,
+  shared by every chain and spectrum mod n in the process; it holds at most
+  n entries, and a chain refused by its cap empties it.  A line's entry
+  (w0, w1, p, q, dv, tag) holds its transversal element u = [[w0, p],
+  [w1, q]] and dv = det(u)^-1, so u^-1 = dv [[q, -p], [-w1, w0]] needs no
+  inversion; a new line reached by g gets g u, with dv = det(g)^-1 dv.  An
+  edge g into a known line u' hands the caller the Schreier residue
+  u'^-1 g u = (a, b, d) until the caller says stop, and then only finds
+  lines.
 - The stabilizer H of <e1> is upper triangular: [[a, b], [0, d]], written
   (a, b, d).  L2 is A, the image of a (the isogeny character), and L3 is D,
   the image of d on the elements with a = 1.  Each keeps a transversal of
@@ -186,7 +189,8 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     generator) pair is visited once.  These pairs and the lines' edges are
     what the chain costs, so the cap bounds them: CapExceeded, with partial
     count cap + 1, is raised once they exceed `cap`.  Charging a line's
-    edges as the walk reaches it raises at the same point of the total.
+    edges as the walk reaches it raises at the same point of the total.  A
+    refused walk empties the key table of n, so it leaves nothing behind.
     """
     chain = Chain(n)
     one = 1 % n
@@ -245,7 +249,11 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
                 keep(one, (uia * yb + uib * yd) % n, uid * yd % n, False)
             j += 1
 
-    walk_lines(n, chain.key, chain.lines, (one, 0, 0, one, one, None), line_edges(n, gens), keep, spend)
+    try:
+        walk_lines(n, chain.key, chain.lines, (one, 0, 0, one, one, None), line_edges(n, gens), keep, spend)
+    except CapExceeded:
+        chain.key.clear()
+        raise
     return chain
 
 

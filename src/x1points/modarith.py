@@ -268,8 +268,8 @@ def vec_order(v: Vec2ModN) -> int:
 
 class _LineKey(dict):
     """x -> (g n, n/g, (x/g)^-1 mod n/g) for g = gcd(x, n), each x filled on
-    its first lookup, so the table never holds more than the x read from it;
-    called as key(x, y), it gives g n + y (x/g)^-1 mod n/g."""
+    its first lookup, so the table never holds more than the x read from it,
+    at most n; called as key(x, y), it gives g n + y (x/g)^-1 mod n/g."""
 
     __slots__ = ("n",)
 
@@ -289,6 +289,7 @@ class _LineKey(dict):
         return gn + y * inv % m
 
 
+@lru_cache(maxsize=None)
 def line_key(n: int) -> _LineKey:
     """The key of the line through (x, y), a vector of exact order n with
     entries in [0, n), as a point of P^1(Z/nZ): `key = line_key(n)`, then
@@ -302,9 +303,12 @@ def line_key(n: int) -> _LineKey:
     order-n vectors give psi(n) = n prod(1 + 1/p) keys, all in [n, n^2].
     The factorization of n is not needed.
 
-    The key is also a dict from x to (g n, n/g, (x/g)^-1 mod n/g), one table
-    per call, so a hot loop can read it inline: `gn, m, inv = key[x]`, then
-    `gn + y * inv % m`.
+    The key is also a dict from x to (g n, n/g, (x/g)^-1 mod n/g), so a hot
+    loop can read it inline: `gn, m, inv = key[x]`, then `gn + y * inv % m`.
+    There is one table per modulus, shared by every chain and spectrum mod n
+    in the process, like `modulus(n)`: an x is filled once, on its first
+    lookup by any of them, and the table holds at most n entries.  A chain
+    walk refused by its cap empties it (`matgroup`).
     """
     return _LineKey(n)
 

@@ -16,11 +16,15 @@ character Stab_G(<w>) -> (Z/nZ)^*.  The G-orbits inside a line orbit L are
 then the unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
-A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  One dict
-maps the key of each grown line to its entry, so what is stored grows with
-the lines walked, and nothing of size n^2 and no per-orbit vector set is
-built.  The exact-order vectors are walked in ascending order, so each orbit
-is found from its minimum and orbits come out ordered by it.
+A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  A
+spectrum's one dict maps the key of each grown line to its entry, so what it
+stores grows with the lines walked, and nothing of size n^2 and no per-orbit
+vector set is built.  What depends on n alone is built once per process and
+shared by every spectrum and chain mod n: the key table (at most n entries),
+the units of Z/nZ, the y of each gcd class of columns (`_column_classes`)
+and the coset index of the units mod each multiplier group S met (phi(n)
+entries each).  The exact-order vectors are walked in ascending order, so
+each orbit is found from its minimum and orbits come out ordered by it.
 Their number is checked against the group's cap before any is enumerated.
 
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
@@ -55,6 +59,7 @@ entries being contiguous since each walk inserts a whole orbit.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import groupby
 from math import gcd
 from operator import itemgetter
@@ -74,21 +79,38 @@ from .modarith import (
 )
 
 
-def _exact_order_columns(n: int, d: int) -> Iterator[tuple[int, int, list[int]]]:
-    """The vectors of exact order d (d | n) in (Z/nZ)^2, ascending, one
-    column (x, gcd(n, x), ys) per x.
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The units of Z/nZ, ascending."""
+    return tuple(u for u in range(n) if gcd(u, n) == 1)
+
+
+@lru_cache(maxsize=None)
+def _column_classes(n: int, d: int) -> dict[int, tuple[int, ...]]:
+    """The y of the vectors (x, y) of exact order d (d | n) in (Z/nZ)^2,
+    ascending, per gcd class g = gcd(n, x) of x.
 
     (x, y) has order d iff gcd(n, x, y) = n/d, so the valid y depend on x
-    only through gcd(n, x): one list of y is built per distinct gcd.
+    only through gcd(n, x).
     """
     step = n // d
-    columns: dict[int, list[int]] = {}
-    for x in range(0, n, step):
+    # the classes share one int object per y, not one per class
+    column = tuple(range(0, n, step))
+    out: dict[int, tuple[int, ...]] = {}
+    for x in column:
         g = gcd(n, x)
-        ys = columns.get(g)
-        if ys is None:
-            ys = columns[g] = [y for y in range(0, n, step) if gcd(g, y) == step]
-        yield x, g, ys
+        if g not in out:
+            out[g] = tuple(y for y in column if gcd(g, y) == step)
+    return out
+
+
+def _exact_order_columns(n: int, d: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """The vectors of exact order d (d | n) in (Z/nZ)^2, ascending, one
+    column (x, gcd(n, x), ys) per x, ys shared by the gcd class."""
+    classes = _column_classes(n, d)
+    for x in range(0, n, n // d):
+        g = gcd(n, x)
+        yield x, g, classes[g]
 
 
 def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
@@ -126,6 +148,19 @@ def _adjoin(span: set[int], t: int, n: int) -> None:
         t = t * t % n
 
 
+@lru_cache(maxsize=None)
+def _cosets(n: int, scalars: frozenset[int]) -> dict[int, int]:
+    """Coset index of each unit mod the subgroup `scalars` of (Z/nZ)^*,
+    numbered in ascending order of their least units."""
+    out: dict[int, int] = {}
+    for u in _units(n):
+        if u not in out:
+            k = len(out) // len(scalars)
+            for s in scalars:
+                out[u * s % n] = k
+    return out
+
+
 class _LineOrbit:
     """A G-orbit of lines, the tag of their entries, filled in once its walk
     is done: its number of lines, the multiplier group S, the coset index of
@@ -147,10 +182,9 @@ class _Lines:
     def __init__(self, n: int, gens: tuple[MatTuple, ...]):
         self.n = n
         self.edges = line_edges(n, gens)
-        self.units = [u for u in range(n) if gcd(u, n) == 1]
+        self.phi = len(_units(n))
         self.key = line_key(n)
         self.lines: dict[int, Line] = {}
-        self.cosets: dict[frozenset[int], dict[int, int]] = {}
         self.claimed = 0
 
     def _grow(self, x: int, y: int) -> Line:
@@ -163,7 +197,7 @@ class _Lines:
         inside S costs a lookup.  Once S is all phi(n) units no multiplier can
         enlarge it, so the walk reads no more.
         """
-        n, phi = self.n, len(self.units)
+        n, phi = self.n, self.phi
         a, b = _dual(x, y, n)
         orbit = _LineOrbit()
         span = {1 % n}
@@ -176,23 +210,10 @@ class _Lines:
         start = (x, y, -b % n, a, 1 % n, orbit)
         orbit.count = walk_lines(n, self.key, self.lines, start, self.edges, multiplier)
         orbit.scalars = frozenset(span)
-        orbit.coset = self._cosets(orbit.scalars)
+        orbit.coset = _cosets(n, orbit.scalars)
         orbit.open = phi // len(span)
         orbit.claims = [None] * orbit.open
         return start
-
-    def _cosets(self, scalars: frozenset[int]) -> dict[int, int]:
-        """Coset index of each unit mod the subgroup `scalars`."""
-        out = self.cosets.get(scalars)
-        if out is None:
-            n, out = self.n, {}
-            for u in self.units:
-                if u not in out:
-                    k = len(out) // len(scalars)
-                    for s in scalars:
-                        out[u * s % n] = k
-            self.cosets[scalars] = out
-        return out
 
     def claim(self, x: int, y: int) -> _LineOrbit | None:
         """For an order-n vector v = (x, y): its line orbit if no vector of

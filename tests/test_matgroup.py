@@ -28,6 +28,7 @@ from x1points.modarith import (
     divisors,
     euler_phi,
     gl2_order,
+    line_key,
     modulus,
     sl2_order,
 )
@@ -91,6 +92,16 @@ def test_cap_exceeded_from_chain_reports_true_count():
     assert info.value.partial_count > 1000
     assert "(0 found)" not in str(info.value)
     assert str(info.value).startswith("stabilizer chain exceeded cap of 1000")
+
+
+def test_refused_chain_leaves_no_key_entries():
+    # the walk fills the key table of 1009, shared by every chain and
+    # spectrum mod 1009, before its cap stops it; refused, it empties it
+    with pytest.raises(CapExceeded):
+        sl2_group(1009, cap=500).order
+    assert len(line_key(1009)) == 0
+    assert sl2_group(1009).order == sl2_order(1009)
+    assert 0 < len(line_key(1009)) <= 1009
 
 
 # the least cap at which each chain fits: the (point, generator) pairs on

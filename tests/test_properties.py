@@ -49,6 +49,7 @@ from x1points.modarith import (
     sl2_order,
     valuation,
 )
+from x1points import orbits
 from x1points.orbits import (
     degree_spectrum,
     exact_order_vector_count,
@@ -576,6 +577,54 @@ def test_growth_downstairs_matches_a_spectrum_mod_a(case, field_degree):
     G = MatGroup(modulus(n), gens)
     for b in divisors(n):
         assert growth_downstairs(G, b, field_degree) == growth_oracle(G, b, field_degree), b
+
+
+def cold_tables(n):
+    """Empty the tables shared by every chain and spectrum mod n."""
+    line_key(n).clear()
+    for table in (orbits._units, orbits._column_classes, orbits._cosets):
+        table.cache_clear()
+
+
+def chain_and_spectrum(n, gens, b, field_degree, probes):
+    """What a fresh group on `gens` reports: records, growth reports, order
+    and membership of each probe."""
+    G = MatGroup(modulus(n), gens)
+    return (
+        repr(degree_spectrum(G, field_degree).records),
+        repr(max_growth_check(G, b, field_degree)),
+        G.order,
+        [G.contains(m) for m in probes],
+    )
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(st.integers(1, 120)), st.integers(1, 3), st.data())
+@example((120, [(1, 1, 0, 1)]), 2, None)
+def test_shared_tables_give_what_cold_tables_give(case, field_degree, data):
+    # the line-key table, the units, the column classes and the cosets
+    # depend on n alone and are shared by every chain and spectrum mod n;
+    # a group mod n that warmed them leaves every result of another as it
+    # is on cold tables, and the key table stays within [0, n)
+    n, gens = case
+    if data is None:
+        b, warm, probes = 4, [(1, 0, 1, 1), (7, 0, 0, 1)], [(1, 0, 1, 1), (1, 1, 0, 1)]
+    else:
+        b = data.draw(st.sampled_from(divisors(n)))
+        warm = data.draw(st.lists(invertible(n), min_size=1, max_size=3))
+        probes = data.draw(st.lists(invertible(n), max_size=4))
+    probes = [*gens, *warm, *probes]
+    cold = []
+    for group in (gens, warm):
+        cold_tables(n)
+        assert len(line_key(n)) == 0
+        cold.append(chain_and_spectrum(n, group, b, field_degree, probes))
+    # the tables are warm from `warm` when `gens` runs, and from both after
+    assert [chain_and_spectrum(n, group, b, field_degree, probes) for group in (gens, warm)] == cold
+    key = line_key(n)
+    assert key is line_key(n)
+    assert 0 < len(key) <= n
+    assert all(0 <= x < n for x in key)
 
 
 @PROPERTY_SETTINGS
