@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import field, record
-from .modarith import divisors, euler_phi, exact_order_vector_count
+from .modarith import euler_phi, exact_order_vector_count, modulus
 
 GONALITY_BOUND_FACTOR = Fraction(7, 800)
 
@@ -61,7 +61,11 @@ def cusp_count(N: int) -> int:
         raise ValueError(f"level must be positive, got {N}")
     if N <= 4:
         return {1: 1, 2: 2, 3: 2, 4: 3}[N]
-    total = sum(euler_phi(d) * euler_phi(N // d) for d in divisors(N))
+    # the sum of phi(d) phi(N/d) over d | N is multiplicative in N: a product
+    # over the prime powers p^e of N, so `modulus` caches no other divisor
+    total = 1
+    for p, e in modulus(N).factorization:
+        total *= sum(euler_phi(p**k) * euler_phi(p ** (e - k)) for k in range(e + 1))
     assert total % 2 == 0
     return total // 2
 

@@ -116,7 +116,10 @@ class Modulus:
 
 @lru_cache(maxsize=None)
 def modulus(n: int) -> Modulus:
-    """Shared Modulus instance for n (factorization computed once)."""
+    """Shared Modulus instance for n (factorization computed once): `euler_phi`,
+    `divisors`, `exact_order_vector_count`, `unit_group_generators` and
+    `_primitive_root` read its factorization, so each n is factored once per
+    process."""
     return Modulus(n)
 
 
@@ -188,7 +191,7 @@ def crt_scalar(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
 
 def euler_phi(n: int) -> int:
     out = n
-    for p, _ in factorize(n):
+    for p, _ in modulus(n).factorization:
         out = out // p * (p - 1)
     return out
 
@@ -205,7 +208,7 @@ def valuation(n: int, p: int) -> int:
 
 def divisors(n: int) -> list[int]:
     ds = [1]
-    for p, e in factorize(n):
+    for p, e in modulus(n).factorization:
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 
@@ -242,7 +245,7 @@ def exact_order_vector_count(n: int, d: int) -> int:
     if d < 1 or n % d != 0:
         raise OrderMismatch(f"{d} does not divide {n}")
     out = d * d
-    for p, _ in factorize(d):
+    for p, _ in modulus(d).factorization:
         out = out // (p * p) * (p * p - 1)
     return out
 
@@ -316,7 +319,7 @@ def line_key(n: int) -> _LineKey:
 def _primitive_root(p: int, e: int) -> int:
     """A generator of (Z/p^eZ)^* for an odd prime p: the least primitive root
     g mod p, or g + p when g^(p-1) = 1 mod p^2, is one mod every p^e."""
-    primes = [r for r, _ in factorize(p - 1)]
+    primes = [r for r, _ in modulus(p - 1).factorization]
     g = next(g for g in count(2) if all(pow(g, (p - 1) // r, p) != 1 for r in primes))
     if e >= 2 and pow(g, p - 1, p * p) == 1:
         g += p
@@ -336,7 +339,7 @@ def unit_group_generators(n: int, m: int = 1) -> list[int]:
     generator.
     """
     cyclic: list[tuple[int, int]] = []  # (generator, order)
-    for p, e in factorize(n):
+    for p, e in modulus(n).factorization:
         q, f = p**e, valuation(m, p)
         if p == 2 and f <= 1:  # all of (Z/2^eZ)^*: trivial, <3> or <-1> x <5>
             local = [(3, 2)] if e == 2 else [(q - 1, 2), (5, q // 4)] if e >= 3 else []

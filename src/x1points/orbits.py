@@ -17,15 +17,18 @@ then the unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
 A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  A
-spectrum's one dict maps the key of each grown line to its entry, so what it
-stores grows with the lines walked, and nothing of size n^2 and no per-orbit
-vector set is built.  What depends on n alone is built once per process and
-shared by every spectrum and chain mod n: the key table (at most n entries),
-the units of Z/nZ, the y of each gcd class of columns (`_column_classes`)
-and the coset index of the units mod each multiplier group S met (phi(n)
-entries each).  The exact-order vectors are walked in ascending order, so
-each orbit is found from its minimum and orbits come out ordered by it.
-Their number is checked against the group's cap before any is enumerated.
+spectrum keeps one dict, `DegreeSpectrum._lines`, from the key of each grown
+line to its entry, whose tag is the line's orbit; that tag holds, per coset
+t S, the record of the G-orbit t S, so `record_of` and the growth check read
+the dict directly.  What it stores grows with the lines walked, and nothing
+of size n^2 and no per-orbit vector set is built.  What depends on n alone
+is built once per process and shared by every spectrum and chain mod n: the
+key table (at most n entries), the units of Z/nZ, the y of each gcd class of
+columns (`_column_classes`) and the coset index of the units mod each
+multiplier group S met (phi(n) entries each).  The exact-order vectors are
+walked in ascending order, so each orbit is found from its minimum and
+orbits come out ordered by it.  Their number is checked against the group's
+cap before any is enumerated.
 
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
 exactly when -1 lies in S and the vector does not have order <= 2; then |S|
@@ -35,9 +38,12 @@ Two walk steps that cannot change the result are skipped.  Once S is all of
 (Z/nZ)^*, nothing can enlarge it, so the rest of its line orbit is walked for
 the lines alone and reads no multiplier.  And a column of vectors (fixed x)
 is skipped once a column of its class g = gcd(n, x) was walked and every
-G-orbit on the line orbits it met is claimed: every column of the class
-meets the same lines, those of key g n + r with r prime to gcd(g, n/g), so
-a skipped column holds only vectors of claimed orbits.
+G-orbit on the line orbits it met has its record.  Every column of the class
+meets the same lines: those of key g n + y (x/g)^-1 mod n/g with gcd(g, y)
+= 1, that is g n + r for every r prime to gcd(g, n/g), whatever x of the
+class.  So a skipped column holds only vectors of G-orbits already found.
+The open line orbits of a class are kept in a list that only shrinks, so
+the check is O(1) amortized.
 
 The growth check along X_1(n) -> X_1(a), a | n, reads the orbits mod a off
 the line index mod n; G mod a gets no walk of its own.  Let O be a line
@@ -68,7 +74,6 @@ from .curveinv import map_degree
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
 from .matgroup import Line, MatGroup, line_edges, walk_lines
 from .modarith import (
-    MatTuple,
     VecTuple,
     Vec2ModN,
     exact_order_vector_count,
@@ -164,109 +169,39 @@ def _cosets(n: int, scalars: frozenset[int]) -> dict[int, int]:
 class _LineOrbit:
     """A G-orbit of lines, the tag of their entries, filled in once its walk
     is done: its number of lines, the multiplier group S, the coset index of
-    each unit, per coset the claim that found the G-orbit t S (None until one
-    does), and the number of cosets still unclaimed."""
+    each unit, per coset the record of the G-orbit t S (None until the
+    spectrum finds it), and the number of cosets still unfound."""
 
     __slots__ = ("count", "scalars", "coset", "claims", "open")
 
 
-class _Lines:
-    """G acting on the lines of (Z/nZ)^2, grown one line orbit at a time.
+def _grow(lines: dict[int, Line], edges: list[tuple[int, ...]], x: int, y: int, n: int) -> Line:
+    """Grow the line orbit of the order-n vector (x, y), whose line is new,
+    into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`), and
+    return the entry of that line.  Each residue read is upper triangular, and
+    only its a-component, the multiplier, is kept.
 
-    `lines` maps the `modarith.line_key` of each grown line to its
-    `matgroup.walk_lines` entry (w0, w1, p, q, dv, orbit), whose tag is its
-    `_LineOrbit`.  The scalar of a vector v on it is dv (q v0 - p v1): the
-    row dv (q, -p) is read off the entry, not stored.
+    S grows as a subgroup as each multiplier arrives (`_adjoin`), and one
+    inside S costs a lookup.  Once S is all phi(n) units no multiplier can
+    enlarge it, so the walk reads no more.
     """
+    phi = len(_units(n))
+    a, b = _dual(x, y, n)
+    orbit = _LineOrbit()
+    span = {1 % n}
 
-    def __init__(self, n: int, gens: tuple[MatTuple, ...]):
-        self.n = n
-        self.edges = line_edges(n, gens)
-        self.phi = len(_units(n))
-        self.key = line_key(n)
-        self.lines: dict[int, Line] = {}
-        self.claimed = 0
+    def multiplier(t: int, _b: int, _d: int) -> bool:
+        if t not in span:
+            _adjoin(span, t, n)
+        return len(span) == phi
 
-    def _grow(self, x: int, y: int) -> Line:
-        """Grow the line orbit of the order-n vector (x, y), whose line is
-        new, from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`), and
-        return the entry of that line.  Each residue read is upper
-        triangular, and only its a-component, the multiplier, is kept.
-
-        S grows as a subgroup as each multiplier arrives (`_adjoin`), and one
-        inside S costs a lookup.  Once S is all phi(n) units no multiplier can
-        enlarge it, so the walk reads no more.
-        """
-        n, phi = self.n, self.phi
-        a, b = _dual(x, y, n)
-        orbit = _LineOrbit()
-        span = {1 % n}
-
-        def multiplier(t: int, _b: int, _d: int) -> bool:
-            if t not in span:
-                _adjoin(span, t, n)
-            return len(span) == phi
-
-        start = (x, y, -b % n, a, 1 % n, orbit)
-        orbit.count = walk_lines(n, self.key, self.lines, start, self.edges, multiplier)
-        orbit.scalars = frozenset(span)
-        orbit.coset = _cosets(n, orbit.scalars)
-        orbit.open = phi // len(span)
-        orbit.claims = [None] * orbit.open
-        return start
-
-    def claim(self, x: int, y: int) -> _LineOrbit | None:
-        """For an order-n vector v = (x, y): its line orbit if no vector of
-        the G-orbit of v was claimed before, else None."""
-        gn, m, inv = self.key[x]
-        t = self.lines.get(gn + y * inv % m)
-        if t is None:
-            t = self._grow(x, y)
-        _, _, p, q, dv, orbit = t
-        c = orbit.coset[dv * (q * x - p * y) % self.n]
-        if orbit.claims[c] is not None:
-            return None
-        orbit.claims[c] = self.claimed
-        orbit.open -= 1
-        self.claimed += 1
-        return orbit
-
-    def first_claims(self) -> Iterator[tuple[int, int, _LineOrbit]]:
-        """Claim the order-n vectors in ascending order, and yield each
-        (x, y) that claims a G-orbit, with its line orbit: every G-orbit
-        once, at its least vector.
-
-        A column (fixed x) is skipped once a column of its class g =
-        gcd(n, x) was walked and the line orbits it met hold no unclaimed
-        G-orbit.  That skips no unclaimed vector: the lines a column of
-        class g meets are those of key g n + y (x/g)^-1 mod n/g with
-        gcd(g, y) = 1, that is g n + r for every r prime to gcd(g, n/g),
-        whatever x of the class.  The open line orbits of a class are kept
-        in a list that only shrinks, so the check is O(1) amortized.
-        """
-        key, lines = self.key, self.lines
-        pending: dict[int, list[_LineOrbit]] = {}
-        for x, g, ys in _exact_order_columns(self.n, self.n):
-            open_orbits = pending.get(g)
-            if open_orbits is not None:
-                while open_orbits and not open_orbits[-1].open:
-                    open_orbits.pop()
-                if not open_orbits:
-                    continue
-            for y in ys:
-                orbit = self.claim(x, y)
-                if orbit:
-                    yield x, y, orbit
-            if open_orbits is None:
-                gn, m, _ = key[x]
-                met = {t[5] for t in map(lines.get, range(gn, gn + m)) if t is not None}
-                pending[g] = [orbit for orbit in met if orbit.open]
-
-    def claim_of(self, x: int, y: int) -> int:
-        """The claim number of the G-orbit of the order-n vector (x, y),
-        whose line orbit is grown and whose G-orbit is claimed."""
-        _, _, p, q, dv, orbit = self.lines[self.key(x, y)]
-        return orbit.claims[orbit.coset[dv * (q * x - p * y) % self.n]]
+    start = (x, y, -b % n, a, 1 % n, orbit)
+    orbit.count = walk_lines(n, line_key(n), lines, start, edges, multiplier)
+    orbit.scalars = frozenset(span)
+    orbit.coset = _cosets(n, orbit.scalars)
+    orbit.open = phi // len(span)
+    orbit.claims = [None] * orbit.open
+    return start
 
 
 @record
@@ -283,7 +218,7 @@ class DegreeSpectrum:
     modulus: int
     field_degree: int
     records: tuple[OrbitRecord, ...]
-    _lines: _Lines = field(repr=False, compare=False)
+    _lines: dict[int, Line] = field(repr=False, compare=False)
 
     def record_of(self, v: Vec2ModN | VecTuple) -> OrbitRecord:
         """The record of the orbit of v, a Vec2ModN mod n or a pair reduced
@@ -298,7 +233,8 @@ class DegreeSpectrum:
         x, y = v[0] % n, v[1] % n
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
-        return self.records[self._lines.claim_of(x, y)]
+        _, _, p, q, dv, orbit = self._lines[line_key(n)(x, y)]
+        return orbit.claims[orbit.coset[dv * (q * x - p * y) % n]]
 
 
 def _degree(size: int, minus: bool, n: int, field_degree: int) -> int:
@@ -322,12 +258,14 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     """G-orbits on exact-order-n vectors with their closed-point degrees.
 
     Records come in ascending order of their least vector, which is each
-    one's representative.  The walk skips what cannot add a record: once a
-    line orbit's multiplier group S is all of (Z/nZ)^* it reads no more
-    multipliers, since nothing enlarges S past the whole group; and a
-    column (fixed x) whose gcd class g = gcd(n, x) was walked before, and
-    whose line orbits are all claimed, holds no unclaimed vector, since every
-    column of a class meets the same lines.
+    one's representative.  One loop over the columns (fixed x) of the
+    order-n vectors does all the work.  It skips a column whose gcd class
+    holds no unfound G-orbit.  For each vector of the column, it looks up
+    the vector's line and grows the line's orbit when the line is new
+    (`_grow`); when the vector's coset t S has no record yet, it writes one,
+    and it stops once the records cover every vector.  Both skips, the
+    column one and the multipliers no longer read once S = (Z/nZ)^*, are
+    proved in the module doc.
 
     Raises CapExceeded, with the true count, before enumerating when the
     vectors outnumber G's cap.  That bound never falls below DEFAULT_CAP: a
@@ -340,38 +278,55 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     count, limit = exact_order_vector_count(n, n), max(G.cap, DEFAULT_CAP)
     if count > limit:
         raise CapExceeded(limit, count, "vector enumeration", "vectors")
-    lines = _Lines(n, G.raw_generators)
+    key, edges = line_key(n), line_edges(n, G.raw_generators)
+    lines: dict[int, Line] = {}
     records, found = [], 0
-    for x, y, orbit in lines.first_claims():
-        records.append(_record(n, (x, y), orbit, field_degree))
-        found += records[-1].size
-        # the orbits found cover every vector: the rest claims nothing
-        if found == count:
-            break
-    return DegreeSpectrum(n, field_degree, tuple(records), lines)
+    pending: dict[int, list[_LineOrbit]] = {}
+    for x, g, ys in _exact_order_columns(n, n):
+        open_orbits = pending.get(g)
+        if open_orbits is not None:
+            while open_orbits and not open_orbits[-1].open:
+                open_orbits.pop()
+            if not open_orbits:
+                continue
+        gn, m, inv = key[x]
+        for y in ys:
+            t = lines.get(gn + y * inv % m)
+            if t is None:
+                t = _grow(lines, edges, x, y, n)
+            _, _, p, q, dv, orbit = t
+            c = orbit.coset[dv * (q * x - p * y) % n]
+            if orbit.claims[c] is None:
+                orbit.claims[c] = rec = _record(n, (x, y), orbit, field_degree)
+                orbit.open -= 1
+                records.append(rec)
+                found += rec.size
+                # the orbits found cover every vector, and every line
+                if found == count:
+                    return DegreeSpectrum(n, field_degree, tuple(records), lines)
+        if open_orbits is None:
+            met = {t[5] for t in map(lines.get, range(gn, gn + m)) if t is not None}
+            pending[g] = [orbit for orbit in met if orbit.open]
+    raise AssertionError("the G-orbits must cover every vector of order n")
 
 
 def closed_point_degrees(spectrum: DegreeSpectrum) -> list[int]:
     """Degrees of the closed points the spectrum describes, sorted.
 
-    A vector and its negative give the same point of X_1(n), so a
-    mirror pair of records collapses to a single point; negation-closed
-    records already are single points.
+    A vector and its negative give the same point of X_1(n).  A record
+    closed under -1 is one point.  Any other record has a mirror record of
+    the same degree: -v lies on the line of v, in the coset -t S of the same
+    line orbit, so its orbit has the same size.  For n <= 2, -1 = 1 lies in
+    S, so every record is closed.  The points are therefore the closed
+    records and one of each mirror pair, that is every second entry of the
+    sorted degrees of the other records.
     """
-    n = spectrum.modulus
-    out = []
-    seen = set()
+    closed, mirrored = [], []
     for rec in spectrum.records:
-        rep = rec.representative.entries
-        if rep in seen:
-            continue
-        seen.add(rep)
-        if not rec.minus_closed and rec.point_order > 2:
-            mirror = spectrum.record_of(((-rep[0]) % n, (-rep[1]) % n))
-            seen.add(mirror.representative.entries)
-            assert mirror.size == rec.size
-        out.append(rec.degree)
-    return sorted(out)
+        (closed if rec.minus_closed else mirrored).append(rec.degree)
+    mirrored.sort()
+    assert mirrored[::2] == mirrored[1::2], "records not closed under -1 must pair up"
+    return sorted(closed + mirrored[::2])
 
 
 def fiber_count(P: Vec2ModN, b: int) -> int:
@@ -389,13 +344,15 @@ def fiber_count(P: Vec2ModN, b: int) -> int:
     return exact_order_vector_count(n, n) // exact_order_vector_count(n, n // b)
 
 
-def _downstairs(lines: _Lines, a: int, field_degree: int) -> dict[_LineOrbit, tuple[int, int]]:
+def _downstairs(
+    lines: dict[int, Line], a: int, field_degree: int
+) -> dict[_LineOrbit, tuple[int, int]]:
     """Per line orbit O of a full line index mod n, the size and degree of
     the G-orbits mod a (a | n) that O's vectors reduce to, from one pass
     over the index (see the module doc): |O| / |F| lines mod a, times the
     multiplier group S' mod a, grown from S mod a by the mu_l of F."""
     out = {}
-    for orbit, entries in groupby(lines.lines.values(), itemgetter(5)):
+    for orbit, entries in groupby(lines.values(), itemgetter(5)):
         r0, r1, _, _, _, _ = next(entries)
         r0, r1 = r0 % a, r1 % a
         d0, e0 = _dual(r0, r1, a)
@@ -454,14 +411,14 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     up = degree_spectrum(G, field_degree)
     # the spectrum stops once its records cover every vector, so every line
     # orbit, and with it every line, is in the index
-    lines = up._lines
+    lines, key = up._lines, line_key(n)
     down = _downstairs(lines, a, field_degree)
     deg_f = map_degree(a, b).degree
     # the fiber count depends on a and b only; every exact-order-n vector has one
     fib = fiber_count(up.records[0].representative, b)
     reports = []
     for rec in up.records:
-        dsize, ddegree = down[lines.lines[lines.key(*rec.representative.entries)][5]]
+        dsize, ddegree = down[lines[key(*rec.representative.entries)][5]]
         ratio, rem = divmod(rec.size, dsize)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         # fields in declaration order, positional as in `_record`

@@ -26,7 +26,6 @@ from x1points.matgroup import (
 )
 from x1points.modarith import divisors, factorize, inv_raw, modulus, mul_raw, vec2
 from x1points.orbits import (
-    _Lines,
     closed_point_degrees,
     degree_spectrum,
     exact_order_vector_count,
@@ -347,13 +346,18 @@ def test_walk_claims_only_the_first_column_of_each_gcd_class(monkeypatch):
     n = 120
     G = MatGroup(modulus(n), [(d, c, b, a) for a, b, c, d in borel_group(n).raw_generators])
     columns = []
-    claim = _Lines.claim
+    exact_order_columns = orbits._exact_order_columns
 
-    def counted(self, x, y):
-        columns.append(x)
-        return claim(self, x, y)
+    def read(x, ys):
+        for y in ys:
+            columns.append(x)
+            yield y
 
-    monkeypatch.setattr(_Lines, "claim", counted)
+    def counted(n, d):
+        for x, g, ys in exact_order_columns(n, d):
+            yield x, g, read(x, ys)
+
+    monkeypatch.setattr(orbits, "_exact_order_columns", counted)
     spec = degree_spectrum(G)
     assert [r.representative.x for r in spec.records] == sorted(g % n for g in divisors(n))
     assert set(columns) == {g % n for g in divisors(n)}
@@ -367,7 +371,7 @@ def test_line_index_of_a_full_image_holds_psi_entries(n):
     psi = n
     for p, _ in factorize(n):
         psi = psi // p * (p + 1)
-    lines = degree_spectrum(gl2_group(n))._lines.lines
+    lines = degree_spectrum(gl2_group(n))._lines
     assert len(lines) == psi
     assert len({entry[5] for entry in lines.values()}) == 1
     assert next(iter(lines.values()))[5].count == psi

@@ -51,6 +51,7 @@ from x1points.modarith import (
 )
 from x1points import orbits
 from x1points.orbits import (
+    closed_point_degrees,
     degree_spectrum,
     exact_order_vector_count,
     exact_order_vectors,
@@ -501,6 +502,11 @@ def test_degree_spectrum_matches_oracle(case, field_degree):
     assert got == expected
     for part, rec in zip(parts, spec.records):
         assert all(spec.record_of(v) is rec for v in part)
+    # a closed point of X_1(n) is a vector up to -1: an orbit merged with its
+    # negation, whose vectors pair up under -1 once n > 2
+    points = {part | {((-x) % n, (-y) % n) for x, y in part} for part in parts}
+    half = 2 if n > 2 else 1
+    assert closed_point_degrees(spec) == sorted(len(p) // half * field_degree for p in points)
 
 
 def test_exact_order_entries_match_brute_force():
@@ -657,7 +663,7 @@ def test_spectrum_walks_the_chain_line_orbit(case):
     G = MatGroup(modulus(n), gens)
     chain = G._get_chain()
     spec = degree_spectrum(G)
-    orbit = spec._lines.lines[line_key(n)(1 % n, 0)][5]
+    orbit = spec._lines[line_key(n)(1 % n, 0)][5]
     assert orbit.count == len(chain.lines)
     assert orbit.scalars == set(chain.a_level)
     assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level)
