@@ -15,7 +15,10 @@ ch. 4).  The chain has four levels.
   inversion; a new line reached by g gets g u, with dv = det(g)^-1 dv.  An
   edge g into a known line u' hands the caller the Schreier residue
   u'^-1 g u = (a, b, d) until the caller says stop, and then only finds
-  lines.
+  lines.  The walk's edges are the generators that are not scalar, less
+  each h with g h = zI for a g kept before it (`line_edges`): a scalar fixes
+  every line, so its edge would only repeat the residue (z, 0, z) on each
+  line; it is sifted once instead.
 - The stabilizer H of <e1> is upper triangular: [[a, b], [0, d]], written
   (a, b, d).  L2 is A, the image of a (the isogeny character), and L3 is D,
   the image of d on the elements with a = 1.  Each keeps a transversal of
@@ -143,9 +146,37 @@ class Chain:
         )
 
 
-def line_edges(n: int, gens: tuple[MatTuple, ...]) -> list[tuple[int, ...]]:
-    """The edges of `walk_lines`: each generator's entries and det(g)^-1."""
-    return [(a, b, c, d, pow((a * d - b * c) % n, -1, n)) for a, b, c, d in gens]
+def line_edges(n: int, gens: tuple[MatTuple, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The edges of `walk_lines`, each kept generator's entries and
+    det(g)^-1, and the scalars z that replace the other generators.
+
+    A generator h is replaced by z when g h = zI for I or for a generator g
+    kept before it, since <g, h> = <g, z>.  A matrix is fixed up to a scalar
+    by the lines it sends e1, e2 and e1 + e2 to: one fixing all three is
+    scalar.  So each kept g, and I first, is indexed under the keys of the
+    lines of adj(g) = det(g) g^-1, (d, -c), (-b, a) and (d - b, a - c) for
+    g = (a, b, c, d), and h is looked up once under the keys of its own
+    columns and their sum: it is found exactly when some g h is scalar.  With
+    Z0 = <z> central and K the kept generators, G = <K> Z0 has the line
+    orbits of <K>, and Stab_G(l) = Stab_<K>(l) Z0, so a caller walks K alone
+    and adds Z0 to each stabilizer once.
+    """
+    key, one = line_key(n), 1 % n
+    inverse_of = {(key(one, 0), key(0, one), key(one, one)): (one, 0, 0, one)}
+    edges: list[tuple[int, ...]] = []
+    scalars: list[int] = []
+    for h in gens:
+        a, b, c, d = h
+        # key(x, y) read inline, as in `walk_lines`; y needs no reduction
+        (k0, m0, i0), (k1, m1, i1), (k2, m2, i2) = key[a], key[b], key[(a + b) % n]
+        g = inverse_of.get((k0 + c * i0 % m0, k1 + d * i1 % m1, k2 + (c + d) * i2 % m2))
+        if g is not None:
+            scalars.append((g[0] * a + g[1] * c) % n)
+            continue
+        (k0, m0, i0), (k1, m1, i1), (k2, m2, i2) = key[d], key[-b % n], key[(d - b) % n]
+        inverse_of[k0 + -c * i0 % m0, k1 + a * i1 % m1, k2 + (a - c) * i2 % m2] = h
+        edges.append((a, b, c, d, pow((a * d - b * c) % n, -1, n)))
+    return edges, scalars
 
 
 def walk_lines(
@@ -184,13 +215,16 @@ def walk_lines(
 def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     """The line chain of the group generated by `gens` (see the module doc).
 
-    `walk_lines` grows the orbit of <e1> from I and hands each residue to
-    `keep`.  A and D grow one generator at a time, and each (point,
-    generator) pair is visited once.  These pairs and the lines' edges are
-    what the chain costs, so the cap bounds them: CapExceeded, with partial
-    count cap + 1, is raised once they exceed `cap`.  Charging a line's
-    edges as the walk reaches it raises at the same point of the total.  A
-    refused walk empties the key table of n, so it leaves nothing behind.
+    The scalars z of `line_edges` lie in H as (z, 0, z); each is sifted
+    through `keep` once, before the walk.  `walk_lines` then grows the orbit
+    of <e1> from I under the kept edges and hands each residue to `keep`.  A
+    and D grow one generator at a time, and each (point, generator) pair is
+    visited once.  These pairs and the lines' edges are what the chain costs,
+    so the cap bounds them (a scalar costs its sift, not an edge per line):
+    CapExceeded, with partial count cap + 1, is raised once they exceed
+    `cap`.  Charging a line's edges as the walk reaches it raises at the same
+    point of the total.  A refused walk empties the key table of n, so it
+    leaves nothing behind.
     """
     chain = Chain(n)
     one = 1 % n
@@ -249,8 +283,11 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
                 keep(one, (uia * yb + uib * yd) % n, uid * yd % n, False)
             j += 1
 
+    edges, scalars = line_edges(n, gens)
     try:
-        walk_lines(n, chain.key, chain.lines, (one, 0, 0, one, one, None), line_edges(n, gens), keep, spend)
+        for z in scalars:
+            keep(z, 0, z)
+        walk_lines(n, chain.key, chain.lines, (one, 0, 0, one, one, None), edges, keep, spend)
     except CapExceeded:
         chain.key.clear()
         raise

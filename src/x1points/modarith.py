@@ -114,12 +114,13 @@ class Modulus:
         return f"Modulus({self.n})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def modulus(n: int) -> Modulus:
     """Shared Modulus instance for n (factorization computed once): `euler_phi`,
     `divisors`, `exact_order_vector_count`, `unit_group_generators` and
-    `_primitive_root` read its factorization, so each n is factored once per
-    process."""
+    `_primitive_root` read its factorization, so each n is factored once
+    while it stays among the 1024 moduli used last; the cache holds no more,
+    so a long-lived process that meets many moduli keeps a bounded table."""
     return Modulus(n)
 
 

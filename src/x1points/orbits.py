@@ -12,8 +12,13 @@ the line's tracked vector w, and no row: dv (q, -p), the first row of u^-1,
 reads off the scalar t of a vector v = t w on the line.  The a-component of
 an edge's Schreier residue is the multiplier t of the image of a tracked
 vector; by Schreier's lemma these generate S, the image of the isogeny
-character Stab_G(<w>) -> (Z/nZ)^*.  The G-orbits inside a line orbit L are
-then the unit cosets t S: each holds |L| |S| vectors, and it is closed under
+character Stab_G(<w>) -> (Z/nZ)^*.  The walk uses the edges of
+`matgroup.line_edges`, which replaces each scalar generator, and each h
+with g h = zI for a kept g, by z.  With Z0 = <z> central and K the kept
+generators, G and <K> have the same line orbits and Stab_G(l) =
+Stab_<K>(l) Z0, so S starts from <Z0>, computed once per spectrum, and the
+residues add the rest.  The G-orbits inside a line orbit L are then the
+unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
 A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  A
@@ -36,9 +41,10 @@ is even, so the orbit size is even (asserted) and degrees are integers.
 
 Two walk steps that cannot change the result are skipped.  Once S is all of
 (Z/nZ)^*, nothing can enlarge it, so the rest of its line orbit is walked for
-the lines alone and reads no multiplier.  And a column of vectors (fixed x)
-is skipped once a column of its class g = gcd(n, x) was walked and every
-G-orbit on the line orbits it met has its record.  Every column of the class
+the lines alone and reads no multiplier; when <Z0> is all of it already,
+the walk reads one residue per line orbit and stops reading.  And a column
+of vectors (fixed x) is skipped once a column of its class g = gcd(n, x)
+was walked and every G-orbit on the line orbits it met has its record.  Every column of the class
 meets the same lines: those of key g n + y (x/g)^-1 mod n/g with gcd(g, y)
 = 1, that is g n + r for every r prime to gcd(g, n/g), whatever x of the
 class.  So a skipped column holds only vectors of G-orbits already found.
@@ -175,20 +181,23 @@ class _LineOrbit:
     __slots__ = ("count", "scalars", "coset", "claims", "open")
 
 
-def _grow(lines: dict[int, Line], edges: list[tuple[int, ...]], x: int, y: int, n: int) -> Line:
+def _grow(
+    lines: dict[int, Line], edges: list[tuple[int, ...]], base: set[int], x: int, y: int, n: int
+) -> Line:
     """Grow the line orbit of the order-n vector (x, y), whose line is new,
-    into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`), and
-    return the entry of that line.  Each residue read is upper triangular, and
-    only its a-component, the multiplier, is kept.
+    into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`)
+    under `edges`, and return the entry of that line.  Each residue read is
+    upper triangular, and only its a-component, the multiplier, is kept.
 
-    S grows as a subgroup as each multiplier arrives (`_adjoin`), and one
-    inside S costs a lookup.  Once S is all phi(n) units no multiplier can
-    enlarge it, so the walk reads no more.
+    S starts as `base`, the group of the scalars that `line_edges` took out
+    of the edges, and grows as a subgroup as each multiplier arrives
+    (`_adjoin`); one inside S costs a lookup.  Once S is all phi(n) units no
+    multiplier can enlarge it, so the walk reads no more.
     """
     phi = len(_units(n))
     a, b = _dual(x, y, n)
     orbit = _LineOrbit()
-    span = {1 % n}
+    span = set(base)
 
     def multiplier(t: int, _b: int, _d: int) -> bool:
         if t not in span:
@@ -278,7 +287,11 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     count, limit = exact_order_vector_count(n, n), max(G.cap, DEFAULT_CAP)
     if count > limit:
         raise CapExceeded(limit, count, "vector enumeration", "vectors")
-    key, edges = line_key(n), line_edges(n, G.raw_generators)
+    key = line_key(n)
+    edges, scalars = line_edges(n, G.raw_generators)
+    base = {1 % n}
+    for z in scalars:
+        _adjoin(base, z, n)
     lines: dict[int, Line] = {}
     records, found = [], 0
     pending: dict[int, list[_LineOrbit]] = {}
@@ -293,7 +306,7 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
         for y in ys:
             t = lines.get(gn + y * inv % m)
             if t is None:
-                t = _grow(lines, edges, x, y, n)
+                t = _grow(lines, edges, base, x, y, n)
             _, _, p, q, dv, orbit = t
             c = orbit.coset[dv * (q * x - p * y) % n]
             if orbit.claims[c] is None:

@@ -83,3 +83,15 @@ def test_within_parent_iqr_compares_the_median_shift_with_the_parent_spread():
     assert s[WORKLOAD]["job_p50_s"]["within_parent_iqr"]
     s = bench_pairs.summarize(paired_runs("job_p50_s", PARENT, [v + 1.0 for v in PARENT]), None)
     assert not s[WORKLOAD]["job_p50_s"]["within_parent_iqr"]
+
+
+def test_src_digest_follows_the_source_and_not_the_bytecode(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (pkg / "mod.py").write_text("x = 1\n")
+    before = bench_pairs.tree_digest(tmp_path)
+    (pkg / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\x00bytecode")
+    (pkg / "stray.pyc").write_bytes(b"\x00bytecode")
+    assert bench_pairs.tree_digest(tmp_path) == before
+    (pkg / "mod.py").write_text("x = 2\n")
+    assert bench_pairs.tree_digest(tmp_path) != before

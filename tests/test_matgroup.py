@@ -110,8 +110,8 @@ LEAST_CHAIN_CAPS = [
     ("gl2_group(8)", lambda cap: gl2_group(8, cap=cap), 72),
     ("gl2_group(125)", lambda cap: gl2_group(125, cap=cap), 750),
     ("sl2_group(1296)", lambda cap: sl2_group(1296, cap=cap), 6_480),
-    ("borel_group(300)", lambda cap: borel_group(300, cap=cap), 727),
-    ("full_preimage(borel_group(3), 3**7)", lambda cap: full_preimage(borel_group(3), 3**7, cap=cap), 9_477),
+    ("borel_group(300)", lambda cap: borel_group(300, cap=cap), 724),
+    ("full_preimage(borel_group(3), 3**7)", lambda cap: full_preimage(borel_group(3), 3**7, cap=cap), 8_019),
     ("gl2_group(3**7)", lambda cap: gl2_group(3**7, cap=cap), 13_122),
 ]
 

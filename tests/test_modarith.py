@@ -266,3 +266,13 @@ def test_pseudoprimes_rejected():
 def test_exact_order_vector_count_is_one_function():
     # orbits re-exports the modarith count under its old name
     assert orbits.exact_order_vector_count is exact_order_vector_count
+
+
+def test_modulus_cache_stays_within_its_size():
+    # many moduli in one process keep at most maxsize shared instances
+    limit = modulus.cache_info().maxsize
+    assert limit is not None
+    for n in range(10**6, 10**6 + limit + 200):
+        modulus(n)
+    assert modulus.cache_info().currsize <= limit
+    assert modulus(97) is modulus(97)

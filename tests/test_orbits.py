@@ -24,7 +24,17 @@ from x1points.matgroup import (
     gl2_group,
     sl2_group,
 )
-from x1points.modarith import divisors, factorize, inv_raw, modulus, mul_raw, vec2
+from x1points.modarith import (
+    divisors,
+    euler_phi,
+    factorize,
+    gl2_order,
+    inv_raw,
+    modulus,
+    mul_raw,
+    unit_group_generators,
+    vec2,
+)
 from x1points.orbits import (
     closed_point_degrees,
     degree_spectrum,
@@ -285,6 +295,34 @@ def test_growth_check_walks_the_lines_once(G, monkeypatch):
     assert not hasattr(orbits, "project")
     assert max_growth_check(G, 2)
     assert sum(walked) == 288
+
+
+@pytest.mark.parametrize("n", [300, 3**7, 16])
+def test_scalar_pairs_leave_the_walk(n, monkeypatch):
+    # borel_group(n) lists diag(u, 1) and diag(1, u) for each of its r unit
+    # generators u; their product is uI, so the chain and the spectrum walk
+    # 1 + r edges and take each u as a scalar.  GL2's generators have no
+    # scalar product, so all of them are walked
+    r = len(unit_group_generators(n))
+    walks = []
+    walk = matgroup.walk_lines
+
+    def counted(n, key, lines, start, edges, *rest):
+        walks.append(len(edges))
+        return walk(n, key, lines, start, edges, *rest)
+
+    monkeypatch.setattr(matgroup, "walk_lines", counted)
+    monkeypatch.setattr(orbits, "walk_lines", counted)
+    B = borel_group(n)
+    assert len(B.raw_generators) == 1 + 2 * r
+    assert B.order == n * euler_phi(n) ** 2
+    # the lines (x : 1) form one orbit, and diag(1, d) fixes (0, 1) up to d
+    assert degree_spectrum(B).record_of((0, 1)).size == n * euler_phi(n)
+    assert walks and set(walks) == {1 + r}
+    walks.clear()
+    G = gl2_group(n)
+    assert G.order == gl2_order(n) and degree_spectrum(G).records
+    assert walks and set(walks) == {len(G.raw_generators)}
 
 
 def test_record_sizes_partition_exact_order_vectors(large_image_samples):

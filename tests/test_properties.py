@@ -40,6 +40,7 @@ from x1points.matgroup import (
     project,
 )
 from x1points.modarith import (
+    apply_raw,
     divisors,
     factorize,
     gl2_order,
@@ -507,6 +508,56 @@ def test_degree_spectrum_matches_oracle(case, field_degree):
     points = {part | {((-x) % n, (-y) % n) for x, y in part} for part in parts}
     half = 2 if n > 2 else 1
     assert closed_point_degrees(spec) == sorted(len(p) // half * field_degree for p in points)
+
+
+@st.composite
+def scalar_laden_gens(draw):
+    """Random generators mod n <= 40 with three kinds injected, shuffled:
+    scalars zI, inverse pairs (g, g^-1), and pairs c diag(u, 1) c^-1,
+    c diag(1, u) c^-1, whose product is uI."""
+    n = draw(st.integers(1, 40))
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    gens = draw(st.lists(invertible(n), max_size=2))
+    gens += [(z, 0, 0, z) for z in draw(st.lists(st.sampled_from(units), max_size=2))]
+    for g in draw(st.lists(invertible(n), max_size=1)):
+        gens += [g, inv_raw(g, n)]
+    for c, u in draw(st.lists(st.tuples(invertible(n), st.sampled_from(units)), max_size=2)):
+        ci = inv_raw(c, n)
+        gens += [matmul_oracle(matmul_oracle(c, d, n), ci, n) for d in ((u, 0, 0, 1), (1, 0, 0, u))]
+    return n, draw(st.permutations(gens))
+
+
+@PROPERTY_SETTINGS
+@given(scalar_laden_gens(), st.lists(st.tuples(*[st.integers(0, 10**6)] * 4), max_size=20))
+@example((12, [(5, 0, 0, 1), (1, 1, 0, 1), (1, 0, 0, 5)]), [(5, 0, 0, 5), (1, 0, 0, 5)])
+@example((7, [(3, 0, 0, 3)]), [(1, 0, 0, 1), (3, 0, 0, 3), (2, 0, 0, 2)])
+def test_scalar_generators_keep_chain_spectrum_and_growth(case, others):
+    # scalars, and generators whose product with a kept one is scalar, are
+    # not walked; the chain, the spectrum and the growth check must still
+    # match the breadth-first closure and the oracles built on it
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    assume(G.order <= ORACLE_ORDER_LIMIT)
+    members = closure_oracle(n, gens)
+    assert G.order == len(members)
+    assert all(G.contains(x) for x in members)
+    for x in others:
+        x = tuple(e % n for e in x)
+        assert G.contains(x) == (x in members), x
+    remaining, expected = {v.entries for v in exact_order_vectors(n)}, []
+    while remaining:
+        rep = min(remaining)
+        part = {apply_raw(g, rep, n) for g in members}
+        remaining -= part
+        minus = ((-rep[0]) % n, (-rep[1]) % n) in part
+        expected.append((rep, len(part), n, minus, len(part) // 2 if minus and n > 2 else len(part)))
+    got = [
+        (r.representative.entries, r.size, r.point_order, r.minus_closed, r.degree)
+        for r in degree_spectrum(G).records
+    ]
+    assert got == expected
+    for b in divisors(n):
+        assert growth_downstairs(G, b) == growth_oracle(G, b), b
 
 
 def test_exact_order_entries_match_brute_force():

@@ -7,7 +7,9 @@ Each TREE is a checkout (a copy of the parent commit and one of the change).
 For every workload of BENCHMARK.json, in its order, and every seed 1..10,
 `perfbench/run.py --trace 0` runs once from each tree for BENCHMARK.json's
 run_seconds, with PYTHONDONTWRITEBYTECODE=1: odd seeds run the parent first,
-even seeds the change first.  Each run object is the last stdout line of run.py.  The file
+even seeds the change first.  Each run object is the last stdout line of run.py.
+`src_sha256` names what each side ran: a sha256 over the sorted paths and
+bytes of the tree's src/, skipping __pycache__ and .pyc files.  The file
 BENCH_<N>.json (in this checkout's root) is rewritten after every run, so an
 interrupted session keeps the runs it made; the summary covers complete pairs.
 
@@ -29,6 +31,7 @@ the parent's interquartile range.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,6 +57,21 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def tree_digest(tree: Path) -> str:
+    """sha256 of the sorted relative paths and bytes of the files under
+    tree/src, bytecode left out."""
+    src = tree / "src"
+    h = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*") if p.is_file()):
+        rel = path.relative_to(src)
+        if "__pycache__" in rel.parts or rel.suffix == ".pyc":
+            continue
+        data = path.read_bytes()
+        h.update(f"{rel.as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -156,6 +174,7 @@ def main(argv=None) -> int:
             "the last stdout line of run.py; written by tools/bench_pairs.py"
         ),
         "hardware": f"{platform.system()} host, {os.cpu_count()} CPUs",
+        "src_sha256": {side: tree_digest(tree) for side, tree in trees.items()},
         "summary": {},
         "runs": [],
     }
