@@ -6,16 +6,16 @@ level (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
 ch. 4).  The chain has four levels.
 
 - L1 is the orbit of <e1> among the psi(n) = n prod(1 + 1/p) lines, keyed by
-  `modarith.line_key` and grown by `walk_lines`, the one line walk, which
-  the degree spectra of `orbits` share.  The key table is one per modulus,
-  shared by every chain and spectrum mod n in the process; it holds at most
-  n entries, and a chain refused by its cap empties it.  A line's entry
-  (w0, w1, p, q, dv, tag) holds its transversal element u = [[w0, p],
-  [w1, q]] and dv = det(u)^-1, so u^-1 = dv [[q, -p], [-w1, w0]] needs no
-  inversion; a new line reached by g gets g u, with dv = det(g)^-1 dv.  An
-  edge g into a known line u' hands the caller the Schreier residue
-  u'^-1 g u = (a, b, d) until the caller says stop, and then only finds
-  lines.  The walk's edges are the generators that are not scalar, less
+  the key table of `modarith.tables(n)` and grown by `walk_lines`, the one
+  line walk, which the degree spectra of `orbits` share.  The key table is
+  shared by every chain and spectrum mod n while n stays among the 32
+  moduli used last; it holds at most n entries, and a chain refused by its
+  cap empties it.  A line's entry (w0, w1, p, q, dv, tag) holds its
+  transversal element u = [[w0, p], [w1, q]] and dv = det(u)^-1, so u^-1 =
+  dv [[q, -p], [-w1, w0]] needs no inversion; a new line reached by g gets
+  g u, with dv = det(g)^-1 dv.  An edge g into a known line u' hands the
+  caller the Schreier residue u'^-1 g u = (a, b, d) until the caller says
+  stop, and then only finds lines.  The walk's edges are the generators that are not scalar, less
   each h with g h = zI for a g kept before it (`line_edges`): a scalar fixes
   every line, so its edge would only repeat the residue (z, 0, z) on each
   line; it is sifted once instead.
@@ -60,9 +60,9 @@ from .modarith import (
     Modulus,
     crt_scalar,
     inv_raw,
-    line_key,
     modulus,
     mul_raw,
+    tables,
     unit_group_generators,
 )
 
@@ -89,7 +89,7 @@ class Chain:
         one = 1 % n
         ident = (one, 0, one, one, 0, one)
         self.n = n
-        self.key = line_key(n)
+        self.key = tables(n).key
         self.lines: dict[int, Line] = {}
         self.a_level: dict[int, tuple[int, ...]] = {one: ident}
         self.d_level: dict[int, tuple[int, ...]] = {one: ident}
@@ -161,7 +161,7 @@ def line_edges(n: int, gens: tuple[MatTuple, ...]) -> tuple[list[tuple[int, ...]
     orbits of <K>, and Stab_G(l) = Stab_<K>(l) Z0, so a caller walks K alone
     and adds Z0 to each stabilizer once.
     """
-    key, one = line_key(n), 1 % n
+    key, one = tables(n).key, 1 % n
     inverse_of = {(key(one, 0), key(0, one), key(one, one)): (one, 0, 0, one)}
     edges: list[tuple[int, ...]] = []
     scalars: list[int] = []
@@ -224,7 +224,8 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     CapExceeded, with partial count cap + 1, is raised once they exceed
     `cap`.  Charging a line's edges as the walk reaches it raises at the same
     point of the total.  A refused walk empties the key table of n, so it
-    leaves nothing behind.
+    leaves nothing behind: the table is shared, and `tables` drops a modulus
+    only once it is among the least recently used.
     """
     chain = Chain(n)
     one = 1 % n

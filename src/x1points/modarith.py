@@ -7,7 +7,9 @@ order d.  #GL2, the PSL2 index of X_1(N), covering degrees and fiber counts
 are all products or quotients of it.
 
 All values are immutable and reduced to the canonical range [0, n) on
-construction, so equality and hashing are bit-exact.
+construction, so equality and hashing are bit-exact.  The tables that
+depend on n alone, which the chains and spectra mod n share, have one
+owner: `tables(n)`.
 """
 
 from __future__ import annotations
@@ -173,21 +175,13 @@ def apply_raw(m: MatTuple, v: VecTuple, n: int) -> VecTuple:
     return ((a * x + b * y) % n, (c * x + d * y) % n)
 
 
-@lru_cache(maxsize=None)
-def _crt_coefficients(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    n = 1
-    for m in moduli:
-        n *= m
-    coeffs = []
-    for m in moduli:
-        rest = n // m
-        coeffs.append(rest * pow(rest, -1, m))
-    return n, tuple(coeffs)
-
-
 def crt_scalar(residues: tuple[int, ...], moduli: tuple[int, ...]) -> int:
-    n, coeffs = _crt_coefficients(moduli)
-    return sum(r * c for r, c in zip(residues, coeffs)) % n
+    n = prod(moduli)
+    out = 0
+    for r, m in zip(residues, moduli):
+        rest = n // m
+        out += r * rest * pow(rest, -1, m)
+    return out % n
 
 
 def euler_phi(n: int) -> int:
@@ -251,14 +245,12 @@ def exact_order_vector_count(n: int, d: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def gl2_order(n: int) -> int:
     """#GL2(Z/nZ): J_2(n) first columns of order n, each completed by the
     n * phi(n) second columns that make the determinant a unit."""
     return exact_order_vector_count(n, n) * n * euler_phi(n)
 
 
-@lru_cache(maxsize=None)
 def sl2_order(n: int) -> int:
     """#SL2(Z/nZ) = #GL2(Z/nZ) / phi(n)."""
     return gl2_order(n) // euler_phi(n)
@@ -271,33 +263,8 @@ def vec_order(v: Vec2ModN) -> int:
 
 
 class _LineKey(dict):
-    """x -> (g n, n/g, (x/g)^-1 mod n/g) for g = gcd(x, n), each x filled on
-    its first lookup, so the table never holds more than the x read from it,
-    at most n; called as key(x, y), it gives g n + y (x/g)^-1 mod n/g."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, x: int) -> tuple[int, int, int]:
-        n = self.n
-        g = gcd(x, n)
-        m = n // g
-        entry = self[x] = (g * n, m, pow(x // g, -1, m))
-        return entry
-
-    def __call__(self, x: int, y: int) -> int:
-        gn, m, inv = self[x]
-        return gn + y * inv % m
-
-
-@lru_cache(maxsize=None)
-def line_key(n: int) -> _LineKey:
     """The key of the line through (x, y), a vector of exact order n with
-    entries in [0, n), as a point of P^1(Z/nZ): `key = line_key(n)`, then
-    `key(x, y)`.
+    entries in [0, n), as a point of P^1(Z/nZ): `key(x, y)`.
 
     Let g = gcd(x, n).  A unit multiple of (x, y) is (g, y'), and y' mod n/g
     is y (x/g)^-1 mod n/g for every such multiple (x/g is a unit mod n/g), so
@@ -309,12 +276,104 @@ def line_key(n: int) -> _LineKey:
 
     The key is also a dict from x to (g n, n/g, (x/g)^-1 mod n/g), so a hot
     loop can read it inline: `gn, m, inv = key[x]`, then `gn + y * inv % m`.
-    There is one table per modulus, shared by every chain and spectrum mod n
-    in the process, like `modulus(n)`: an x is filled once, on its first
-    lookup by any of them, and the table holds at most n entries.  A chain
-    walk refused by its cap empties it (`matgroup`).
+    Each x is filled on its first lookup, so the table never holds more than
+    the x read from it, at most n; the x of one gcd class g share one (g n,
+    n/g) pair of ints.
     """
-    return _LineKey(n)
+
+    __slots__ = ("n", "_classes")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+        self._classes: dict[int, tuple[int, int]] = {}
+
+    def __missing__(self, x: int) -> tuple[int, int, int]:
+        n = self.n
+        g = gcd(x, n)
+        pair = self._classes.get(g)
+        if pair is None:
+            pair = self._classes[g] = (g * n, n // g)
+        gn, m = pair
+        entry = self[x] = (gn, m, pow(x // g, -1, m))
+        return entry
+
+    def __call__(self, x: int, y: int) -> int:
+        gn, m, inv = self[x]
+        return gn + y * inv % m
+
+
+class Tables:
+    """The tables of Z/nZ that depend on n alone, each built on first use:
+    `key`, the line-key table (`_LineKey`); `units`, the units of Z/nZ,
+    ascending; `columns(d)`, the order-d column classes; `cosets(S)`, the
+    coset index of the units mod a subgroup S.  Each chain and spectrum mod
+    n reads them through `tables(n)`."""
+
+    __slots__ = ("n", "key", "_units", "_columns", "_cosets")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.key = _LineKey(n)
+        self._units: tuple[int, ...] | None = None
+        self._columns: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._cosets: dict[frozenset[int], dict[int, int]] = {}
+
+    @property
+    def units(self) -> tuple[int, ...]:
+        if self._units is None:
+            n = self.n
+            self._units = tuple(u for u in range(n) if gcd(u, n) == 1)
+        return self._units
+
+    def columns(self, d: int) -> dict[int, tuple[int, ...]]:
+        """The y of the vectors (x, y) of exact order d (d | n) in (Z/nZ)^2,
+        ascending, per gcd class g = gcd(n, x) of x.
+
+        (x, y) has order d iff gcd(n, x, y) = n/d, so the valid y depend on x
+        only through gcd(n, x).
+        """
+        out = self._columns.get(d)
+        if out is None:
+            n, step = self.n, self.n // d
+            # the classes share one int object per y, not one per class
+            column = tuple(range(0, n, step))
+            out = self._columns[d] = {}
+            for x in column:
+                g = gcd(n, x)
+                if g not in out:
+                    out[g] = tuple(y for y in column if gcd(g, y) == step)
+        return out
+
+    def cosets(self, scalars: frozenset[int]) -> dict[int, int]:
+        """Coset index of each unit mod the subgroup `scalars` of (Z/nZ)^*,
+        numbered in ascending order of their least units."""
+        out = self._cosets.get(scalars)
+        if out is None:
+            n = self.n
+            out = self._cosets[scalars] = {}
+            for u in self.units:
+                if u not in out:
+                    k = len(out) // len(scalars)
+                    for s in scalars:
+                        out[u * s % n] = k
+        return out
+
+
+@lru_cache(maxsize=32)
+def tables(n: int) -> Tables:
+    """The shared `Tables` of n, kept for the 32 moduli used last.
+
+    Every chain and spectrum mod n reads the same tables while n stays among
+    them, so each is built once however many groups mod n a caller asks
+    about, and a loop over many moduli holds the tables of 32 at most.  A
+    chain or spectrum keeps the tables it read after n is dropped, and a
+    rebuilt table gives the same keys.  A chain walk refused by its cap
+    empties the key table of n (`matgroup`).  The bound is separate from
+    `modulus`'s: a `Modulus` lives as long as any vector or group mod n, and
+    these tables are far larger.
+    """
+    return Tables(n)
 
 
 def _primitive_root(p: int, e: int) -> int:

@@ -21,19 +21,19 @@ residues add the rest.  The G-orbits inside a line orbit L are then the
 unit cosets t S: each holds |L| |S| vectors, and it is closed under
 negation iff -1 lies in S.
 
-A line is named by `modarith.line_key`, its point of P^1(Z/nZ).  A
-spectrum keeps one dict, `DegreeSpectrum._lines`, from the key of each grown
-line to its entry, whose tag is the line's orbit; that tag holds, per coset
-t S, the record of the G-orbit t S, so `record_of` and the growth check read
-the dict directly.  What it stores grows with the lines walked, and nothing
-of size n^2 and no per-orbit vector set is built.  What depends on n alone
-is built once per process and shared by every spectrum and chain mod n: the
-key table (at most n entries), the units of Z/nZ, the y of each gcd class of
-columns (`_column_classes`) and the coset index of the units mod each
-multiplier group S met (phi(n) entries each).  The exact-order vectors are
-walked in ascending order, so each orbit is found from its minimum and
-orbits come out ordered by it.  Their number is checked against the group's
-cap before any is enumerated.
+A line is named by its point of P^1(Z/nZ), the key of `modarith.tables(n)`.
+A spectrum keeps one dict, `DegreeSpectrum._lines`, from the key of each
+grown line to its entry, whose tag is the line's orbit; that tag holds, per
+coset t S, the record of the G-orbit t S, so `record_of` and the growth
+check read the dict directly.  What it stores grows with the lines walked,
+and nothing of size n^2 and no per-orbit vector set is built.  What depends
+on n alone is read from `tables(n)`, shared by every spectrum and chain mod
+n while n stays among the 32 moduli used last: the key table (at most n
+entries), the units of Z/nZ, the y of each gcd class of columns and the
+coset index of the units mod each multiplier group S met (phi(n) entries
+each).  The exact-order vectors are walked in ascending order, so each
+orbit is found from its minimum and orbits come out ordered by it.  Their
+number is checked against the group's cap before any is enumerated.
 
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
 exactly when -1 lies in S and the vector does not have order <= 2; then |S|
@@ -71,7 +71,6 @@ entries being contiguous since each walk inserts a whole orbit.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 from itertools import groupby
 from math import gcd
 from operator import itemgetter
@@ -80,45 +79,21 @@ from .curveinv import map_degree
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
 from .matgroup import Line, MatGroup, line_edges, walk_lines
 from .modarith import (
+    Tables,
     VecTuple,
     Vec2ModN,
     exact_order_vector_count,
-    line_key,
     modulus,
+    tables,
     vec2,
     vec_order,
 )
 
 
-@lru_cache(maxsize=None)
-def _units(n: int) -> tuple[int, ...]:
-    """The units of Z/nZ, ascending."""
-    return tuple(u for u in range(n) if gcd(u, n) == 1)
-
-
-@lru_cache(maxsize=None)
-def _column_classes(n: int, d: int) -> dict[int, tuple[int, ...]]:
-    """The y of the vectors (x, y) of exact order d (d | n) in (Z/nZ)^2,
-    ascending, per gcd class g = gcd(n, x) of x.
-
-    (x, y) has order d iff gcd(n, x, y) = n/d, so the valid y depend on x
-    only through gcd(n, x).
-    """
-    step = n // d
-    # the classes share one int object per y, not one per class
-    column = tuple(range(0, n, step))
-    out: dict[int, tuple[int, ...]] = {}
-    for x in column:
-        g = gcd(n, x)
-        if g not in out:
-            out[g] = tuple(y for y in column if gcd(g, y) == step)
-    return out
-
-
-def _exact_order_columns(n: int, d: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+def _exact_order_columns(tab: Tables, d: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """The vectors of exact order d (d | n) in (Z/nZ)^2, ascending, one
     column (x, gcd(n, x), ys) per x, ys shared by the gcd class."""
-    classes = _column_classes(n, d)
+    n, classes = tab.n, tab.columns(d)
     for x in range(0, n, n // d):
         g = gcd(n, x)
         yield x, g, classes[g]
@@ -130,7 +105,7 @@ def exact_order_vectors(n: int, d: int | None = None) -> list[Vec2ModN]:
     d = n if d is None else d
     if d < 1 or n % d != 0:
         raise OrderMismatch(f"{d} does not divide {n}")
-    return [Vec2ModN(mod, x, y) for x, _, ys in _exact_order_columns(n, d) for y in ys]
+    return [Vec2ModN(mod, x, y) for x, _, ys in _exact_order_columns(tables(n), d) for y in ys]
 
 
 def _dual(x: int, y: int, n: int) -> tuple[int, int]:
@@ -159,19 +134,6 @@ def _adjoin(span: set[int], t: int, n: int) -> None:
         t = t * t % n
 
 
-@lru_cache(maxsize=None)
-def _cosets(n: int, scalars: frozenset[int]) -> dict[int, int]:
-    """Coset index of each unit mod the subgroup `scalars` of (Z/nZ)^*,
-    numbered in ascending order of their least units."""
-    out: dict[int, int] = {}
-    for u in _units(n):
-        if u not in out:
-            k = len(out) // len(scalars)
-            for s in scalars:
-                out[u * s % n] = k
-    return out
-
-
 class _LineOrbit:
     """A G-orbit of lines, the tag of their entries, filled in once its walk
     is done: its number of lines, the multiplier group S, the coset index of
@@ -182,19 +144,22 @@ class _LineOrbit:
 
 
 def _grow(
-    lines: dict[int, Line], edges: list[tuple[int, ...]], base: set[int], x: int, y: int, n: int
+    tab: Tables, lines: dict[int, Line], edges: list[tuple[int, ...]], base: set[int], x: int, y: int
 ) -> Line:
-    """Grow the line orbit of the order-n vector (x, y), whose line is new,
-    into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b) from `_dual`)
-    under `edges`, and return the entry of that line.  Each residue read is
-    upper triangular, and only its a-component, the multiplier, is kept.
+    """Grow the line orbit of the order-n vector (x, y), n = tab.n, whose
+    line is new, into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b)
+    from `_dual`) under `edges`, and return the entry of that line.  Each
+    residue read is upper triangular, and only its a-component, the
+    multiplier, is kept.  The key table, units and cosets come from `tab`,
+    the tables of n that `degree_spectrum` read.
 
     S starts as `base`, the group of the scalars that `line_edges` took out
     of the edges, and grows as a subgroup as each multiplier arrives
     (`_adjoin`); one inside S costs a lookup.  Once S is all phi(n) units no
     multiplier can enlarge it, so the walk reads no more.
     """
-    phi = len(_units(n))
+    n = tab.n
+    phi = len(tab.units)
     a, b = _dual(x, y, n)
     orbit = _LineOrbit()
     span = set(base)
@@ -205,9 +170,9 @@ def _grow(
         return len(span) == phi
 
     start = (x, y, -b % n, a, 1 % n, orbit)
-    orbit.count = walk_lines(n, line_key(n), lines, start, edges, multiplier)
+    orbit.count = walk_lines(n, tab.key, lines, start, edges, multiplier)
     orbit.scalars = frozenset(span)
-    orbit.coset = _cosets(n, orbit.scalars)
+    orbit.coset = tab.cosets(orbit.scalars)
     orbit.open = phi // len(span)
     orbit.claims = [None] * orbit.open
     return start
@@ -242,7 +207,7 @@ class DegreeSpectrum:
         x, y = v[0] % n, v[1] % n
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
-        _, _, p, q, dv, orbit = self._lines[line_key(n)(x, y)]
+        _, _, p, q, dv, orbit = self._lines[tables(n).key(x, y)]
         return orbit.claims[orbit.coset[dv * (q * x - p * y) % n]]
 
 
@@ -287,7 +252,8 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     count, limit = exact_order_vector_count(n, n), max(G.cap, DEFAULT_CAP)
     if count > limit:
         raise CapExceeded(limit, count, "vector enumeration", "vectors")
-    key = line_key(n)
+    tab = tables(n)
+    key = tab.key
     edges, scalars = line_edges(n, G.raw_generators)
     base = {1 % n}
     for z in scalars:
@@ -295,7 +261,7 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     lines: dict[int, Line] = {}
     records, found = [], 0
     pending: dict[int, list[_LineOrbit]] = {}
-    for x, g, ys in _exact_order_columns(n, n):
+    for x, g, ys in _exact_order_columns(tab, n):
         open_orbits = pending.get(g)
         if open_orbits is not None:
             while open_orbits and not open_orbits[-1].open:
@@ -306,7 +272,7 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
         for y in ys:
             t = lines.get(gn + y * inv % m)
             if t is None:
-                t = _grow(lines, edges, base, x, y, n)
+                t = _grow(tab, lines, edges, base, x, y)
             _, _, p, q, dv, orbit = t
             c = orbit.coset[dv * (q * x - p * y) % n]
             if orbit.claims[c] is None:
@@ -424,7 +390,7 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     up = degree_spectrum(G, field_degree)
     # the spectrum stops once its records cover every vector, so every line
     # orbit, and with it every line, is in the index
-    lines, key = up._lines, line_key(n)
+    lines, key = up._lines, tables(n).key
     down = _downstairs(lines, a, field_degree)
     deg_f = map_degree(a, b).degree
     # the fiber count depends on a and b only; every exact-order-n vector has one

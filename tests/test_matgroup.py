@@ -28,9 +28,9 @@ from x1points.modarith import (
     divisors,
     euler_phi,
     gl2_order,
-    line_key,
     modulus,
     sl2_order,
+    tables,
 )
 
 
@@ -99,9 +99,9 @@ def test_refused_chain_leaves_no_key_entries():
     # spectrum mod 1009, before its cap stops it; refused, it empties it
     with pytest.raises(CapExceeded):
         sl2_group(1009, cap=500).order
-    assert len(line_key(1009)) == 0
+    assert len(tables(1009).key) == 0
     assert sl2_group(1009).order == sl2_order(1009)
-    assert 0 < len(line_key(1009)) <= 1009
+    assert 0 < len(tables(1009).key) <= 1009
 
 
 # the least cap at which each chain fits: the (point, generator) pairs on

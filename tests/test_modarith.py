@@ -20,6 +20,7 @@ from x1points.modarith import (
     modulus,
     mul_raw,
     sl2_order,
+    tables,
     unit_group_generators,
     valuation,
     vec2,
@@ -268,11 +269,12 @@ def test_exact_order_vector_count_is_one_function():
     assert orbits.exact_order_vector_count is exact_order_vector_count
 
 
-def test_modulus_cache_stays_within_its_size():
+@pytest.mark.parametrize("cache", [modulus, tables], ids=["modulus", "tables"])
+def test_modulus_cache_stays_within_its_size(cache):
     # many moduli in one process keep at most maxsize shared instances
-    limit = modulus.cache_info().maxsize
+    limit = cache.cache_info().maxsize
     assert limit is not None
     for n in range(10**6, 10**6 + limit + 200):
-        modulus(n)
-    assert modulus.cache_info().currsize <= limit
-    assert modulus(97) is modulus(97)
+        cache(n)
+    assert cache.cache_info().currsize <= limit
+    assert cache(97) is cache(97)

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -32,6 +34,7 @@ from x1points.modarith import (
     inv_raw,
     modulus,
     mul_raw,
+    tables,
     unit_group_generators,
     vec2,
 )
@@ -454,3 +457,20 @@ def test_record_of_rejects_tuple_not_of_length_2(v):
     spec = degree_spectrum(gl2_group(4))
     with pytest.raises(ValueError, match=rf"vector {re.escape(str(v))} needs 2 entries, got {len(v)}"):
         spec.record_of(v)
+
+
+def test_spectra_over_many_moduli_keep_bounded_tables():
+    # a loop over 200 levels keeps the per-modulus tables of the last 32
+    # only; with every table kept, this loop holds about 9 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100, 300):
+            degree_spectrum(borel_group(n))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tables.cache_info().currsize <= 32
+    assert held <= 3 * 2**20, held

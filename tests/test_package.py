@@ -1,5 +1,6 @@
 """The package surface: lazily loaded layers and the re-exported names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -179,3 +180,36 @@ def test_subcommands_running_levels_import_no_typing(argv):
     added = set(proc.stderr.split())
     assert "x1points.levels" in added
     assert "typing" not in added
+
+
+def _caches(path: Path):
+    """(function, maxsize, takes arguments) for each `lru_cache` or `cache`
+    decorator in a source file; maxsize None means no bound."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        takes_args = bool(a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg)
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "cache":
+                yield node.name, None, takes_args
+            elif name == "lru_cache":
+                given = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args if call else []
+                yield node.name, ast.literal_eval(given[0]) if given else 128, takes_args
+
+
+def test_no_unbounded_per_argument_cache_under_src():
+    # a per-argument cache with no bound keeps one entry per argument for the
+    # life of the process; per-modulus tables live in `modarith.tables`
+    found = {}
+    for path in sorted((SRC / "x1points").glob("*.py")):
+        for fn, size, takes_args in _caches(path):
+            where = f"{path.name}:{fn}"
+            assert size is not None or not takes_args, f"{where} caches every argument without bound"
+            found[where] = size
+    # the scan sees the two bounded caches
+    assert found["modarith.py:modulus"] == 1024
+    assert found["modarith.py:tables"] == 32

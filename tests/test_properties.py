@@ -45,12 +45,11 @@ from x1points.modarith import (
     factorize,
     gl2_order,
     inv_raw,
-    line_key,
     modulus,
     sl2_order,
+    tables,
     valuation,
 )
-from x1points import orbits
 from x1points.orbits import (
     closed_point_degrees,
     degree_spectrum,
@@ -403,7 +402,7 @@ def test_chain_on_triangular_conjugates_matches_bfs(case, others):
 @example(120)
 @example(128)
 def test_line_key_names_the_points_of_p1(n):
-    key = line_key(n)
+    key = tables(n).key
     psi = n
     for p, _ in factorize(n):
         psi = psi // p * (p + 1)
@@ -636,13 +635,6 @@ def test_growth_downstairs_matches_a_spectrum_mod_a(case, field_degree):
         assert growth_downstairs(G, b, field_degree) == growth_oracle(G, b, field_degree), b
 
 
-def cold_tables(n):
-    """Empty the tables shared by every chain and spectrum mod n."""
-    line_key(n).clear()
-    for table in (orbits._units, orbits._column_classes, orbits._cosets):
-        table.cache_clear()
-
-
 def chain_and_spectrum(n, gens, b, field_degree, probes):
     """What a fresh group on `gens` reports: records, growth reports, order
     and membership of each probe."""
@@ -673,13 +665,13 @@ def test_shared_tables_give_what_cold_tables_give(case, field_degree, data):
     probes = [*gens, *warm, *probes]
     cold = []
     for group in (gens, warm):
-        cold_tables(n)
-        assert len(line_key(n)) == 0
+        tables.cache_clear()
+        assert len(tables(n).key) == 0
         cold.append(chain_and_spectrum(n, group, b, field_degree, probes))
     # the tables are warm from `warm` when `gens` runs, and from both after
     assert [chain_and_spectrum(n, group, b, field_degree, probes) for group in (gens, warm)] == cold
-    key = line_key(n)
-    assert key is line_key(n)
+    key = tables(n).key
+    assert key is tables(n).key
     assert 0 < len(key) <= n
     assert all(0 <= x < n for x in key)
 
@@ -714,7 +706,7 @@ def test_spectrum_walks_the_chain_line_orbit(case):
     G = MatGroup(modulus(n), gens)
     chain = G._get_chain()
     spec = degree_spectrum(G)
-    orbit = spec._lines[line_key(n)(1 % n, 0)][5]
+    orbit = spec._lines[tables(n).key(1 % n, 0)][5]
     assert orbit.count == len(chain.lines)
     assert orbit.scalars == set(chain.a_level)
     assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level)
