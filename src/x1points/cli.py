@@ -12,6 +12,10 @@ value is exact.  Every subcommand prints JSON; `curve` and `tables` also
 print CSV or Markdown rows under --format.  Exit codes: 0 success, 1
 certificate not issued under --require, 2 input or precondition error (with
 a message naming the violated contract).
+`main` reads the subcommand off argv[0] and builds only its parser, which
+parses the options in one pass; the full parser (`build_parser`, from the
+same definition) answers -h, no arguments, an unknown subcommand and any
+leftover argument, so every help and error text is its own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
-from .errors import DEFAULT_CAP, HypothesisFailed, X1PointsError, fields
+from .errors import DEFAULT_CAP, HypothesisFailed, NotInvertible, X1PointsError, fields
 from .modarith import MAX_MODULUS, Vec2ModN, gl2_order, factorize
 
 # Each cmd_* reads the parsed arguments and returns (result, exit code): a
@@ -37,8 +41,14 @@ def _fields(obj) -> dict:
     return {name: getattr(obj, name) for name in fields(obj) if not name.startswith("_")}
 
 
+# The types of the values that are their own JSON value, the most common values.
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
 def _encode(value):
     """The JSON value of a command result (the rule is in the module docstring)."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Vec2ModN):
         return list(value.entries)
     if fields(value):
@@ -59,7 +69,7 @@ def _load_group(args: argparse.Namespace) -> matgroup.MatGroup:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     try:
         return matgroup.load_group(args.infile, args.cap)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, NotInvertible) as exc:
         raise X1PointsError(f"group file contract violated by {args.infile}: {exc}") from exc
 
 
@@ -272,96 +282,102 @@ def _render(result, fmt: str) -> str:
     return "\n".join(table)
 
 
+# The subcommands: name -> (run, help).
+SUBCOMMANDS = {
+    "group": (cmd_group, "order and basic facts of a group file"),
+    "orbits": (cmd_orbits, "orbits on exact-order-n torsion vectors"),
+    "degrees": (cmd_degrees, "degree spectrum above a j-invariant"),
+    "level": (cmd_level, "detect and minimize the level of a group"),
+    "level-bound": (cmd_level_bound, "valuation bound for a multi-prime level"),
+    "curve": (cmd_curve, "invariants of X_1(N)"),
+    "sporadic-check": (cmd_sporadic_check, "lifting and gonality certificates"),
+    "cm": (cmd_cm, "CM sporadic-point pipeline"),
+    "classify": (cmd_classify, "decision tree over a Galois profile"),
+    "tables": (cmd_tables, "built-in data tables"),
+}
+
 # --format exists on `curve` and `tables` only: the others print JSON alone.
 FORMAT_OPTION = {"choices": ("json", "csv", "markdown"), "default": "json", "dest": "output_format"}
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`p` with the options of subcommand `name`: the one definition of them,
+    read by `build_parser` and by `command_parser`."""
+    if name in ("group", "orbits", "degrees", "level"):
+        # the options of the subcommands that build a group, the only ones the cap bounds
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_CAP,
+            help="bounds the chain pairs a group visits, the elements it stores and the vectors orbits enumerate",
+        )
+    if name == "degrees":
+        p.add_argument("--field-degree", type=int, default=1)
+    elif name == "level-bound":
+        p.add_argument("--primes", type=_prime_list, required=True, help="comma-separated prime set")
+        p.add_argument("--ell", type=int, required=True)
+        p.add_argument("--image-order", type=_override, action="append", default=[], help="override, formatted ell=order")
+        p.add_argument("--tau", type=_override, action="append", default=[], help="override, formatted ell=tau")
+    elif name == "curve":
+        p.add_argument("N", type=_bounded_int)
+        p.add_argument("--format", **FORMAT_OPTION)
+    elif name == "sporadic-check":
+        p.add_argument("--level", type=_bounded_int, required=True)
+        p.add_argument("--degree", type=int, required=True)
+        p.add_argument("--gonality", type=int, default=None)
+        p.add_argument("--require", action="store_true", help="exit 1 unless certified")
+    elif name == "cm":
+        p.add_argument("--disc", type=int, required=True)
+        p.add_argument("--h", type=int, default=None, help="class number cross-check (h is counted)")
+        p.add_argument("--ell", type=_bounded_int, default=None, help="prime (default: smallest admissible)")
+        p.add_argument("--require", action="store_true")
+    elif name == "classify":
+        p.add_argument("--profile", required=True)
+        p.add_argument("--n", type=_bounded_int, required=True)
+    elif name == "tables":
+        p.add_argument("--which", required=True, choices=("classification", "gl2", "m1", "sz"))
+        p.add_argument("--format", **FORMAT_OPTION)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    # the options of the subcommands that build a group, the only ones the cap bounds
-    group_file = argparse.ArgumentParser(add_help=False)
-    group_file.add_argument("--in", dest="infile", required=True)
-    group_file.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_CAP,
-        help="bounds the chain pairs a group visits, the elements it stores and the vectors orbits enumerate",
-    )
+    """The full argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="x1points",
         description="Finite GL2(Z/nZ) computations for degrees of points on X_1(n)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub.add_parser("group", parents=[group_file], help="order and basic facts of a group file")
-    sub.add_parser("orbits", parents=[group_file], help="orbits on exact-order-n torsion vectors")
-    p = sub.add_parser("degrees", parents=[group_file], help="degree spectrum above a j-invariant")
-    p.add_argument("--field-degree", type=int, default=1)
-    sub.add_parser("level", parents=[group_file], help="detect and minimize the level of a group")
-
-    p = sub.add_parser("level-bound", help="valuation bound for a multi-prime level")
-    p.add_argument(
-        "--primes", type=_prime_list, required=True, help="comma-separated prime set"
-    )
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument(
-        "--image-order",
-        type=_override,
-        action="append",
-        default=[],
-        help="override, formatted ell=order",
-    )
-    p.add_argument(
-        "--tau", type=_override, action="append", default=[], help="override, formatted ell=tau"
-    )
-
-    p = sub.add_parser("curve", help="invariants of X_1(N)")
-    p.add_argument("N", type=_bounded_int)
-    p.add_argument("--format", **FORMAT_OPTION)
-
-    p = sub.add_parser("sporadic-check", help="lifting and gonality certificates")
-    p.add_argument("--level", type=_bounded_int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--gonality", type=int, default=None)
-    p.add_argument("--require", action="store_true", help="exit 1 unless certified")
-
-    p = sub.add_parser("cm", help="CM sporadic-point pipeline")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--h", type=int, default=None, help="class number cross-check (h is counted)")
-    p.add_argument("--ell", type=_bounded_int, default=None, help="prime (default: smallest admissible)")
-    p.add_argument("--require", action="store_true")
-
-    p = sub.add_parser("classify", help="decision tree over a Galois profile")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--n", type=_bounded_int, required=True)
-
-    p = sub.add_parser("tables", help="built-in data tables")
-    p.add_argument(
-        "--which", required=True, choices=("classification", "gl2", "m1", "sz")
-    )
-    p.add_argument("--format", **FORMAT_OPTION)
+    for name, (_, help_text) in SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-COMMANDS = {
-    "group": cmd_group,
-    "orbits": cmd_orbits,
-    "degrees": cmd_degrees,
-    "level": cmd_level,
-    "level-bound": cmd_level_bound,
-    "curve": cmd_curve,
-    "sporadic-check": cmd_sporadic_check,
-    "cm": cmd_cm,
-    "classify": cmd_classify,
-    "tables": cmd_tables,
-}
+@functools.lru_cache(maxsize=10)  # one per subcommand
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on first use: the subparser that
+    `build_parser` adds for it, with the same prog, options and texts."""
+    return _add_options(argparse.ArgumentParser(prog=f"x1points {name}"), name)
+
+
+def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The subcommand of `argv` and its options, read in one pass by its own
+    parser.  The full parser handles the rest (-h, no arguments, an unknown
+    subcommand, leftover arguments), so every help and error text is its own."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.subcommand, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    name, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        result, code = COMMANDS[args.subcommand](args)
+        result, code = SUBCOMMANDS[name][0](args)
         text = _render(result, getattr(args, "output_format", "json"))
     except X1PointsError as exc:
         print(f"error: {exc}", file=sys.stderr)

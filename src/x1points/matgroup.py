@@ -300,7 +300,8 @@ def _reduced(m, n: int) -> MatTuple:
     m = tuple(m)
     if len(m) != 4:
         raise ValueError(f"matrix {m} needs 4 entries, got {len(m)}")
-    return tuple(e % n for e in m)
+    a, b, c, d = m
+    return (a % n, b % n, c % n, d % n)
 
 
 class MatGroup:
@@ -311,8 +312,9 @@ class MatGroup:
         n = mod.n
         raw = []
         for g in gens:
-            g = _reduced(g, n)
-            inv_raw(g, n)  # invertibility check on every generator
+            a, b, c, d = g = _reduced(g, n)
+            if gcd(a * d - b * c, n) != 1:
+                inv_raw(g, n)  # raises NotInvertible, naming the determinant
             raw.append(g)
         self._gens: tuple[MatTuple, ...] = tuple(dict.fromkeys(raw))
         self.cap = cap
@@ -640,13 +642,16 @@ def group_to_dict(G: MatGroup) -> dict:
 
 
 def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> MatGroup:
-    """Group from its file form; the modulus and every entry must be integers."""
+    """Group from its file form: the modulus an integer, the generators an
+    array of arrays of integers."""
     try:
         n = json_typed(data["modulus"], int, "modulus")
-        gens = [
-            tuple(json_typed(e, int, f"generators[{i}][{j}]") for j, e in enumerate(g))
-            for i, g in enumerate(data["generators"])
-        ]
+        gens = json_typed(data["generators"], list, "generators")
+        for i, g in enumerate(gens):
+            if type(g) is not list or not all(type(e) is int for e in g):
+                json_typed(g, list, f"generators[{i}]")
+                for j, e in enumerate(g):
+                    json_typed(e, int, f"generators[{i}][{j}]")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed group file: {exc}") from exc
     if n < 1:
@@ -655,8 +660,10 @@ def group_from_dict(data: dict, cap: int = DEFAULT_CAP) -> MatGroup:
 
 
 def load_group(path: str, cap: int = DEFAULT_CAP) -> MatGroup:
-    with open(path) as fh:
-        return group_from_dict(json.load(fh), cap)
+    """The group of a group file, read as strict UTF-8 (no byte-order mark)."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return group_from_dict(json.loads(text), cap)
 
 
 def save_group(G: MatGroup, path: str) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from x1points.cli import build_parser, main
+from x1points.cli import SUBCOMMANDS, build_parser, command_parser, main, parse_args
 from x1points.matgroup import gl2_group, save_group
 
 
@@ -442,8 +442,41 @@ def test_profile_json_types_exit_2(capsys, tmp_path, data, message):
 def test_missing_generator_entries_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({"modulus": 5, "generators": [[1, 0, 0]]}))
-    code, _, err = run(capsys, ["group", "--in", str(bad)])
-    assert code == 2
+    code, out, err = run(capsys, ["group", "--in", str(bad)])
+    assert code == 2 and out == ""
+    assert err == f"error: group file contract violated by {bad}: matrix (1, 0, 0) needs 4 entries, got 3\n"
+
+
+GROUP_TEXT = json.dumps({"modulus": 5, "generators": [[1, 1, 0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.loads would read the bytes of both as JSON: the decode is strict UTF-8
+        (b"\xef\xbb\xbf" + GROUP_TEXT.encode(), "Unexpected UTF-8 BOM"),
+        (GROUP_TEXT.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0"),
+        (GROUP_TEXT[:-1].encode() + b', "note": "\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+        (
+            json.dumps({"modulus": 5, "generators": [{"a": 1, "b": 2, "c": 3, "d": 4}]}).encode(),
+            'generators[0] must be a JSON array, got {"a": 1, "b": 2, "c": 3, "d": 4}',
+        ),
+        (
+            json.dumps({"modulus": 5, "generators": [[1, 1, 0, 1], "1101"]}).encode(),
+            'generators[1] must be a JSON array, got "1101"',
+        ),
+        (json.dumps({"modulus": 5, "generators": [[1, 1, 0, 1], [2, 1, 4, 2]]}).encode(), "det 0 is not a unit mod 5"),
+        (json.dumps({"modulus": 5, "generators": [[1, 1, 0]]}).encode(), "matrix (1, 1, 0) needs 4 entries, got 3"),
+    ],
+    ids=["utf8-bom", "utf16", "invalid-utf8", "object-generator", "string-generator", "not-invertible", "three-entries"],
+)
+def test_group_file_contract_names_the_file_exit_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for command in ("group", "orbits", "degrees", "level"):
+        code, out, err = run(capsys, [command, "--in", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: group file contract violated by {path}: ") and message in err
 
 
 def test_cap_flag_exceeded_exit_2(capsys, tmp_path):
@@ -488,6 +521,65 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
     args = build_parser().parse_args(plain)
     assert args.tau == [] and args.image_order == [] and not hasattr(args, "cap")
+
+
+PARSER_PATHS = json.loads((Path(__file__).parent / "golden" / "parser_paths.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_PATHS, ids=[c["name"] for c in PARSER_PATHS])
+def test_parser_paths_print_the_full_parsers_texts(case, capsys, monkeypatch):
+    # recorded from the full parser alone, at 80 columns (Python 3.11): help,
+    # usage errors and leftover arguments print the same text, exit code
+    # included, whichever parser reads them
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_parser_paths_cover_every_subcommand_help():
+    helps = {c["argv"][0] for c in PARSER_PATHS if c["argv"][1:] == ["-h"]}
+    assert helps == set(SUBCOMMANDS)
+
+
+def test_command_parser_reads_what_the_full_parser_reads(capsys):
+    corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
+    for argv in [c["argv"] for c in corpus + PARSER_PATHS]:
+        try:
+            full = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            with pytest.raises(SystemExit) as info:
+                parse_args(argv)
+            assert info.value.code == exc.code, argv
+            continue
+        name, args = parse_args(argv)
+        assert full.pop("subcommand") == name and vars(args) == full, argv
+    capsys.readouterr()
+    assert command_parser.cache_info().maxsize >= len(SUBCOMMANDS)
+
+
+def test_fresh_curve_process_builds_one_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "from x1points.cli import main\n"
+        "code = main(['curve', '11'])\n"
+        "print(code, built, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout)["N"] == 11
+    assert proc.stderr == "0 ['x1points curve']\n"
 
 
 @pytest.mark.parametrize("command", ["orbits", "degrees"])

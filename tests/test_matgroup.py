@@ -493,7 +493,6 @@ def test_group_file_rejects_non_integers():
         ({"modulus": 5, "generators": [[1.7, 1, 0, 1]]}, r"generators\[0\]\[0\]"),
         ({"modulus": 5, "generators": [[1, 1, 0, 5.0]]}, r"generators\[0\]\[3\]"),
         ({"modulus": 5, "generators": [[1, True, 0, 1]]}, r"generators\[0\]\[1\]"),
-        ({"modulus": 5, "generators": ["1101"]}, r"generators\[0\]\[0\]"),
         ({"modulus": 5.9, "generators": []}, "modulus"),
         ({"modulus": True, "generators": []}, "modulus"),
         ({"modulus": "5", "generators": []}, "modulus"),
@@ -501,6 +500,21 @@ def test_group_file_rejects_non_integers():
     for data, key in bad:
         with pytest.raises(ValueError, match=key + " must be a JSON integer"):
             group_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (["1101"], 'generators[0] must be a JSON array, got "1101"'),
+        ([[1, 1, 0, 1], {"a": 1, "b": 2, "c": 3, "d": 4}], "generators[1] must be a JSON array"),
+        ("1101", 'generators must be a JSON array, got "1101"'),
+        ({"0": [1, 1, 0, 1]}, "generators must be a JSON array"),
+    ],
+)
+def test_group_file_rejects_non_arrays(generators, message):
+    # a string is not read by its characters, nor an object by its keys
+    with pytest.raises(ValueError, match=re.escape(message)):
+        group_from_dict({"modulus": 5, "generators": generators})
 
 
 def test_group_file_rejects_malformed():
