@@ -15,7 +15,7 @@ from math import gcd
 from .curveinv import MapDegree, genus_x1, known_gonality, map_degree
 from .errors import InconsistentProfile, field, json_typed, record
 from .levels import M1_LEVELS, classification_table
-from .modarith import divisors, factorize, is_prime, valuation
+from .modarith import divisors, is_prime, modulus, valuation
 
 IMAGE_TYPES = (
     "borel",
@@ -193,7 +193,7 @@ def classify_profile(P: GaloisProfile, n: int) -> ClassificationVerdict:
     """
     if n < 1:
         raise ValueError(f"level must be positive, got {n}")
-    supp = [p for p, _ in factorize(n)]
+    supp = list(modulus(n).primes)
     evidence: dict = {"n": n, "support": supp, "s_set": sorted(P.s_set)}
 
     ambiguous_17_37 = []
@@ -414,7 +414,7 @@ def sporadic_screen(P: GaloisProfile, n: int) -> ScreenVerdict:
     only surviving scenario is 37 | n with a Borel image at 37, pointing at
     the degree-6 point with j = -7*11^3.
     """
-    supp = [p for p, _ in factorize(n)]
+    supp = list(modulus(n).primes)
     if supp and min(supp) < 17:
         raise ValueError(f"screen requires min(Supp(n)) >= 17, got support {supp}")
     conditions = ("assume_sz",) if P.assume_sz else ()
@@ -457,7 +457,7 @@ def sporadic_screen(P: GaloisProfile, n: int) -> ScreenVerdict:
     for d in verdict.candidates:
         if d == 1:
             continue
-        ell = factorize(d)[0][0]
+        ell = modulus(d).primes[0]
         entry = P.entry(ell)
         sub = prime_level_screen(ell, entry.image_type if entry else None)
         if not sub.no_sporadic:

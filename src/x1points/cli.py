@@ -14,8 +14,8 @@ certificate not issued under --require, 2 input or precondition error (with
 a message naming the violated contract).
 `main` reads the subcommand off argv[0] and builds only its parser, which
 parses the options in one pass; the full parser (`build_parser`, from the
-same definition) answers -h, no arguments, an unknown subcommand and any
-leftover argument, so every help and error text is its own.
+same definition) answers -h, no arguments, an unknown subcommand, an option
+before it (by name) and any leftover argument, so every text is its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import classify as _classify
 from . import curveinv, levels, matgroup, orbits, sporadic
 from .errors import DEFAULT_CAP, HypothesisFailed, NotInvertible, X1PointsError, fields
-from .modarith import MAX_MODULUS, Vec2ModN, gl2_order, factorize
+from .modarith import MAX_MODULUS, Vec2ModN, factorize, gl2_order, modulus
 
 # Each cmd_* reads the parsed arguments and returns (result, exit code): a
 # result record, or a dict of them with the keys that are not fields.
@@ -230,7 +230,7 @@ def cmd_classify(args: argparse.Namespace) -> Result:
     n = args.n
     verdict = _classify.classify_profile(profile, n)
     out = {**_fields(verdict), "n": n}
-    supp = [p for p, _ in factorize(n)]
+    supp = modulus(n).primes
     if profile.assume_sz and (not supp or min(supp) >= 17):
         out["screen"] = _classify.sporadic_screen(profile, n)
     return out, 0
@@ -365,11 +365,16 @@ def command_parser(name: str) -> argparse.ArgumentParser:
 def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
     """The subcommand of `argv` and its options, read in one pass by its own
     parser.  The full parser handles the rest (-h, no arguments, an unknown
-    subcommand, leftover arguments), so every help and error text is its own."""
+    subcommand, leftover arguments, an option before the subcommand), so
+    every help and error text is its own."""
     if argv and argv[0] in SUBCOMMANDS:
         args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return argv[0], args
+    # name an option put before the subcommand: not -h, --help or a negative number
+    flag = argv[0].partition("=")[0] if argv else ""
+    if flag[:1] == "-" and not (flag.startswith("-h") or "--help".startswith(flag) or flag[1] in "0123456789."):
+        build_parser().error(f"option {flag} must follow the subcommand")
     args = build_parser().parse_args(argv)
     return args.subcommand, args
 

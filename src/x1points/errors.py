@@ -13,8 +13,8 @@ import json
 from operator import attrgetter
 
 # The (point, generator) pairs a chain may visit, the image elements a kernel
-# walk may store, the order of a group whose elements are built, and the least
-# bound on the vectors orbit enumeration may hold, unless a cap is given.
+# walk may store, the order of a group whose elements are built, and the
+# exact-order vectors a spectrum may look up, unless a cap is given.
 DEFAULT_CAP = 2**24
 
 _JSON_NAMES = {bool: "boolean", int: "integer", str: "string", list: "array"}

@@ -76,7 +76,7 @@ from math import gcd
 from operator import itemgetter
 
 from .curveinv import map_degree
-from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, OrderMismatch, field, record
+from .errors import CapExceeded, ModulusMismatch, OrderMismatch, field, record
 from .matgroup import Line, MatGroup, line_edges, walk_lines
 from .modarith import (
     Tables,
@@ -242,16 +242,15 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     proved in the module doc.
 
     Raises CapExceeded, with the true count, before enumerating when the
-    vectors outnumber G's cap.  That bound never falls below DEFAULT_CAP: a
-    smaller cap limits what the group engine stores, and orbits never store
-    the group.
+    vectors outnumber G's cap: a group with many small orbits makes the
+    column loop look up every one of them.
     """
     if field_degree < 1:
         raise ValueError(f"field degree must be >= 1, got {field_degree}")
     n = G.modulus.n
-    count, limit = exact_order_vector_count(n, n), max(G.cap, DEFAULT_CAP)
-    if count > limit:
-        raise CapExceeded(limit, count, "vector enumeration", "vectors")
+    count = exact_order_vector_count(n, n)
+    if count > G.cap:
+        raise CapExceeded(G.cap, count, "vector enumeration", "vectors")
     tab = tables(n)
     key = tab.key
     edges, scalars = line_edges(n, G.raw_generators)

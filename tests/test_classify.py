@@ -300,3 +300,27 @@ def test_two_power_screen():
     assert "maps to one on X_1(2^5)" in two_power_screen(7).reason
     with pytest.raises(ValueError):
         two_power_screen(0)
+
+
+def test_classify_profile_needs_a_positive_level():
+    with pytest.raises(ValueError, match="^level must be positive, got 0$"):
+        classify_profile(GaloisProfile(), 0)
+
+
+def test_unknown_image_at_17_leaves_cases_2_and_3_ambiguous():
+    # 17 may be a nonsplit Cartan (case 1), so the later case found is only
+    # one of two possibilities
+    unknown17 = NonsurjectivePrime(17, "unknown")
+    v = classify_profile(GaloisProfile(nonsurjective=(unknown17, NonsurjectivePrime(5, "borel"))), 85)
+    assert (v.case, v.possible_cases) == (None, (1, 2))
+    assert v.evidence["case2_primes"] == [17, 5] and v.evidence["ambiguous_at"] == [17]
+    v = classify_profile(GaloisProfile(nonsurjective=(unknown17, NonsurjectivePrime(3, "borel", 243))), 51)
+    assert (v.case, v.possible_cases) == (None, (1, 3))
+    assert v.evidence["case3_prime"] == 3 and v.evidence["ambiguous_at"] == [17]
+
+
+def test_prime_level_screen_of_another_image_type_is_inconclusive():
+    v = prime_level_screen(19, "other")
+    assert not v.no_sporadic and v.scope == "X_1(19)"
+    assert v.reason == "image type 'other' leaves the screen inconclusive"
+    assert v.candidate_level is None and v.conditional_on == ()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,25 @@ def test_classify_command(capsys, profile_37_file):
     assert data["screen"]["candidate_j"] == "-7*11^3"
 
 
+def test_classify_factors_n_once(capsys, tmp_path, monkeypatch):
+    # n = 2147483629 * 2147483647 needs one Pollard rho split; the command,
+    # the verdict, the screen and the case-4 divisors all read modulus(n)
+    from x1points import modarith
+
+    splits = []
+    rho = modarith._rho_factor
+    monkeypatch.setattr(modarith, "_rho_factor", lambda m: splits.append(m) or rho(m))
+    modarith.modulus.cache_clear()
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"flags": {"assume_sz": True}}))
+    n = 2147483629 * 2147483647
+    code, out, _ = run(capsys, ["classify", "--profile", str(path), "--n", str(n)])
+    assert splits == [n]
+    data = json.loads(out)
+    assert (code, data["case"], data["evidence"]["support"]) == (0, 4, [2147483629, 2147483647])
+    assert data["screen"]["no_sporadic"] and data["screen"]["conditional_on"] == ["assume_sz"]
+
+
 def test_classify_profile_contracts_exit_2(capsys, tmp_path):
     path = tmp_path / "bad_profile.json"
     path.write_text(json.dumps({"nonsurjective": [{"prime": 15, "type": "borel"}]}))
@@ -482,9 +502,10 @@ def test_group_file_contract_names_the_file_exit_2(capsys, tmp_path, content, me
 def test_cap_flag_exceeded_exit_2(capsys, tmp_path):
     path = tmp_path / "gl2_8.json"
     save_group(gl2_group(8), str(path))
-    code, _, err = run(capsys, ["orbits", "--in", str(path), "--cap", "10"])
-    # orbit computation itself needs no materialization; the group loads fine
-    assert code == 0
+    # the 48 exact-order vectors mod 8 are bounded by the cap like the group
+    code, out, err = run(capsys, ["orbits", "--in", str(path), "--cap", "10"])
+    assert code == 2 and out == ""
+    assert "vector enumeration exceeded cap of 10 vectors (48 found)" in err
     code, _, err = run(capsys, ["group", "--in", str(path), "--cap", "10"])
     assert code == 2
     assert "cap" in err
@@ -541,6 +562,32 @@ def test_parser_paths_print_the_full_parsers_texts(case, capsys, monkeypatch):
     assert (code, out.out, out.err) == (case["exit"], case["stdout"], case["stderr"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cap=5", "curve", "5"], "option --cap must follow the subcommand"),
+        (["--field-degree", "2", "degrees", "--in", "g.json"], "option --field-degree must follow the subcommand"),
+        (["-x"], "option -x must follow the subcommand"),
+        (["-5", "curve"], "argument subcommand: invalid choice: '-5'"),
+    ],
+    ids=["cap-with-equals", "field-degree", "unknown-option", "negative-number"],
+)
+def test_option_before_subcommand_is_named(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and f"x1points: error: {message}" in err
+
+
+@pytest.mark.parametrize("flag", ["--h", "--he", "--hel"])
+def test_help_abbreviations_print_the_help(capsys, monkeypatch, flag):
+    monkeypatch.setenv("COLUMNS", "80")
+    help_text = next(c["stdout"] for c in PARSER_PATHS if c["name"] == "help")
+    with pytest.raises(SystemExit) as info:
+        main([flag])
+    assert (info.value.code, capsys.readouterr().out) == (0, help_text)
+
+
 def test_parser_paths_cover_every_subcommand_help():
     helps = {c["argv"][0] for c in PARSER_PATHS if c["argv"][1:] == ["-h"]}
     assert helps == set(SUBCOMMANDS)
@@ -580,6 +627,18 @@ def test_fresh_curve_process_builds_one_parser():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert json.loads(proc.stdout)["N"] == 11
     assert proc.stderr == "0 ['x1points curve']\n"
+
+
+def test_small_cap_refuses_the_vectors_of_a_trivial_group(capsys, tmp_path):
+    # 2,880,000 exact-order vectors mod 2000 in one-vector orbits: a cap below
+    # that count refuses them before any is looked up
+    path = tmp_path / "trivial_2000.json"
+    path.write_text(json.dumps({"modulus": 2000, "generators": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["degrees", "--in", str(path), "--cap", "100000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: vector enumeration exceeded cap of 100000 vectors (2880000 found)\n"
 
 
 @pytest.mark.parametrize("command", ["orbits", "degrees"])

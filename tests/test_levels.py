@@ -325,3 +325,17 @@ def test_classification_prime_power_caps():
 
 def test_m1_levels_data():
     assert M1_LEVELS == {2: 32, 3: 81, 5: 125, 7: 49, 11: 121, 13: 169, 17: 17, 37: 37}
+
+
+def test_compose_level_refuses_empty_and_zero_stages():
+    G = gl2_group(36)
+    with pytest.raises(ValueError, match="^at least one prime stage required$"):
+        compose_level(G, {})
+    with pytest.raises(StageTooLow, match="^stage 0 below 1 for prime 2$"):
+        compose_level(G, {2: 0, 3: 1})
+
+
+def test_detect_ladic_level_refuses_a_stage_above_the_modulus():
+    # stage s reads the group mod l^(s+1), one power more than 9 gives
+    with pytest.raises(ValueError, match=r"^stage 2 needs the group mod 3\^3, have 3\^2$"):
+        detect_ladic_level(gl2_group(9), 2)

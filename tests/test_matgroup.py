@@ -536,3 +536,15 @@ def test_kernel_order_borel_9():
 def test_zero_divisor_rejected_as_modulus_mismatch(call):
     with pytest.raises(ModulusMismatch, match="0 does not divide 6"):
         call(gl2_group(6), 0)
+
+
+def test_full_preimage_at_a_non_multiple_or_the_same_modulus():
+    base = borel_group(3)
+    with pytest.raises(ModulusMismatch, match="^3 does not divide 10$"):
+        full_preimage(base, 10)
+    assert full_preimage(base, 3) is base
+
+
+def test_goursat_refuses_a_split_whose_product_is_not_n():
+    with pytest.raises(NonCoprimeModuli, match=r"^2\*5 != 6$"):
+        goursat(gl2_group(6), 2, 5)

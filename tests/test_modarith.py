@@ -9,6 +9,7 @@ from x1points.errors import NotInvertible
 from x1points.matgroup import MatGroup
 from x1points.modarith import (
     Modulus,
+    _primitive_root,
     crt_scalar,
     divisors,
     euler_phi,
@@ -193,6 +194,17 @@ def test_unit_group_generators_of_a_cyclic_group_is_one_unit(n):
         x = x * g % n
         order += 1
     assert order == euler_phi(n)
+
+
+def test_primitive_root_steps_past_a_wieferich_base():
+    # 5 is the least primitive root mod 40487, but 5^40486 = 1 mod 40487^2,
+    # so 5 has order phi / 40487 there: the generator mod 40487^e is 5 + p
+    p = 40487
+    assert _primitive_root(p, 1) == 5 and pow(5, p - 1, p * p) == 1
+    assert _primitive_root(p, 2) == 40492
+    n, phi = p * p, p * (p - 1)
+    [g] = unit_group_generators(n)
+    assert all(pow(g, phi // q, n) != 1 for q, _ in factorize(phi))
 
 
 def test_unit_group_generators_of_a_congruence_subgroup():

@@ -2,6 +2,7 @@ import gc
 import re
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -354,12 +355,40 @@ def test_degree_spectrum_cap_counts_vectors_before_enumerating():
         degree_spectrum(G)
     assert info.value.partial_count == 1_000_003**2 - 1
     # 4099^2 - 1 vectors are just above the default cap; a smaller cap
-    # bounds the group engine only, so the vector limit stays the default
+    # bounds them at that cap
     for cap in (DEFAULT_CAP, 10):
         with pytest.raises(CapExceeded) as info:
             degree_spectrum(MatGroup(modulus(4099), [(1, 1, 0, 1)], cap))
-        assert info.value.cap == DEFAULT_CAP
+        assert info.value.cap == cap
         assert info.value.partial_count == 4099**2 - 1
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+# groups whose spectrum runs at a cap of exactly J_2(n), the golden `orbits`
+# and `degrees` inputs among them
+SPECTRUM_CAP_GROUPS = [
+    ("gl2_5.json", lambda cap: matgroup.load_group(str(GOLDEN_INPUTS / "gl2_5.json"), cap)),
+    ("borel_7.json", lambda cap: matgroup.load_group(str(GOLDEN_INPUTS / "borel_7.json"), cap)),
+    ("sl2_8.json", lambda cap: matgroup.load_group(str(GOLDEN_INPUTS / "sl2_8.json"), cap)),
+    ("unipotent_5.json", lambda cap: matgroup.load_group(str(GOLDEN_INPUTS / "unipotent_5.json"), cap)),
+    ("trivial mod 12", lambda cap: MatGroup(modulus(12), [], cap)),
+    ("borel_group(300)", lambda cap: borel_group(300, cap=cap)),
+    ("full_preimage(borel_group(5), 125)", lambda cap: full_preimage(borel_group(5), 125, cap=cap)),
+]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in SPECTRUM_CAP_GROUPS], ids=[c[0] for c in SPECTRUM_CAP_GROUPS])
+def test_degree_spectrum_fits_exactly_a_cap_of_its_vectors(make):
+    # the cap bounds the exact-order vectors themselves, with no floor
+    G = make(DEFAULT_CAP)
+    n = G.modulus.n
+    count = exact_order_vector_count(n, n)
+    assert degree_spectrum(make(count), 2).records == degree_spectrum(G, 2).records
+    with pytest.raises(CapExceeded) as info:
+        degree_spectrum(make(count - 1))
+    assert (info.value.cap, info.value.partial_count) == (count - 1, count)
+    assert str(info.value) == f"vector enumeration exceeded cap of {count - 1} vectors ({count} found)"
 
 
 def test_degree_spectrum_full_preimage_borel_5_at_625():

@@ -72,11 +72,10 @@ def test_reexports_resolve_to_the_layer_objects():
 
 
 def test_default_cap_defined_once():
-    from x1points import errors, matgroup, orbits
+    from x1points import errors, matgroup
 
     assert errors.DEFAULT_CAP == 2**24
     assert matgroup.DEFAULT_CAP is errors.DEFAULT_CAP
-    assert orbits.DEFAULT_CAP is errors.DEFAULT_CAP
 
 
 LAYERS_RUN = """
@@ -213,3 +212,43 @@ def test_no_unbounded_per_argument_cache_under_src():
     # the scan sees the two bounded caches
     assert found["modarith.py:modulus"] == 1024
     assert found["modarith.py:tables"] == 32
+
+
+def _default_cap_uses(path: Path):
+    """(line, how) for each use of the name `DEFAULT_CAP` in a source file:
+    "definition" where it is assigned, "cap parameter" where it is the
+    default of a parameter named `cap`, "--cap option" where it is the
+    `default=` of an `add_argument("--cap", ...)` call, and "read" elsewhere."""
+    tree = ast.parse(path.read_text())
+    allowed = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults)]
+            pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            allowed.update((id(d), "cap parameter") for arg, d in pairs if arg.arg == "cap")
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            if node.args[0].value == "--cap":
+                allowed.update((id(k.value), "--cap option") for k in node.keywords if k.arg == "default")
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "DEFAULT_CAP" and isinstance(node, (ast.Name, ast.Attribute)):
+            how = "definition" if isinstance(node.ctx, ast.Store) else allowed.get(id(node), "read")
+            yield node.lineno, how
+
+
+def test_default_cap_is_read_only_as_a_default():
+    # a computation bounded by max(cap, DEFAULT_CAP), or by DEFAULT_CAP alone,
+    # would ignore a smaller cap: the default is defined once and read only as
+    # the default of a cap
+    found = {}
+    for path in sorted((SRC / "x1points").glob("*.py")):
+        for line, how in _default_cap_uses(path):
+            assert how != "read", f"{path.name}:{line} reads DEFAULT_CAP outside a cap default"
+            found.setdefault(how, set()).add(path.name)
+    assert found == {
+        "definition": {"errors.py"},
+        "cap parameter": {"matgroup.py"},
+        "--cap option": {"cli.py"},
+    }

@@ -194,3 +194,9 @@ def test_class_number_discriminant_contract_and_limit():
         class_number(largest - 4)
     with pytest.raises(ValueError, match="limit"):
         cm_order(largest - 4)
+
+
+@pytest.mark.parametrize("N, d", [(11, 0), (11, -3), (0, 1)])
+def test_lifting_certificate_needs_a_positive_level_and_degree(N, d):
+    with pytest.raises(ValueError, match="^level and degree must be positive$"):
+        lifting_certificate(N, d)
