@@ -451,7 +451,9 @@ def sporadic_screen(P: GaloisProfile, n: int) -> ScreenVerdict:
             False, f"X_1({n})", "case-3 profile: screen inconclusive"
         )
     if verdict.case == 2:
-        # unreachable for min supp >= 17: it would need Borel at both 17 and 37
+        # 17 and 37 both divide n and both are nonsurjective, of known types
+        # other than the nonsplit normalizer: e.g. 17 "other" and 37 Borel
+        # at n = 629 (Borel at both is refused by the profile)
         return ScreenVerdict(False, f"X_1({n})", "two nonsurjective primes dividing n")
     # case 4: candidates are divisors of n of the form p^c, p in {17, 37}
     for d in verdict.candidates:

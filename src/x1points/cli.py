@@ -12,10 +12,10 @@ value is exact.  Every subcommand prints JSON; `curve` and `tables` also
 print CSV or Markdown rows under --format.  Exit codes: 0 success, 1
 certificate not issued under --require, 2 input or precondition error (with
 a message naming the violated contract).
-`main` reads the subcommand off argv[0] and builds only its parser, which
-parses the options in one pass; the full parser (`build_parser`, from the
-same definition) answers -h, no arguments, an unknown subcommand, an option
-before it (by name) and any leftover argument, so every text is its own.
+`main` reads the subcommand off argv[0] (past a leading `--`) and builds only
+its parser, which reads its options.  The top-level parser (`build_parser`,
+the subcommand names alone) prints -h and the usage errors: no arguments, an
+unknown subcommand, an option before it (by name), a leftover argument.
 """
 
 from __future__ import annotations
@@ -302,7 +302,7 @@ FORMAT_OPTION = {"choices": ("json", "csv", "markdown"), "default": "json", "des
 
 def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """`p` with the options of subcommand `name`: the one definition of them,
-    read by `build_parser` and by `command_parser`."""
+    read by `command_parser`."""
     if name in ("group", "orbits", "degrees", "level"):
         # the options of the subcommands that build a group, the only ones the cap bounds
         p.add_argument("--in", dest="infile", required=True)
@@ -341,42 +341,42 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     return p
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full argument parser, built once per process: parsing leaves it
-    unchanged."""
+    """The top-level parser: the subcommand names and their help, with no
+    options.  It runs only to print help or a usage error, and exit."""
     parser = argparse.ArgumentParser(
         prog="x1points",
         description="Finite GL2(Z/nZ) computations for degrees of points on X_1(n)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text) in SUBCOMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 @functools.lru_cache(maxsize=10)  # one per subcommand
 def command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, built on first use: the subparser that
-    `build_parser` adds for it, with the same prog, options and texts."""
+    """The parser of one subcommand, built on first use, with the prog,
+    options and texts of `x1points name -h`."""
     return _add_options(argparse.ArgumentParser(prog=f"x1points {name}"), name)
 
 
 def parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """The subcommand of `argv` and its options, read in one pass by its own
-    parser.  The full parser handles the rest (-h, no arguments, an unknown
-    subcommand, leftover arguments, an option before the subcommand), so
-    every help and error text is its own."""
-    if argv and argv[0] in SUBCOMMANDS:
-        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return argv[0], args
-    # name an option put before the subcommand: not -h, --help or a negative number
-    flag = argv[0].partition("=")[0] if argv else ""
-    if flag[:1] == "-" and not (flag.startswith("-h") or "--help".startswith(flag) or flag[1] in "0123456789."):
-        build_parser().error(f"option {flag} must follow the subcommand")
-    args = build_parser().parse_args(argv)
-    return args.subcommand, args
+    """The subcommand of `argv` (past a leading `--` that more tokens follow)
+    and its options, read by its own parser alone.  Otherwise the top-level
+    parser prints the help or a usage error and exits."""
+    if argv[:1] == ["--"] and argv[1:]:
+        argv = argv[1:]
+    if not argv or argv[0] not in SUBCOMMANDS:
+        # name an option put before the subcommand: not -h, --help or a negative number
+        flag = argv[0].partition("=")[0] if argv else ""
+        if flag[:1] == "-" and not (flag.startswith("-h") or "--help".startswith(flag) or flag[1] in "0123456789."):
+            build_parser().error(f"option {flag} must follow the subcommand")
+        build_parser().parse_args(argv)  # prints the help or a usage error
+    args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+    if rest:
+        build_parser().error(f"unrecognized arguments: {' '.join(rest)}")
+    return argv[0], args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -95,3 +95,17 @@ def test_src_digest_follows_the_source_and_not_the_bytecode(tmp_path):
     assert bench_pairs.tree_digest(tmp_path) == before
     (pkg / "mod.py").write_text("x = 2\n")
     assert bench_pairs.tree_digest(tmp_path) != before
+
+
+@pytest.mark.parametrize("claim", ["spectra:jobs_per_sec", "jobs_per_s", "spectrum:jobs_per_s", ""])
+def test_a_claim_outside_the_benchmark_exits_before_any_run(claim, monkeypatch, capsys, tmp_path):
+    def run_once(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--pr", "0", "--claim", claim]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and f"--claim {claim!r} is not WORKLOAD:METRIC" in err
+    assert all(name in err for name in bench_pairs.WORKLOADS + bench_pairs.METRICS)

@@ -324,3 +324,26 @@ def test_prime_level_screen_of_another_image_type_is_inconclusive():
     assert not v.no_sporadic and v.scope == "X_1(19)"
     assert v.reason == "image type 'other' leaves the screen inconclusive"
     assert v.candidate_level is None and v.conditional_on == ()
+
+
+@pytest.mark.parametrize("image_type", ["other", "normalizer_split", "exceptional"])
+def test_sporadic_screen_reaches_case_2_at_17_times_37(image_type):
+    # 17 of a known type other than the nonsplit normalizer, with 37 Borel:
+    # both primes divide n = 629, so the screen stops at case 2
+    P = GaloisProfile(
+        nonsurjective=(NonsurjectivePrime(17, image_type), NonsurjectivePrime(37, "borel")),
+        assume_sz=True,
+    )
+    assert classify_profile(P, 629).case == 2
+    v = sporadic_screen(P, 629)
+    assert (v.no_sporadic, v.scope, v.reason) == (False, "X_1(629)", "two nonsurjective primes dividing n")
+    assert v.conditional_on == ()
+
+
+def test_sporadic_screen_case_3_needs_the_conjectures():
+    borel17 = (NonsurjectivePrime(17, "borel", 289),)
+    v = sporadic_screen(GaloisProfile(nonsurjective=borel17), 17)
+    assert (v.no_sporadic, v.reason) == (False, "case-3 profile: screen inconclusive")
+    v = sporadic_screen(GaloisProfile(nonsurjective=borel17, assume_sz=True), 17)
+    assert (v.no_sporadic, v.conditional_on) == (True, ("assume_sz",))
+    assert v.reason == "levels above the prime-power table are conjectured not to occur"

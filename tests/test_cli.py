@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from x1points.cli import SUBCOMMANDS, build_parser, command_parser, main, parse_args
+from x1points import cli
+from x1points.cli import SUBCOMMANDS, build_parser, command_parser, main
 from x1points.matgroup import gl2_group, save_group
 
 
@@ -136,6 +139,11 @@ def test_level_bound_command(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["bound"] == 15
+
+
+def test_level_bound_without_a_single_prime_level_exit_2(capsys):
+    code, out, err = run(capsys, ["level-bound", "--primes", "2,3,19", "--ell", "19"])
+    assert (code, out, err) == (2, "", "error: input contract violated: no single-prime level known for 19\n")
 
 
 def test_level_bound_rejects_composite_prime(capsys):
@@ -342,6 +350,47 @@ def test_classify_profile_contracts_exit_2(capsys, tmp_path):
     assert "unknown profile key 'nonsurjectiv'" in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"nonsurjective": [{"prime": 17, "type": "cartan"}]}, "unknown image type 'cartan'"),
+        ([], "profile must be an object, got list"),
+        ({"nonsurjective": [5]}, "nonsurjective entry must be an object, got int"),
+        ({"flags": []}, "flags must be an object, got list"),
+    ],
+    ids=["image-type", "list", "entry", "flags"],
+)
+def test_classify_profile_shape_exit_2(capsys, tmp_path, data, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["classify", "--profile", str(path), "--n", "37"])
+    assert (code, out, err) == (2, "", f"error: profile file contract violated by {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "entries, n, reason",
+    [
+        (
+            [{"prime": 17, "type": "other"}, {"prime": 37, "type": "borel"}],
+            629,
+            "two nonsurjective primes dividing n",
+        ),
+        (
+            [{"prime": 17, "type": "borel", "level": 289}],
+            17,
+            "levels above the prime-power table are conjectured not to occur",
+        ),
+    ],
+    ids=["case-2", "case-3"],
+)
+def test_classify_screen_of_cases_2_and_3(capsys, tmp_path, entries, n, reason):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"nonsurjective": entries, "flags": {"assume_sz": True}}))
+    code, out, _ = run(capsys, ["classify", "--profile", str(path), "--n", str(n)])
+    data = json.loads(out)
+    assert (code, data["screen"]["reason"], data["screen"]["scope"]) == (0, reason, f"X_1({n})")
+
+
 def test_classify_profile_prime_past_the_primality_bound_exit_2(tmp_path):
     # 2^89 - 1 is prime and past the deterministic Miller-Rabin range, where
     # no primality test finishes in time: the profile is refused, not tested
@@ -539,8 +588,9 @@ def test_cached_parser_keeps_no_state_between_calls(capsys):
         assert in_process(image_order) == golden["level-bound-17-image-order"]
         assert in_process(plain) == fresh_plain
         assert in_process(bad) == (2, "")
-    assert build_parser() is build_parser()
-    args = build_parser().parse_args(plain)
+    assert command_parser("level-bound") is command_parser("level-bound")
+    assert command_parser.cache_info().maxsize >= len(SUBCOMMANDS)
+    args = command_parser("level-bound").parse_args(plain[1:])
     assert args.tau == [] and args.image_order == [] and not hasattr(args, "cap")
 
 
@@ -593,20 +643,33 @@ def test_parser_paths_cover_every_subcommand_help():
     assert helps == set(SUBCOMMANDS)
 
 
-def test_command_parser_reads_what_the_full_parser_reads(capsys):
-    corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
-    for argv in [c["argv"] for c in corpus + PARSER_PATHS]:
-        try:
-            full = vars(build_parser().parse_args(argv))
-        except SystemExit as exc:
-            with pytest.raises(SystemExit) as info:
-                parse_args(argv)
-            assert info.value.code == exc.code, argv
-            continue
-        name, args = parse_args(argv)
-        assert full.pop("subcommand") == name and vars(args) == full, argv
-    capsys.readouterr()
-    assert command_parser.cache_info().maxsize >= len(SUBCOMMANDS)
+def test_top_level_parser_holds_only_the_subcommand_names():
+    # the options of a subcommand are read by its own parser alone
+    sub = build_parser()._subparsers._group_actions[0]
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, parser in sub.choices.items():
+        assert [a.option_strings for a in parser._actions] == [["-h", "--help"]], name
+    assert not hasattr(build_parser, "cache_info")
+    callers = {
+        node.name
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_add_options" for c in ast.walk(node))
+    }
+    assert callers == {"command_parser"}
+
+
+def test_a_leading_double_dash_is_dropped(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run(capsys, ["--", "curve", "5"])
+    assert result == run(capsys, ["curve", "5"]) and result[0] == 0
+    # `--` alone is no subcommand, and an unknown one is named
+    paths = {c["name"]: c for c in PARSER_PATHS}
+    for argv, path in ((["--"], "no-arguments"), (["--", "frobnicate"], "unknown-subcommand")):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out = capsys.readouterr()
+        assert (info.value.code, out.out, out.err) == (2, "", paths[path]["stderr"]), argv
 
 
 def test_fresh_curve_process_builds_one_parser():

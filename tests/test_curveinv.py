@@ -103,6 +103,11 @@ def test_cusp_counts():
     assert cusp_count(11) == 10
 
 
+def test_cusp_count_needs_a_positive_level():
+    with pytest.raises(ValueError, match="^level must be positive, got 0$"):
+        cusp_count(0)
+
+
 def test_known_gonality():
     assert known_gonality(25) == 5
     assert known_gonality(37) == 18

@@ -39,6 +39,13 @@ def test_closure_trivial():
     assert G.order == 1
 
 
+def test_repr_shows_the_order_once_it_is_known():
+    G = gl2_group(5)
+    assert repr(G) == "MatGroup(mod 5, 3 gens, order ?)"
+    assert G.order == 480
+    assert repr(G) == "MatGroup(mod 5, 3 gens, order 480)"
+
+
 def test_closure_sl2_mod_5():
     G = closure([(1, 1, 0, 1), (1, 0, 1, 1)], 5)
     assert G.order == sl2_order(5) == 120

@@ -39,6 +39,10 @@ def test_modulus_factorization():
         Modulus(2**63)
 
 
+def test_modulus_repr():
+    assert repr(modulus(12)) == "Modulus(12)"
+
+
 def test_entries_reduced_on_construction():
     assert MatGroup(modulus(5), [(7, -1, 10, 3)]).raw_generators == ((2, 4, 0, 3),)
     v = vec2(4, -1, 6)
@@ -169,6 +173,11 @@ def test_divisors_and_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(48, 5) == 0
+
+
+def test_valuation_of_zero_is_refused():
+    with pytest.raises(ValueError, match="^valuation of 0 is infinite$"):
+        valuation(0, 3)
 
 
 def test_unit_group_generators():

@@ -82,6 +82,11 @@ def test_cm_class_number_table_against_form_count():
         assert class_number(D) == reduced_form_class_number(D), D
 
 
+def test_cm_order_needs_a_positive_class_number():
+    with pytest.raises(ValueError, match="^class number must be positive$"):
+        CmOrder(-3, 0, 6)
+
+
 def test_cm_order_validation():
     assert cm_order(-4) == CmOrder(-4, 1, 4)
     assert cm_order(-3).unit_count == 6

@@ -27,7 +27,8 @@ beats every parent run.  The summary's `no_regression` holds when every
 metric of every workload is within its bound and none is unresolved.  With
 --claim the summary also says whether the claimed metric is met: the change
 wins at least 9 of 10 pairs and its median beats the parent's by more than
-the parent's interquartile range.
+the parent's interquartile range.  A --claim that names no workload and
+end-to-end metric of BENCHMARK.json exits 2 before any run.
 """
 
 import argparse
@@ -46,6 +47,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -148,6 +150,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
     args = ap.parse_args(argv)
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in WORKLOADS or metric not in METRICS:
+            ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with WORKLOAD one of "
+                     f"{', '.join(WORKLOADS)} and METRIC one of {', '.join(METRICS)}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out_file = ROOT / f"BENCH_{args.pr}.json"
     command = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0"
