@@ -127,13 +127,13 @@ def _bind(cls, names, defaults, args, kwargs) -> dict:
     return {k: bound[k] if k in bound else defaults[k] for k in names}
 
 
-def record(cls=None, /, *, eq: bool = True):
-    """`dataclasses.dataclass(frozen=True, eq=eq)` for the fields annotated on
-    `cls`, each with its default or a `field(...)` as class attribute: the same
-    `__init__` (then `__post_init__`), repr (unless `cls` defines one), `==`
-    and `hash` (by identity if eq=False) and FrozenInstanceError."""
-    if cls is None:
-        return lambda cls: record(cls, eq=eq)
+def record(cls):
+    """`dataclasses.dataclass(frozen=True)` for the fields annotated on `cls`,
+    each with its default or a `field(...)` as class attribute: the same
+    `__init__` (then `__post_init__`), repr, `==`, `hash` and
+    FrozenInstanceError, less each method whose name the body of `cls`
+    already defines.  A class that defines `__eq__` alone has `__hash__`
+    None, as any Python class."""
     specs = {}
     for name in cls.__dict__.get("__annotations__", {}):
         spec = cls.__dict__.get(name, _MISSING)
@@ -186,13 +186,9 @@ def record(cls=None, /, *, eq: bool = True):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    methods = [__init__, __setattr__, __delattr__]
-    if "__repr__" not in cls.__dict__:
-        methods.append(__repr__)
-    if eq:
-        methods += [__eq__, __hash__]
-    for method in methods:
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
     cls.__record_fields__ = tuple(specs)
     return cls

@@ -3,12 +3,13 @@
 A group G known mod l^(s+1) whose congruence kernel down to l^s is full
 (all l^4 cosets) is certified to be the full preimage of its mod-l^s
 reduction at every higher stage; that is the entire content of the
-detection step, which reports the kernel order, the quotient of the orders
-of G mod l^(s+1) and G mod l^s.  "Level" is handled as a divisibility
-certificate plus a minimization that finds the level's exponent one prime
-at a time.  Minimization and composition ask only whether a kernel is
-full, a membership test of the congruence kernel's generators in G's own
-chain (`matgroup.is_full_preimage`).
+detection step.  Detection, minimization and composition all ask whether a
+kernel is full by a membership test of the congruence kernel's generators
+in G's own chain (`matgroup.is_full_preimage`).  A certified detection
+reports the full kernel order l^4; only an uncertified one reads the kernel
+order off the quotient of the orders of G mod l^(s+1) and G mod l^s, and so
+builds the chain mod l^s.  "Level" is handled as a divisibility certificate
+plus a minimization that finds the level's exponent one prime at a time.
 
 Claims about the profinite group are always conditional on the supplied
 finite truncation representing it faithfully; the kernel check makes the
@@ -83,14 +84,15 @@ def detect_ladic_level(G: matgroup.MatGroup, s: int | None = None) -> LadicDetec
         raise StageTooLow(f"stage {s} below minimum {s0} for prime {ell}")
     if s + 1 > e:
         raise ValueError(f"stage {s} needs the group mod {ell}^{s + 1}, have {ell}^{e}")
-    kernel = matgroup.kernel_order(matgroup.project(G, ell ** (s + 1)), ell**s)
-    full = ell**4
+    part, full = matgroup.project(G, ell ** (s + 1)), ell**4
+    # a full kernel is all of ker(GL2(l^(s+1)) -> GL2(l^s)): no chain mod l^s
+    certified = matgroup.is_full_preimage(part, ell**s)
     return LadicDetection(
         prime=ell,
         stage=s,
-        kernel_order=kernel,
+        kernel_order=full if certified else matgroup.kernel_order(part, ell**s),
         full_kernel=full,
-        certified=kernel == full,
+        certified=certified,
     )
 
 

@@ -34,6 +34,16 @@ generator kept at L3 from the line walk also joins the generators of A, so
 its conjugates by the A transversal are sifted too.  L4 needs no such step:
 gZ/nZ is an ideal, so conjugation keeps it.
 
+Sifting stops once H is complete.  H lies in {(a, b, d) : ad in det G}, of
+n phi(n) |det G| elements, and D lies in det G, since (1, b, d) in H has
+determinant d.  So once a failing sift leaves |A| = phi(n), g = 1 and every
+generator's determinant in D, the levels span all of H and no later residue
+can add to them: the line walk hands over no more residues, and A and D
+sift no more Schreier generators.  The lines, A and D are still walked in
+full, so the order and the pairs charged to the cap are unchanged; a group
+containing SL2, the usual image by Serre's open image theorem, is complete
+after a few sifts.
+
 Whether G is the full preimage of G mod m is a membership test: a few
 generators of the congruence kernel ker(GL2(Z/n) -> GL2(Z/m)) are sifted
 through G's own chain, so no chain of G mod m is built for it.  G mod m is
@@ -51,7 +61,7 @@ Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from math import gcd
 
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed, record
@@ -219,19 +229,22 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
     through `keep` once, before the walk.  `walk_lines` then grows the orbit
     of <e1> from I under the kept edges and hands each residue to `keep`.  A
     and D grow one generator at a time, and each (point, generator) pair is
-    visited once.  These pairs and the lines' edges are what the chain costs,
-    so the cap bounds them (a scalar costs its sift, not an edge per line):
-    CapExceeded, with partial count cap + 1, is raised once they exceed
-    `cap`.  Charging a line's edges as the walk reaches it raises at the same
+    visited once; once H is complete (see the module doc), `keep` returns
+    true and A and D stop calling it.  These pairs and the lines' edges are
+    what the chain costs, so the cap bounds them (a scalar costs its sift,
+    not an edge per line): CapExceeded, with partial count cap + 1, is
+    raised once they exceed `cap`.  Charging a line's edges as the walk reaches it raises at the same
     point of the total.  A refused walk empties the key table of n, so it
     leaves nothing behind: the table is shared, and `tables` drops a modulus
     only once it is among the least recently used.
     """
     chain = Chain(n)
-    one = 1 % n
+    one, phi = 1 % n, tables(n).phi
     A, D = chain.a_level, chain.d_level
     a_points, a_gens, d_points, d_gens = [one], [], [one], []
+    dets = {(a * d - b * c) % n for a, b, c, d in gens}
     pairs = 0
+    complete = False
 
     def spend(k: int) -> None:
         nonlocal pairs
@@ -240,11 +253,13 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
             unit = "(point, generator) pairs on its lines, A and D"
             raise CapExceeded(cap, cap + 1, "stabilizer chain", unit)
 
-    def keep(a: int, b: int, d: int, from_lines: bool = True) -> None:
-        """Sift (a, b, d) and add its residue to the level where it failed."""
+    def keep(a: int, b: int, d: int, from_lines: bool = True) -> bool:
+        """Sift (a, b, d) and add its residue to the level where it failed;
+        true once H is complete, so no later residue can fail."""
+        nonlocal complete
         residue = chain.sift(a, b, d)
         if residue is None:
-            return
+            return False
         a, b, d = residue
         if a != one:
             extend(A, a_points, a_gens, residue)
@@ -256,6 +271,9 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
                 extend(A, a_points, a_gens, residue)
         elif b % chain.g:
             chain.g = gcd(chain.g, b)
+        if len(A) == phi and chain.g == 1:
+            complete = D.keys() >= dets
+        return complete
 
     def extend(level: dict, points: list, level_gens: list, gen: Triangular) -> None:
         """Add `gen` to the generators of `level` (A or D) and grow its
@@ -279,9 +297,10 @@ def _stabilizer_chain(n: int, gens: tuple[MatTuple, ...], cap: int) -> Chain:
                     level[y] = (ya, yb, yd, hia * sia % n, (hia * sib + hib * sid) % n, hid * sid % n)
                     points.append(y)
                     continue
-                # u^-1 y has a = 1 (and d = 1 in D)
-                _, _, _, uia, uib, uid = u
-                keep(one, (uia * yb + uib * yd) % n, uid * yd % n, False)
+                if not complete:
+                    # u^-1 y has a = 1 (and d = 1 in D)
+                    _, _, _, uia, uib, uid = u
+                    keep(one, (uia * yb + uib * yd) % n, uid * yd % n, False)
             j += 1
 
     edges, scalars = line_edges(n, gens)
@@ -307,7 +326,7 @@ def _reduced(m, n: int) -> MatTuple:
 class MatGroup:
     """Subgroup of GL2(Z/nZ): lazily built stabilizer chain and element set."""
 
-    def __init__(self, mod: Modulus, gens: list[MatTuple], cap: int = DEFAULT_CAP):
+    def __init__(self, mod: Modulus, gens: Iterable[MatTuple], cap: int = DEFAULT_CAP):
         self.modulus = mod
         n = mod.n
         raw = []
@@ -372,13 +391,13 @@ def closure(generators, n: int, cap: int = DEFAULT_CAP) -> MatGroup:
 
 def project(G: MatGroup, m: int) -> MatGroup:
     """Image of G under reduction mod m (m | n): G itself when m = n, else
-    the group of G's generators reduced mod m."""
+    the group of G's generators mod m, which `MatGroup` reduces."""
     n = G.modulus.n
     if m < 1 or n % m != 0:
         raise ModulusMismatch(f"{m} does not divide {n}")
     if m == n:
         return G
-    return MatGroup(modulus(m), [tuple(e % m for e in g) for g in G.raw_generators], G.cap)
+    return MatGroup(modulus(m), G.raw_generators, G.cap)
 
 
 def _left_kernel(

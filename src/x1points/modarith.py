@@ -304,27 +304,20 @@ class _LineKey(dict):
 
 
 class Tables:
-    """The tables of Z/nZ that depend on n alone, each built on first use:
-    `key`, the line-key table (`_LineKey`); `units`, the units of Z/nZ,
-    ascending; `columns(d)`, the order-d column classes; `cosets(S)`, the
+    """The tables of Z/nZ that depend on n alone: `key`, the line-key table
+    (`_LineKey`); `phi`, the number of units, phi(n); and, each built on
+    first use, `columns(d)`, the order-d column classes, and `cosets(S)`, the
     coset index of the units mod a subgroup S.  Each chain and spectrum mod
     n reads them through `tables(n)`."""
 
-    __slots__ = ("n", "key", "_units", "_columns", "_cosets")
+    __slots__ = ("n", "phi", "key", "_columns", "_cosets")
 
     def __init__(self, n: int):
         self.n = n
+        self.phi = euler_phi(n)
         self.key = _LineKey(n)
-        self._units: tuple[int, ...] | None = None
         self._columns: dict[int, dict[int, tuple[int, ...]]] = {}
         self._cosets: dict[frozenset[int], dict[int, int]] = {}
-
-    @property
-    def units(self) -> tuple[int, ...]:
-        if self._units is None:
-            n = self.n
-            self._units = tuple(u for u in range(n) if gcd(u, n) == 1)
-        return self._units
 
     def columns(self, d: int) -> dict[int, tuple[int, ...]]:
         """The y of the vectors (x, y) of exact order d (d | n) in (Z/nZ)^2,
@@ -347,13 +340,14 @@ class Tables:
 
     def cosets(self, scalars: frozenset[int]) -> dict[int, int]:
         """Coset index of each unit mod the subgroup `scalars` of (Z/nZ)^*,
-        numbered in ascending order of their least units."""
+        numbered in ascending order of their least units, read off a scan of
+        Z/nZ in ascending order."""
         out = self._cosets.get(scalars)
         if out is None:
             n = self.n
             out = self._cosets[scalars] = {}
-            for u in self.units:
-                if u not in out:
+            for u in range(n):
+                if u not in out and gcd(u, n) == 1:
                     k = len(out) // len(scalars)
                     for s in scalars:
                         out[u * s % n] = k

@@ -29,11 +29,11 @@ check read the dict directly.  What it stores grows with the lines walked,
 and nothing of size n^2 and no per-orbit vector set is built.  What depends
 on n alone is read from `tables(n)`, shared by every spectrum and chain mod
 n while n stays among the 32 moduli used last: the key table (at most n
-entries), the units of Z/nZ, the y of each gcd class of columns and the
-coset index of the units mod each multiplier group S met (phi(n) entries
-each).  The exact-order vectors are walked in ascending order, so each
-orbit is found from its minimum and orbits come out ordered by it.  Their
-number is checked against the group's cap before any is enumerated.
+entries), phi(n), the y of each gcd class of columns and the coset index
+of the units mod each multiplier group S met (phi(n) entries each).  The
+exact-order vectors are walked in ascending order, so each orbit is found
+from its minimum and orbits come out ordered by it.  Their number is
+checked against the group's cap before any is enumerated.
 
 A record's degree is c * [k:Q] * orbit size, where the half factor applies
 exactly when -1 lies in S and the vector does not have order <= 2; then |S|
@@ -150,16 +150,15 @@ def _grow(
     line is new, into `lines` from u0 = [[x, -b], [y, a]] (det 1, (a, b)
     from `_dual`) under `edges`, and return the entry of that line.  Each
     residue read is upper triangular, and only its a-component, the
-    multiplier, is kept.  The key table, units and cosets come from `tab`,
-    the tables of n that `degree_spectrum` read.
+    multiplier, is kept.  The key table, phi(n) and the cosets come from
+    `tab`, the tables of n that `degree_spectrum` read.
 
     S starts as `base`, the group of the scalars that `line_edges` took out
     of the edges, and grows as a subgroup as each multiplier arrives
     (`_adjoin`); one inside S costs a lookup.  Once S is all phi(n) units no
     multiplier can enlarge it, so the walk reads no more.
     """
-    n = tab.n
-    phi = len(tab.units)
+    n, phi = tab.n, tab.phi
     a, b = _dual(x, y, n)
     orbit = _LineOrbit()
     span = set(base)
@@ -187,12 +186,16 @@ class OrbitRecord:
     degree: int
 
 
-@record(eq=False)
+@record
 class DegreeSpectrum:
     modulus: int
     field_degree: int
     records: tuple[OrbitRecord, ...]
-    _lines: dict[int, Line] = field(repr=False, compare=False)
+    _lines: dict[int, Line] = field(repr=False)
+
+    # a spectrum is its own line index: two are equal only if they are one
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def record_of(self, v: Vec2ModN | VecTuple) -> OrbitRecord:
         """The record of the orbit of v, a Vec2ModN mod n or a pair reduced

@@ -131,6 +131,29 @@ def test_level_command_builds_each_chain_once(capsys, tmp_path, monkeypatch, n):
     assert sorted(built) == sorted(set(built))
 
 
+@pytest.mark.parametrize("base, n, chains", [(3, 81, [81]), (6, 18, [9, 18])])
+def test_certified_detection_builds_no_chain_below_it(capsys, tmp_path, monkeypatch, base, n, chains):
+    # a detection certified by membership reports the full kernel l^4, so
+    # only an uncertified one builds the chain of G mod l^s
+    import x1points.matgroup
+    from x1points.matgroup import borel_group, full_preimage
+
+    path = tmp_path / f"pre{n}.json"
+    save_group(full_preimage(borel_group(base), n), str(path))
+    built = []
+    real = x1points.matgroup._stabilizer_chain
+
+    def spy(m, gens, cap):
+        built.append(m)
+        return real(m, gens, cap)
+
+    monkeypatch.setattr(x1points.matgroup, "_stabilizer_chain", spy)
+    code, out, _ = run(capsys, ["level", "--in", str(path)])
+    assert code == 0
+    assert [d["certified"] for d in json.loads(out)["detections"]] == [True]
+    assert sorted(built) == chains
+
+
 def test_level_bound_command(capsys):
     code, out, _ = run(
         capsys,

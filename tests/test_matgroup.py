@@ -132,6 +132,34 @@ def test_chain_fits_exactly_its_least_cap(make, least):
     assert info.value.partial_count == least
 
 
+def test_chain_stops_sifting_once_its_stabilizer_is_complete(monkeypatch):
+    # H = Stab(<e1>) lies in {(a, b, d) : ad in det G}, of n phi(n) |det G|
+    # elements; once |A| = phi(n), g = 1 and D holds every generator's
+    # determinant, the chain holds all of it and no residue is sifted again.
+    # Before that rule, building gl2_group(40) sifted 403 times.  A split
+    # Cartan group has no translations, so its g never reaches 1 and it
+    # sifts as often as it did without the rule.
+    import x1points.matgroup
+
+    sifts = []
+    real = x1points.matgroup.Chain.sift
+
+    def spy(self, a, b, d):
+        sifts.append((a, b, d))
+        return real(self, a, b, d)
+
+    monkeypatch.setattr(x1points.matgroup.Chain, "sift", spy)
+    G = gl2_group(40)
+    assert G.order == gl2_order(40)
+    chain = G._chain
+    assert (len(chain.lines), len(chain.a_level), len(chain.d_level), chain.g) == (72, 16, 16, 1)
+    assert len(sifts) <= 403 // 3
+    sifts.clear()
+    C = split_cartan_group(36)
+    assert C.order == euler_phi(36) ** 2 and C._chain.g == 36
+    assert len(sifts) == 54
+
+
 def test_gl2_order_at_3_to_the_7_within_a_linear_cap():
     # psi(3^7) = 2916 lines and phi(3^7) = 1458 points each in A and D; each
     # meets at most the three generators of GL2, so the pairs stay below

@@ -299,3 +299,10 @@ def test_modulus_cache_stays_within_its_size(cache):
         cache(n)
     assert cache.cache_info().currsize <= limit
     assert cache(97) is cache(97)
+
+
+def test_tables_keep_phi_and_no_units():
+    for n in (1, 2, 12, 97, 360, 1009):
+        tab = tables(n)
+        assert not hasattr(tab, "units")
+        assert tab.phi == sum(1 for u in range(n) if gcd(u, n) == 1) == euler_phi(n)

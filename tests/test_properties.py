@@ -24,7 +24,13 @@ from conftest import (
 )
 
 from x1points.errors import HypothesisFailed
-from x1points.levels import compose_level, minimize_level
+from x1points.levels import (
+    LadicDetection,
+    compose_level,
+    detect_ladic_level,
+    minimal_stage,
+    minimize_level,
+)
 from x1points.matgroup import (
     MatGroup,
     borel_group,
@@ -32,12 +38,14 @@ from x1points.matgroup import (
     congruence_kernel_generators,
     crt_product,
     full_preimage,
+    gl2_group,
     goursat,
     goursat_product,
     is_full_preimage,
     kernel_of_projection,
     kernel_order,
     project,
+    sl2_group,
 )
 from x1points.modarith import (
     apply_raw,
@@ -710,3 +718,160 @@ def test_spectrum_walks_the_chain_line_orbit(case):
     assert orbit.count == len(chain.lines)
     assert orbit.scalars == set(chain.a_level)
     assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level)
+
+
+# -- groups containing SL2, whose chain stops sifting once H is complete --------
+
+# a group of at most this many elements is checked against its BFS closure
+SL2_BFS_LIMIT = 5000
+
+
+def unit_span_oracle(n, values):
+    """The subgroup of (Z/nZ)^* generated by `values`, by breadth-first search."""
+    one = 1 % n
+    span, queue = {one}, [one]
+    for u in queue:
+        for v in values:
+            w = u * v % n
+            if w not in span:
+                span.add(w)
+                queue.append(w)
+    return span
+
+
+def level_from_elements(n, members):
+    """The least m | n with |G| = |G mod m| |ker(GL2(Z/n) -> GL2(Z/m))|, that
+    is with G the full preimage of its reduction mod m, from G's elements."""
+    for m in divisors(n):
+        image = {tuple(e % m for e in x) for x in members}
+        if len(members) == len(image) * (gl2_order(n) // gl2_order(m)):
+            return m
+    raise AssertionError("unreachable: m = n always passes")
+
+
+@st.composite
+def sl2_containing_cases(draw):
+    """(n, generators, whether they contain SL2) for n <= 40: GL2, SL2 or
+    {g : det g in <u>} from the SL2 pair and diag(u, 1), each conjugated by
+    a random matrix, or a random generator set."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["gl2", "sl2", "det", "random"]))
+    if kind == "random":
+        return n, draw(st.lists(invertible(n), min_size=1, max_size=3)), False
+    if kind == "det":
+        u = draw(st.sampled_from([u for u in range(n) if gcd(u, n) == 1]))
+        gens = [*sl2_group(n).raw_generators, (u, 0, 0, 1)]
+    else:
+        gens = list((gl2_group if kind == "gl2" else sl2_group)(n).raw_generators)
+    c = draw(invertible(n))
+    c_inv = inv_raw(c, n)
+    return n, [matmul_oracle(matmul_oracle(c, g, n), c_inv, n) for g in gens], True
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sl2_containing_cases(), st.lists(st.tuples(*[st.integers(-(10**6), 10**6)] * 4), max_size=20))
+@example((40, list(gl2_group(40).raw_generators), True), [])
+@example((36, list(sl2_group(36).raw_generators), True), [(1, 1, 0, 1), (2, 0, 0, 1)])
+@example((12, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)], True), [(7, 0, 0, 1)])
+@example((1, [(0, 0, 0, 0)], True), [])
+def test_sl2_containing_chain_matches_its_oracles(case, others):
+    # the chain stops sifting once |A| = phi(n), g = 1 and D holds every
+    # generator's determinant; order, membership, elements and level must
+    # still be the group's.  A group of at most SL2_BFS_LIMIT elements is
+    # checked against its BFS closure; a group G containing SL2 also against
+    # its determinants: G = {g : det g in Delta}, Delta spanned by the
+    # generators' determinants, so |G| = |SL2(Z/n)| |Delta|, and G is the
+    # full preimage of G mod m iff every unit u = 1 mod m lies in Delta
+    n, gens, has_sl2 = case
+    G = MatGroup(modulus(n), gens)
+    products = [matmul_oracle(g, h, n) for g in gens for h in gens]
+    probes = [*products, *(tuple(e % n for e in x) for x in others)]
+    assert all(G.contains(x) for x in products)
+    if has_sl2:
+        delta = unit_span_oracle(n, [(a * d - b * c) % n for a, b, c, d in gens])
+        units = [u for u in range(n) if gcd(u, n) == 1]
+        assert G.order == sl2_order(n) * len(delta)
+        for x in probes:
+            det = (x[0] * x[3] - x[1] * x[2]) % n
+            assert G.contains(x) == (gcd(det, n) == 1 and det in delta), x
+        level = next(m for m in divisors(n) if all(u in delta for u in units if u % m == 1 % m))
+        assert minimize_level(G) == level
+    pairs = pair_closure_oracle(n, 1, [(g, (0, 0, 0, 0)) for g in gens], SL2_BFS_LIMIT)
+    if pairs is None:
+        assert G.order > SL2_BFS_LIMIT
+        return
+    members = frozenset(x for x, _ in pairs)
+    assert G.order == len(members)
+    assert G.elements() == members
+    for x in probes:
+        assert G.contains(x) == (x in members), x
+    assert minimize_level(G) == level_from_elements(n, members)
+
+
+@st.composite
+def ladic_cases(draw):
+    """(n, generators, s) for n = 2^5, 3^4 or 5^3 and a stage s with s + 1
+    <= e: a random generator set, or the full preimage of a random group at
+    a lower power of the prime."""
+    n = draw(st.sampled_from([2**5, 3**4, 5**3]))
+    (ell, e), = factorize(n)
+    if draw(st.booleans()):
+        m = ell ** draw(st.integers(1, e))
+        base = MatGroup(modulus(m), draw(st.lists(invertible(m), max_size=2)))
+        gens = list(full_preimage(base, n).raw_generators)
+    else:
+        gens = draw(st.lists(invertible(n), min_size=1, max_size=3))
+    return n, gens, draw(st.integers(minimal_stage(ell), e - 1))
+
+
+@PROPERTY_SETTINGS
+@given(ladic_cases())
+@example((81, list(full_preimage(borel_group(3), 81).raw_generators), 3))
+@example((81, list(full_preimage(borel_group(3), 81).raw_generators), 1))
+@example((32, [(1, 1, 0, 1), (1, 0, 1, 1)], 2))
+@example((125, [(1, 1, 0, 1)], 2))
+def test_detection_reads_the_records_of_the_two_chain_route(case):
+    # a detection certifies by membership; its records must be those of the
+    # kernel order |G mod l^(s+1)| / |G mod l^s| read off two chains
+    n, gens, s = case
+    G = MatGroup(modulus(n), gens)
+    ell = G.modulus.primes[0]
+    kernel = kernel_order(project(G, ell ** (s + 1)), ell**s)
+    assert detect_ladic_level(G, s) == LadicDetection(ell, s, kernel, ell**4, kernel == ell**4)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 200), st.data())
+@example(1, None)
+@example(200, None)
+def test_cosets_number_unit_cosets_by_their_least_units(n, data):
+    units = [u for u in range(n) if gcd(u, n) == 1]
+    picks = [] if data is None else data.draw(st.lists(st.sampled_from(units), max_size=3))
+    S = unit_span_oracle(n, picks)
+    coset = tables(n).cosets(frozenset(S))
+    least = sorted({min(u * t % n for t in S) for u in units})
+    # the coset of u is numbered by the rank of its least unit
+    assert coset == {u: least.index(min(u * t % n for t in S)) for u in units}
+
+
+@PROPERTY_SETTINGS
+@given(subgroup_gens(st.integers(1, 40)), st.data())
+@example((12, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)]), None)
+def test_project_reduces_generators_of_any_sign_or_size(case, data):
+    # MatGroup reduces each generator mod its modulus, so project hands it
+    # G's generators as they are
+    n, gens = case
+    entries = st.tuples(*[st.integers(-(10**12), 10**12)] * 4)
+    if data is None:
+        shifts, others = [(-3, 5, -(10**12), 7)] * len(gens), [(-1, 10**12, 13, -7)]
+    else:
+        shifts = data.draw(st.lists(entries, min_size=len(gens), max_size=len(gens)))
+        others = data.draw(st.lists(entries, max_size=10))
+    G = MatGroup(modulus(n), [tuple(e + n * t for e, t in zip(g, ts)) for g, ts in zip(gens, shifts)])
+    for m in divisors(n):
+        reduced = tuple(dict.fromkeys(tuple(e % m for e in g) for g in gens))
+        P, fresh = project(G, m), MatGroup(modulus(m), reduced)
+        assert P.raw_generators == reduced, m
+        assert P.order == fresh.order, m
+        for x in [*reduced, *others]:
+            assert P.contains(x) == fresh.contains(x), (m, x)

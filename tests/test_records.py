@@ -241,3 +241,30 @@ def test_one_and_no_field_records_hash_like_dataclasses():
         assert hash(rec) == hash(twin)
     assert One() == One(x=5) != One(6)
     assert Empty() == Empty()
+
+
+def test_a_record_keeps_the_methods_its_class_defines():
+    @record
+    class ByName:
+        name: str
+        note: str = ""
+
+        def __eq__(self, other):
+            return isinstance(other, ByName) and self.name == other.name
+
+        def __hash__(self):
+            return hash(self.name)
+
+    a, b = ByName("x", "first"), ByName("x", "second")
+    assert a == b and hash(a) == hash(b) == hash("x")
+    assert a != ByName("y", "first")
+    # the methods it does not define are still generated
+    assert repr(a).rpartition(".")[2] == "ByName(name='x', note='first')"
+    with pytest.raises(FrozenInstanceError):
+        a.name = "y"
+    assert fields(ByName) == ("name", "note")
+
+
+def test_record_takes_no_options():
+    with pytest.raises(TypeError):
+        record(eq=False)
