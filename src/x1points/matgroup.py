@@ -56,13 +56,28 @@ engine pays for: the (point, generator) pairs the chain visits, each a sift
 or a new entry, the image elements a kernel walk stores, or the elements of
 the set, |G|, checked before any is built.  Going past it is a hard error.
 Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
+
+`kernel_level` proves G >= K_d = ker(GL2(Z/n) -> GL2(Z/d)) from G's
+generators alone, one prime at a time: with p^f || d, p^e || n and f >= 1 at
+each p | n, K_d is the product of the p-groups K_p = ker(GL2(Z/p^e) ->
+GL2(Z/p^f)).  A generator I mod p^f and mod every other prime of n lies in a
+product of such p-groups, of coprime orders, so its p-part, its image mod
+p^e, is a power of it.  I + p^f X -> X mod p maps K_p onto M2(F_p), with
+kernel the matrices I mod p^(f+1), and that kernel is the Frattini subgroup:
+for p odd or f >= 2, (I + p^j X)^p = I + p^(j+1) X mod p^(j+2) for every
+j >= f, so p-th powers reach every later layer, and for e <= 2f, K_p =~
+M2(Z/p^(e-f)) is abelian.  So by Burnside's basis theorem (Holt, Eick and
+O'Brien, ch. 8) those generators generate K_p iff their layer vectors
+(g - I)/p^f mod p span F_p^4.  At p = 2, f = 1 < e - 1 nothing is proved.
+Conjugation acts linearly on the layer, so conjugating every generator keeps
+the proof.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
-from math import gcd
+from math import gcd, prod
 
 from .errors import DEFAULT_CAP, CapExceeded, ModulusMismatch, NonCoprimeModuli, json_typed, record
 from .modarith import (
@@ -74,6 +89,7 @@ from .modarith import (
     mul_raw,
     tables,
     unit_group_generators,
+    valuation,
 )
 
 # An element [[a, b], [0, d]] of H as (a, b, d); (a, b, d)(a', b', d') = (aa', ab' + bd', dd').
@@ -482,6 +498,56 @@ def congruence_kernel_generators(n: int, m: int) -> Iterator[MatTuple]:
     for u in unit_group_generators(n, m):
         yield (u, 0, 0, 1)
         yield (1, 0, 0, u)
+
+
+def kernel_level(G: MatGroup) -> int:
+    """The least d | n for which G's generators prove G >= K_d (see the
+    module doc), one prime p^e || n at a time: p^f for the least f < e whose
+    layer the generators I mod p^f and mod every prime of n span, else p^e.
+    Those are the g with p^f and n's primes dividing d_g = gcd(n, a - 1, b,
+    c, d - 1), and only the valuations of the d_g can give a nonzero layer.
+    """
+    n = G.modulus.n
+    radical = prod(G.modulus.primes)
+    kernel = []
+    for a, b, c, d in G.raw_generators:
+        dg = gcd(n, a - 1, b, c, d - 1)
+        if dg % radical == 0:
+            kernel.append((a, b, c, d, dg))
+    if len(kernel) < 4:  # a layer to span is F_p^4
+        return n
+    level = 1
+    for p, e in G.modulus.factorization:
+        tried = sorted({valuation(g[4], p) for g in kernel})
+        level *= p ** next((f for f in tried if f < e and _layer_spanned(kernel, p, e, f)), e)
+    return level
+
+
+def _layer_spanned(kernel: list[tuple[int, ...]], p: int, e: int, f: int) -> bool:
+    """Whether the matrices (a, b, c, d, d_g) of `kernel` with p^f | d_g
+    prove ker(GL2(Z/p^e) -> GL2(Z/p^f)), 1 <= f < e: never at p = 2, f = 1 <
+    e - 1, else iff their layer vectors (g - I)/p^f mod p span F_p^4."""
+    if p == 2 and f == 1 and e > 2:
+        return False
+    q, s = p**e, p**f
+    kernel = [g for g in kernel if g[4] % s == 0]
+    if len(kernel) < 4:
+        return False
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row): 1 at the pivot, 0 at earlier pivots
+    for a, b, c, d, _ in kernel:
+        v = [(a - 1) % q // s % p, b % q // s % p, c % q // s % p, (d - 1) % q // s % p]
+        for j, row in rows:
+            t = v[j]
+            if t:
+                v = [(x - t * r) % p for x, r in zip(v, row)]
+        for j, t in enumerate(v):
+            if t:
+                t = pow(t, -1, p)
+                rows.append((j, [x * t % p for x in v]))
+                if len(rows) == 4:
+                    return True
+                break
+    return False
 
 
 def is_full_preimage(G: MatGroup, m: int) -> bool:

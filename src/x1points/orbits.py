@@ -66,6 +66,23 @@ O has |O| / |F| |S'| vectors, and the half factor applies when -1 lies in
 S' and a > 2.  A G-orbit t G w mod n reduces to t G w mod a, of the same
 size, so one pass over the psi(n) entries prices every record, an orbit's
 entries being contiguous since each walk inserts a whole orbit.
+
+When G's generators prove G >= K = ker(GL2(Z/n) -> GL2(Z/d)) for a d < n
+that n's primes divide (`matgroup.kernel_level`), the spectrum walks G mod d
+and lifts its records.  As the primes agree, the exact-order-n vectors are
+the lifts of the exact-order-d ones, and K acts transitively on the
+J_2(n)/J_2(d) lifts of each: for lifts w, w', take h in SL2(Z/n) with first
+column w; then h^-1 w' = (1 + ds, dt) = k e1 for k = [[1 + ds, 0], [dt, 1]]
+in K, 1 + ds a unit, and h k h^-1 in K sends w to w'.  So each G-orbit mod
+n is the full preimage of a G-orbit mod d: J_2(n)/J_2(d) times its size,
+and closed under -1 iff it is.  Its least vector in column order is the
+least one mod d, whose x < d and y < d are their own least lifts.  So the
+records keep their representatives and their order, and take the degree at
+n.  The cap bounds the J_2(d) vectors mod d, the line index is the one mod
+d, and `record_of` reduces v mod d.  The growth check reads the orbits mod a
+at g = gcd(a, d), which has the primes of a: G mod a contains the image of
+K, ker(GL2(Z/a) -> GL2(Z/g)), so an orbit mod a is J_2(a)/J_2(g) times its
+orbit mod g, closed under -1 with it.
 """
 
 from __future__ import annotations
@@ -77,11 +94,12 @@ from operator import itemgetter
 
 from .curveinv import map_degree
 from .errors import CapExceeded, ModulusMismatch, OrderMismatch, field, record
-from .matgroup import Line, MatGroup, line_edges, walk_lines
+from .matgroup import Line, MatGroup, kernel_level, line_edges, walk_lines
 from .modarith import (
     Tables,
     VecTuple,
     Vec2ModN,
+    euler_phi,
     exact_order_vector_count,
     modulus,
     tables,
@@ -191,16 +209,26 @@ class DegreeSpectrum:
     modulus: int
     field_degree: int
     records: tuple[OrbitRecord, ...]
+    # the line index mod the level walked; its orbits' claims are the records
     _lines: dict[int, Line] = field(repr=False)
 
     # a spectrum is its own line index: two are equal only if they are one
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    @property
+    def _level(self) -> int:
+        """The level d walked, read off its complete line index: d shares
+        the primes of n, so it holds psi(d) = psi(n) d / n lines, and
+        psi(n) = J_2(n) / phi(n)."""
+        n = self.modulus
+        return n * len(self._lines) * euler_phi(n) // exact_order_vector_count(n, n)
+
     def record_of(self, v: Vec2ModN | VecTuple) -> OrbitRecord:
         """The record of the orbit of v, a Vec2ModN mod n or a pair reduced
-        mod n; OrderMismatch unless v has exact order n."""
-        n = self.modulus
+        mod n; OrderMismatch unless v has exact order n.  The record is read
+        at v mod d, d the level the spectrum walked (see the module doc)."""
+        n, d = self.modulus, self._level
         if isinstance(v, Vec2ModN):
             if v.modulus.n != n:
                 raise ModulusMismatch(f"vector modulus {v.modulus.n} != spectrum modulus {n}")
@@ -210,8 +238,9 @@ class DegreeSpectrum:
         x, y = v[0] % n, v[1] % n
         if gcd(gcd(x, y), n) != 1:
             raise OrderMismatch(f"vector ({x},{y}) does not have exact order {n}")
-        _, _, p, q, dv, orbit = self._lines[tables(n).key(x, y)]
-        return orbit.claims[orbit.coset[dv * (q * x - p * y) % n]]
+        x, y = x % d, y % d
+        _, _, p, q, dv, orbit = self._lines[tables(d).key(x, y)]
+        return orbit.claims[orbit.coset[dv * (q * x - p * y) % d]]
 
 
 def _degree(size: int, minus: bool, n: int, field_degree: int) -> int:
@@ -223,9 +252,10 @@ def _degree(size: int, minus: bool, n: int, field_degree: int) -> int:
     return size * field_degree
 
 
-def _record(n: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> OrbitRecord:
-    size = orbit.count * len(orbit.scalars)
-    minus = -1 % n in orbit.scalars
+def _record(n: int, d: int, scale: int, rep: VecTuple, orbit: _LineOrbit, field_degree: int) -> OrbitRecord:
+    # the orbit mod d of rep, lifted to n: scale = J_2(n)/J_2(d)
+    size = orbit.count * len(orbit.scalars) * scale
+    minus = -1 % d in orbit.scalars
     # positional: a record's keyword call pays for a **kwargs dict, and spectra
     # build one record per orbit
     return OrbitRecord(vec2(n, *rep), size, n, minus, _degree(size, minus, n, field_degree))
@@ -244,26 +274,37 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
     column one and the multipliers no longer read once S = (Z/nZ)^*, are
     proved in the module doc.
 
+    When G's generators prove G >= ker(GL2(Z/n) -> GL2(Z/d)), d < n
+    (`matgroup.kernel_level`), the loop walks G mod d and lifts each record
+    to n, J_2(n)/J_2(d) times as large (see the module doc).
+
     Raises CapExceeded, with the true count, before enumerating when the
-    vectors outnumber G's cap: a group with many small orbits makes the
-    column loop look up every one of them.
+    J_2(d) vectors mod d outnumber G's cap: a group with many small orbits
+    makes the column loop look up every one of them.
     """
     if field_degree < 1:
         raise ValueError(f"field degree must be >= 1, got {field_degree}")
     n = G.modulus.n
-    count = exact_order_vector_count(n, n)
+    d = kernel_level(G)
+    count = exact_order_vector_count(d, d)
     if count > G.cap:
         raise CapExceeded(G.cap, count, "vector enumeration", "vectors")
-    tab = tables(n)
+    gens, scale = G.raw_generators, 1
+    if d < n:
+        # the generators mod d, once each; those I mod d leave the walk as scalars
+        gens = tuple(dict.fromkeys((a % d, b % d, c % d, e % d) for a, b, c, e in gens))
+        scale = exact_order_vector_count(n, n) // count
+    total = count * scale
+    tab = tables(d)
     key = tab.key
-    edges, scalars = line_edges(n, G.raw_generators)
-    base = {1 % n}
+    edges, scalars = line_edges(d, gens)
+    base = {1 % d}
     for z in scalars:
-        _adjoin(base, z, n)
+        _adjoin(base, z, d)
     lines: dict[int, Line] = {}
     records, found = [], 0
     pending: dict[int, list[_LineOrbit]] = {}
-    for x, g, ys in _exact_order_columns(tab, n):
+    for x, g, ys in _exact_order_columns(tab, d):
         open_orbits = pending.get(g)
         if open_orbits is not None:
             while open_orbits and not open_orbits[-1].open:
@@ -276,14 +317,14 @@ def degree_spectrum(G: MatGroup, field_degree: int = 1) -> DegreeSpectrum:
             if t is None:
                 t = _grow(tab, lines, edges, base, x, y)
             _, _, p, q, dv, orbit = t
-            c = orbit.coset[dv * (q * x - p * y) % n]
+            c = orbit.coset[dv * (q * x - p * y) % d]
             if orbit.claims[c] is None:
-                orbit.claims[c] = rec = _record(n, (x, y), orbit, field_degree)
+                orbit.claims[c] = rec = _record(n, d, scale, (x, y), orbit, field_degree)
                 orbit.open -= 1
                 records.append(rec)
                 found += rec.size
                 # the orbits found cover every vector, and every line
-                if found == count:
+                if found == total:
                     return DegreeSpectrum(n, field_degree, tuple(records), lines)
         if open_orbits is None:
             met = {t[5] for t in map(lines.get, range(gn, gn + m)) if t is not None}
@@ -325,13 +366,12 @@ def fiber_count(P: Vec2ModN, b: int) -> int:
     return exact_order_vector_count(n, n) // exact_order_vector_count(n, n // b)
 
 
-def _downstairs(
-    lines: dict[int, Line], a: int, field_degree: int
-) -> dict[_LineOrbit, tuple[int, int]]:
-    """Per line orbit O of a full line index mod n, the size and degree of
-    the G-orbits mod a (a | n) that O's vectors reduce to, from one pass
-    over the index (see the module doc): |O| / |F| lines mod a, times the
-    multiplier group S' mod a, grown from S mod a by the mu_l of F."""
+def _downstairs(lines: dict[int, Line], a: int) -> dict[_LineOrbit, tuple[int, bool]]:
+    """Per line orbit O of a full line index mod n, the size of the G-orbits
+    mod a (a | n) that O's vectors reduce to and whether they are closed
+    under -1, from one pass over the index (see the module doc): |O| / |F|
+    lines mod a, times the multiplier group S' mod a, grown from S mod a by
+    the mu_l of F."""
     out = {}
     for orbit, entries in groupby(lines.values(), itemgetter(5)):
         r0, r1, _, _, _, _ = next(entries)
@@ -346,8 +386,7 @@ def _downstairs(
                 mu = (d0 * w0 + e0 * w1) % a
                 if mu not in span:
                     _adjoin(span, mu, a)
-        size = orbit.count // fibre * len(span)
-        out[orbit] = size, _degree(size, -1 % a in span, a, field_degree)
+        out[orbit] = orbit.count // fibre * len(span), -1 % a in span
     return out
 
 
@@ -383,23 +422,30 @@ def max_growth_check(G: MatGroup, b: int, field_degree: int = 1) -> tuple[Growth
     |O| / |F| lines mod a, and S' = (S mod a) {mu_l : l in F} is the
     multiplier group mod a, mu_l the unit with w_l = mu_l w_r mod a.  Every
     record of O gets |O| / |F| |S'| vectors downstairs, halved in degree when
-    -1 lies in S' and a > 2.  G mod a is never built or walked.
+    -1 lies in S' and a > 2.  G mod a is never built or walked.  A spectrum
+    lifted from level d reads its index at gcd(a, d) and scales the sizes.
     """
     n = G.modulus.n
     if b < 1 or n % b != 0:
         raise OrderMismatch(f"{b} does not divide {n}")
     a = n // b
     up = degree_spectrum(G, field_degree)
+    d = up._level
+    g = gcd(a, d)
     # the spectrum stops once its records cover every vector, so every line
     # orbit, and with it every line, is in the index
-    lines, key = up._lines, tables(n).key
-    down = _downstairs(lines, a, field_degree)
+    lines, key = up._lines, tables(d).key
+    down = _downstairs(lines, g)
+    scale = exact_order_vector_count(a, a) // exact_order_vector_count(g, g)
     deg_f = map_degree(a, b).degree
     # the fiber count depends on a and b only; every exact-order-n vector has one
     fib = fiber_count(up.records[0].representative, b)
     reports = []
     for rec in up.records:
-        dsize, ddegree = down[lines[key(*rec.representative.entries)][5]]
+        # a representative is its own least lift, so it is reduced mod d
+        size, minus = down[lines[key(*rec.representative.entries)][5]]
+        dsize = size * scale
+        ddegree = _degree(dsize, minus, a, field_degree)
         ratio, rem = divmod(rec.size, dsize)
         assert rem == 0, "orbit size downstairs must divide orbit size upstairs"
         # fields in declaration order, positional as in `_record`

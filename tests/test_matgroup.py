@@ -19,6 +19,7 @@ from x1points.matgroup import (
     group_from_dict,
     group_to_dict,
     is_full_preimage,
+    kernel_level,
     kernel_of_projection,
     kernel_order,
     project,
@@ -29,6 +30,7 @@ from x1points.modarith import (
     euler_phi,
     gl2_order,
     modulus,
+    mul_raw,
     sl2_order,
     tables,
 )
@@ -317,6 +319,37 @@ def test_is_full_preimage_cases():
     pre = full_preimage(closure(borel_group(3).raw_generators, 3), 9)
     assert is_full_preimage(pre, 3)
     assert not is_full_preimage(pre, 1)
+
+
+def test_kernel_level_proves_the_level_of_full_preimages():
+    # the kernel generators of a full preimage span the first layer, at
+    # every prime, and conjugating every generator keeps them spanning it
+    cases = [(borel_group(3), 9, 3), (borel_group(7), 7**5, 7), (borel_group(6), 36, 6), (gl2_group(2), 4, 2)]
+    for base, n, d in cases:
+        G = full_preimage(base, n)
+        assert kernel_level(G) == d and is_full_preimage(G, d)
+        h = (2, 1, 1, 1)
+        h_inv = (1, n - 1, n - 1, 2)
+        conjugated = MatGroup(modulus(n), [mul_raw(mul_raw(h, g, n), h_inv, n) for g in G.raw_generators])
+        assert kernel_level(conjugated) == d
+    # a group proved at no d < n is its own level here
+    assert kernel_level(gl2_group(12)) == 12
+    assert kernel_level(MatGroup(modulus(1), [])) == 1
+
+
+def test_kernel_level_proves_nothing_outside_its_hypotheses():
+    # p = 2, f = 1 < e - 1: the full preimage of the Borel group mod 2 at 16
+    # contains K_2, but squares of I + 2X leave the layer, so nothing is proved
+    G = full_preimage(borel_group(2), 16)
+    assert kernel_level(G) == 16 and is_full_preimage(G, 2)
+    # four generators I mod 3 whose layer vectors E11, E12, E21, E11 + E12
+    # span 3 dimensions: they generate 3^3 of the 3^4 elements of K_3 mod 9
+    three_dims = MatGroup(modulus(9), [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (4, 3, 0, 1)])
+    assert kernel_level(three_dims) == 9 and not is_full_preimage(three_dims, 3)
+    # three generators I mod 3 cannot span F_3^4, though with E12 they
+    # generate a group that contains K_3: the proof is sufficient, not exact
+    three_gens = MatGroup(modulus(9), [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (1, 1, 0, 1)])
+    assert kernel_level(three_gens) == 9 and is_full_preimage(three_gens, 3)
 
 
 def test_congruence_kernel_generators_span_the_kernel():

@@ -15,7 +15,7 @@ from conftest import (
     split_cartan_group,
     unipotent_group,
 )
-from x1points import matgroup, orbits
+from x1points import levels, matgroup, orbits
 from x1points.curveinv import map_degree, psl2_index
 from x1points.errors import CapExceeded, ModulusMismatch, OrderMismatch
 from x1points.matgroup import (
@@ -380,15 +380,63 @@ SPECTRUM_CAP_GROUPS = [
 
 @pytest.mark.parametrize("make", [c[1] for c in SPECTRUM_CAP_GROUPS], ids=[c[0] for c in SPECTRUM_CAP_GROUPS])
 def test_degree_spectrum_fits_exactly_a_cap_of_its_vectors(make):
-    # the cap bounds the exact-order vectors themselves, with no floor
+    # the cap bounds the exact-order vectors themselves, with no floor: those
+    # mod n, or mod the level d < n that the generators prove, whose records
+    # are lifted (the full preimage mod 125, proved at d = 5)
     G = make(DEFAULT_CAP)
     n = G.modulus.n
-    count = exact_order_vector_count(n, n)
+    d = 5 if n == 125 else n
+    assert matgroup.kernel_level(G) == d
+    count = exact_order_vector_count(d, d)
     assert degree_spectrum(make(count), 2).records == degree_spectrum(G, 2).records
     with pytest.raises(CapExceeded) as info:
         degree_spectrum(make(count - 1))
     assert (info.value.cap, info.value.partial_count) == (count - 1, count)
     assert str(info.value) == f"vector enumeration exceeded cap of {count - 1} vectors ({count} found)"
+    if d < n:
+        cap = exact_order_vector_count(n, n) - 1
+        assert degree_spectrum(make(cap), 2).records == degree_spectrum(G, 2).records
+
+
+def test_lifted_spectrum_walks_the_level_and_builds_no_chain(monkeypatch):
+    # the generators of the full preimage of the Borel group mod 7 at 7^5
+    # prove its level 7 themselves, so the spectrum walks the psi(7) = 8
+    # lines mod 7 and neither builds a chain nor asks minimize_level
+    walked = []
+    walk = orbits.walk_lines
+
+    def counted(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain or level asked for")
+
+    monkeypatch.setattr(orbits, "walk_lines", counted)
+    monkeypatch.setattr(matgroup, "_stabilizer_chain", refuse)
+    monkeypatch.setattr(levels, "minimize_level", refuse)
+    spec = degree_spectrum(full_preimage(borel_group(7), 7**5))
+    assert sum(walked) == 8
+    # each orbit mod 7 lifts to its 7^8 = J_2(7^5)/J_2(7) times larger preimage
+    assert [(r.representative.entries, r.size, r.degree) for r in spec.records] == [
+        ((0, 1), 42 * 7**8, 21 * 7**8),
+        ((1, 0), 6 * 7**8, 3 * 7**8),
+    ]
+    assert spec.record_of((8, 7**5 - 7)) is spec.records[1]
+
+
+def test_crt_product_of_preimages_is_lifted_from_the_product_of_levels():
+    # the Borel preimages at 3^9 and 5^7, joined by CRT: each prime's layer
+    # is spanned by its own kernel generators, so the level proved is 15 and
+    # the spectrum is that of the Borel groups' product mod 15, lifted
+    G = matgroup.crt_product(full_preimage(borel_group(3), 3**9), full_preimage(borel_group(5), 5**7))
+    assert matgroup.kernel_level(G) == 15
+    n = 3**9 * 5**7
+    lifts = exact_order_vector_count(n, n) // exact_order_vector_count(15, 15)
+    base = degree_spectrum(matgroup.crt_product(borel_group(3), borel_group(5)), 2)
+    assert [(r.representative.entries, r.size, r.degree) for r in degree_spectrum(G, 2).records] == [
+        (r.representative.entries, r.size * lifts, r.degree * lifts) for r in base.records
+    ]
 
 
 def test_degree_spectrum_full_preimage_borel_5_at_625():

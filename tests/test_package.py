@@ -97,6 +97,11 @@ sys.exit(code)
             ["sporadic-check", "--level", "229", "--degree", "114"],
             ["cli", "curveinv", "errors", "modarith", "sporadic"],
         ),
+        # a spectrum lifted from the level its generators prove loads no layer more
+        (
+            ["degrees", "--in", str(INPUTS / "borel_3_to_9.json")],
+            ["cli", "curveinv", "errors", "matgroup", "modarith", "orbits"],
+        ),
     ],
 )
 def test_subcommand_runs_only_its_layers(argv, layers):

@@ -3,10 +3,11 @@ the orbit kernel and Goursat data against the brute-force oracles, and the
 consistency of the modules with one another over random subgroups."""
 
 import itertools
-from math import gcd
+from math import gcd, prod
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+import pytest
 
 from conftest import (
     closure_oracle,
@@ -23,6 +24,7 @@ from conftest import (
     vectors_by_order_oracle,
 )
 
+from x1points import orbits
 from x1points.errors import HypothesisFailed
 from x1points.levels import (
     LadicDetection,
@@ -42,6 +44,7 @@ from x1points.matgroup import (
     goursat,
     goursat_product,
     is_full_preimage,
+    kernel_level,
     kernel_of_projection,
     kernel_order,
     project,
@@ -643,6 +646,95 @@ def test_growth_downstairs_matches_a_spectrum_mod_a(case, field_degree):
         assert growth_downstairs(G, b, field_degree) == growth_oracle(G, b, field_degree), b
 
 
+# -- spectra lifted from the level the generators prove ------------------------
+
+
+@st.composite
+def lifted_cases(draw):
+    """A full preimage at n = m k <= 400 of a random base mod m <= 12, k a
+    product of primes of m, with every generator conjugated by one random
+    matrix half of the time, and a field degree 1..3."""
+    m = draw(st.integers(2, 12))
+    n = m
+    for p in draw(st.lists(st.sampled_from([p for p, _ in factorize(m)]), min_size=1, max_size=4)):
+        if n * p <= 400:
+            n *= p
+    base = MatGroup(modulus(m), draw(st.lists(invertible(m), max_size=3)))
+    gens = full_preimage(base, n).raw_generators
+    if draw(st.booleans()):
+        h = draw(invertible(n))
+        h_inv = inv_raw(h, n)
+        gens = [matmul_oracle(matmul_oracle(h, g, n), h_inv, n) for g in gens]
+    return n, gens, draw(st.integers(1, 3))
+
+
+def spectrum_and_growth(G, field_degree, vectors):
+    """The records, closed-point degrees, records of `vectors` and growth
+    reports at every b | n of G's spectrum."""
+    spec = degree_spectrum(G, field_degree)
+    return (
+        spec.records,
+        closed_point_degrees(spec),
+        [spec.record_of(v) for v in vectors],
+        [max_growth_check(G, b, field_degree) for b in divisors(G.modulus.n)],
+    )
+
+
+@PROPERTY_SETTINGS
+@given(lifted_cases(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20))
+@example((36, full_preimage(borel_group(6), 36).raw_generators, 2), [(7, 30)])
+@example((16, full_preimage(borel_group(4), 16).raw_generators, 1), [(3, 4)])
+def test_lifted_spectrum_matches_the_walk_at_n(case, vectors):
+    # a group whose generators prove its level d < n is walked mod d and its
+    # records lifted; forced to walk mod n it must report the same records,
+    # points, record_of answers and growth reports at every b | n
+    n, gens, field_degree = case
+    G = MatGroup(modulus(n), gens)
+    assume(kernel_level(G) < n)
+    vectors = [v for v in vectors if gcd(gcd(*v), n) == 1]
+    lifted = spectrum_and_growth(G, field_degree, vectors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "kernel_level", lambda G: G.modulus.n)
+        walked = spectrum_and_growth(G, field_degree, vectors)
+    assert lifted == walked
+
+
+# moduli whose proper divisors sharing their primes cover p = 2 at f = 1 and
+# e = 2, 3, 4, odd p at e <= 2f and e > 2f, and two primes at once
+SOUNDNESS_MODULI = [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 36, 45, 49, 50, 72, 81, 100]
+
+
+@st.composite
+def kernel_heavy_gens(draw):
+    """Random generators mod n plus 0..5 random I + d X for one random d | n,
+    d < n sharing the primes of n (so each is invertible)."""
+    n = draw(st.sampled_from(SOUNDNESS_MODULI))
+    radical = prod(p for p, _ in factorize(n))
+    d = draw(st.sampled_from([d for d in divisors(n) if d % radical == 0 and d < n]))
+    gens = draw(st.lists(invertible(n), max_size=3))
+    for a, b, c, e in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 4), max_size=5)):
+        gens.append(((1 + d * a) % n, d * b % n, d * c % n, (1 + d * e) % n))
+    return n, gens
+
+
+@PROPERTY_SETTINGS
+@given(kernel_heavy_gens())
+@example((27, [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (1, 0, 0, 4)]))
+@example((36, [(1, 1, 0, 1), (7, 0, 0, 1), (1, 6, 0, 1), (1, 0, 6, 1), (1, 0, 0, 7)]))
+@example((8, [(3, 0, 0, 1), (1, 2, 0, 1), (1, 0, 2, 1), (1, 0, 0, 3)]))
+def test_kernel_level_is_sound(case):
+    # whatever d < n the generators prove, G is the full preimage of G mod d.
+    # In the last example I + 2X spans the layer mod 2 but generates 2^7 of
+    # the 2^8 elements of ker(GL2(Z/8) -> GL2(Z/2)): squares miss the layer
+    # mod 4, so nothing is proved at p = 2, f = 1 < e - 1
+    n, gens = case
+    G = MatGroup(modulus(n), gens)
+    d = kernel_level(G)
+    assert n % d == 0
+    if d < n:
+        assert is_full_preimage(G, d)
+
+
 def chain_and_spectrum(n, gens, b, field_degree, probes):
     """What a fresh group on `gens` reports: records, growth reports, order
     and membership of each probe."""
@@ -706,18 +798,22 @@ def test_random_subgroup_goursat_orders(case):
 @given(subgroup_gens(st.integers(1, 36)))
 @example((1, [(0, 0, 0, 0)]))
 @example((12, [(1, 1, 0, 1), (1, 0, 1, 1), (5, 0, 0, 1)]))
+@example((9, [(1, 1, 0, 1), (2, 0, 0, 1), (1, 0, 0, 2), (1, 3, 0, 1), (1, 0, 3, 1), (4, 0, 0, 1), (1, 0, 0, 4)]))
 def test_spectrum_walks_the_chain_line_orbit(case):
     # the chain and the spectrum both grow lines with matgroup.walk_lines:
     # the spectrum's line orbit through <e1> is the chain's first level, and
-    # its multiplier group S is the chain's A
+    # its multiplier group S is the chain's A.  A spectrum lifted from the
+    # level d its generators prove walks G mod d, so it meets the chain mod d
     n, gens = case
     G = MatGroup(modulus(n), gens)
-    chain = G._get_chain()
     spec = degree_spectrum(G)
-    orbit = spec._lines[tables(n).key(1 % n, 0)][5]
+    d = kernel_level(G)
+    chain = project(G, d)._get_chain()
+    orbit = spec._lines[tables(d).key(1 % d, 0)][5]
     assert orbit.count == len(chain.lines)
     assert orbit.scalars == set(chain.a_level)
-    assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level)
+    lifts = exact_order_vector_count(n, n) // exact_order_vector_count(d, d)
+    assert spec.record_of((1, 0)).size == len(chain.lines) * len(chain.a_level) * lifts
 
 
 # -- groups containing SL2, whose chain stops sifting once H is complete --------
