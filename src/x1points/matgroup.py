@@ -60,17 +60,28 @@ Its default, `DEFAULT_CAP`, is defined in `errors` and re-exported here.
 `kernel_level` proves G >= K_d = ker(GL2(Z/n) -> GL2(Z/d)) from G's
 generators alone, one prime at a time: with p^f || d, p^e || n and f >= 1 at
 each p | n, K_d is the product of the p-groups K_p = ker(GL2(Z/p^e) ->
-GL2(Z/p^f)).  A generator I mod p^f and mod every other prime of n lies in a
-product of such p-groups, of coprime orders, so its p-part, its image mod
-p^e, is a power of it.  I + p^f X -> X mod p maps K_p onto M2(F_p), with
-kernel the matrices I mod p^(f+1), and that kernel is the Frattini subgroup:
-for p odd or f >= 2, (I + p^j X)^p = I + p^(j+1) X mod p^(j+2) for every
-j >= f, so p-th powers reach every later layer, and for e <= 2f, K_p =~
-M2(Z/p^(e-f)) is abelian.  So by Burnside's basis theorem (Holt, Eick and
-O'Brien, ch. 8) those generators generate K_p iff their layer vectors
-(g - I)/p^f mod p span F_p^4.  At p = 2, f = 1 < e - 1 nothing is proved.
-Conjugation acts linearly on the layer, so conjugating every generator keeps
-the proof.
+GL2(Z/p^f)).  I + p^f X -> X mod p maps K_p onto M2(F_p), with kernel the
+matrices I mod p^(f+1), and that kernel is the Frattini subgroup: for p odd
+or f >= 2, (I + p^j X)^p = I + p^(j+1) X mod p^(j+2) for every j >= f, so
+p-th powers reach every later layer, and for e <= 2f, K_p =~ M2(Z/p^(e-f))
+is abelian.  So by Burnside's basis theorem (Holt, Eick and O'Brien, ch. 8)
+G >= K_p iff the layer vectors of G n K_p span F_p^4.  At p = 2,
+f = 1 < e - 1 nothing is proved.  The evidence is the layers of powers of
+the generators, isolated at p.  The orders in GL2(F_p) divide p(p - 1)(p + 1),
+so x = g^k with k = (p - 1)^2 (p + 1) p^j is of order 1 or p mod p, and a
+p-element mod p^e, as the kernel down to p is a p-group; and x is of
+p'-order mod every other prime r of n once p^j holds the p-part of the
+order of g mod r (that of g mod r^(e_r) too, as the kernel down to r is an
+r-group).  So x's component mod p^e is a power of x and lies in G, and its
+p-th powers give a vector on each layer they reach, the first once it is I
+mod p.  The least such j is taken: an extra factor p pushes the vector a
+layer deeper, while a p'-factor only scales it, and a generator I mod rad(n)
+is isolated as it is.  The layer of G n K_p is a G-module, h (I + p^f X)
+h^-1 = I + p^f hXh^-1, so the span is closed under conjugation by the
+generators mod p.  For p odd or f >= 2 the p-th power keeps the vector from
+layer f to f + 1, so the spans only grow with f, and a layer e - 1 left
+short proves no f.  G in SL2 contains no K_d, d < n, whose diagonal units I
+mod d have determinants other than 1.
 """
 
 from __future__ import annotations
@@ -89,7 +100,6 @@ from .modarith import (
     mul_raw,
     tables,
     unit_group_generators,
-    valuation,
 )
 
 # An element [[a, b], [0, d]] of H as (a, b, d); (a, b, d)(a', b', d') = (aa', ab' + bd', dd').
@@ -502,51 +512,107 @@ def congruence_kernel_generators(n: int, m: int) -> Iterator[MatTuple]:
 
 def kernel_level(G: MatGroup) -> int:
     """The least d | n for which G's generators prove G >= K_d (see the
-    module doc), one prime p^e || n at a time: p^f for the least f < e whose
-    layer the generators I mod p^f and mod every prime of n span, else p^e.
-    Those are the g with p^f and n's primes dividing d_g = gcd(n, a - 1, b,
-    c, d - 1), and only the valuations of the d_g can give a nonzero layer.
+    module doc), one prime p^e || n at a time: p^f for the least admissible
+    f < e whose layer the evidence spans, else p^e.  The generators I mod
+    rad(n) are tried alone first, at the least admissible f; only if they
+    fail is every generator isolated at p and the span closed under G mod p,
+    layer e - 1 first.  A group of determinant 1 contains no K_d, d < n.
     """
-    n = G.modulus.n
-    radical = prod(G.modulus.primes)
-    kernel = []
-    for a, b, c, d in G.raw_generators:
-        dg = gcd(n, a - 1, b, c, d - 1)
-        if dg % radical == 0:
-            kernel.append((a, b, c, d, dg))
-    if len(kernel) < 4:  # a layer to span is F_p^4
+    n, gens, primes = G.modulus.n, G.raw_generators, G.modulus.primes
+    if all((a * d - b * c) % n == 1 % n for a, b, c, d in gens):
         return n
+    radical = prod(primes)
+    kernel = [g for g in gens if gcd(n, g[0] - 1, g[1], g[2], g[3] - 1) % radical == 0]
     level = 1
     for p, e in G.modulus.factorization:
-        tried = sorted({valuation(g[4], p) for g in kernel})
-        level *= p ** next((f for f in tried if f < e and _layer_spanned(kernel, p, e, f)), e)
+        q, f = p**e, e
+        low = 2 if p == 2 and e > 2 else 1  # the least admissible f
+        if low < e and _spanned(p, (_layer(g, p, q, low) for g in kernel)):
+            f = low
+        elif low < e:
+            mod_p = dict.fromkeys(tuple(x % p for x in g) for g in gens)
+            acting = tuple(h for h in mod_p if h[1] or h[2] or h[0] != h[3])  # a scalar acts trivially
+
+            def proves(f: int, xs: Iterable[MatTuple]) -> bool:
+                return _spanned(p, (_layer(x, p, q, f) for x in xs), acting)
+
+            # the spans only grow with f, so a short layer e - 1 proves no f
+            if proves(e - 1, (_isolated(g, p, q, primes) for g in gens)):
+                xs = [_isolated(g, p, q, primes) for g in gens] if low < e - 1 else []
+                f = next((f for f in range(low, e - 1) if proves(f, xs)), e - 1)
+        level *= p**f
     return level
 
 
-def _layer_spanned(kernel: list[tuple[int, ...]], p: int, e: int, f: int) -> bool:
-    """Whether the matrices (a, b, c, d, d_g) of `kernel` with p^f | d_g
-    prove ker(GL2(Z/p^e) -> GL2(Z/p^f)), 1 <= f < e: never at p = 2, f = 1 <
-    e - 1, else iff their layer vectors (g - I)/p^f mod p span F_p^4."""
-    if p == 2 and f == 1 and e > 2:
-        return False
-    q, s = p**e, p**f
-    kernel = [g for g in kernel if g[4] % s == 0]
-    if len(kernel) < 4:
-        return False
+def _power(m: MatTuple, k: int, q: int) -> MatTuple:
+    """m^k mod q, k >= 1, by repeated squaring."""
+    a, b, c, d = m
+    x0, x1, x2, x3 = 1, 0, 0, 1
+    while True:
+        if k & 1:
+            x0, x1 = (x0 * a + x1 * c) % q, (x0 * b + x1 * d) % q
+            x2, x3 = (x2 * a + x3 * c) % q, (x2 * b + x3 * d) % q
+        k >>= 1
+        if not k:
+            return x0, x1, x2, x3
+        a, b, c, d = (a * a + b * c) % q, (a + d) * b % q, (a + d) * c % q, (b * c + d * d) % q
+
+
+def _isolated(g: MatTuple, p: int, q: int, primes: tuple[int, ...]) -> MatTuple:
+    """g^k mod q, q = p^e, for the k = (p - 1)^2 (p + 1) p^j of least j that
+    makes g^k of p'-order mod every other prime r of n: the p-part of g^k is
+    then its component mod q, a power of g^k."""
+    y, j = _power(g, (p - 1) ** 2 * (p + 1), q), 0
+    for r in primes:
+        N = r * (r - 1) ** 2 * (r + 1)  # |GL2(F_r)|
+        if r != p and N % p == 0:
+            # the p-part of g mod r is a power of y_r, whose order is p^t
+            while N % p == 0:
+                N //= p
+            y_r, t = _power(g, N, r), 0
+            while y_r != (1, 0, 0, 1):
+                y_r, t = _power(y_r, p, r), t + 1
+            j = max(j, t)
+    return _power(y, p**j, q) if j else y
+
+
+def _layer(x: MatTuple, p: int, q: int, f: int) -> tuple[int, ...]:
+    """The layer vector (y - I)/p^f mod p of the first p-power y of x, a
+    p-element mod q = p^e, that is I mod p^f."""
+    s = p**f
+    a, b, c, d = x
+    while (a - 1) % s or b % s or c % s or (d - 1) % s:
+        a, b, c, d = _power((a, b, c, d), p, q)
+    return (a - 1) % q // s % p, b % q // s % p, c % q // s % p, (d - 1) % q // s % p
+
+
+def _spanned(p: int, vectors: Iterable[tuple[int, ...]], acting: tuple[MatTuple, ...] = ()) -> bool:
+    """Whether `vectors`, matrices X over F_p, and their images under X ->
+    h X adj(h) for the h of `acting`, span F_p^4.  Conjugation is linear, so
+    only a vector that raises the rank has its images queued; they are read
+    before the next vector is drawn, so a spanning start draws few."""
     rows: list[tuple[int, list[int]]] = []  # (pivot, row): 1 at the pivot, 0 at earlier pivots
-    for a, b, c, d, _ in kernel:
-        v = [(a - 1) % q // s % p, b % q // s % p, c % q // s % p, (d - 1) % q // s % p]
-        for j, row in rows:
-            t = v[j]
-            if t:
-                v = [(x - t * r) % p for x, r in zip(v, row)]
-        for j, t in enumerate(v):
-            if t:
-                t = pow(t, -1, p)
-                rows.append((j, [x * t % p for x in v]))
-                if len(rows) == 4:
-                    return True
-                break
+    for start in vectors:
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            v = list(x)
+            for j, row in rows:
+                t = v[j]
+                if t:
+                    v = [(y - t * r) % p for y, r in zip(v, row)]
+            j = next((j for j, t in enumerate(v) if t), None)
+            if j is None:
+                continue
+            t = pow(v[j], -1, p)
+            rows.append((j, [y * t % p for y in v]))
+            if len(rows) == 4:
+                return True
+            x0, x1, x2, x3 = x
+            for ha, hb, hc, hd in acting:
+                m0, m1, m2, m3 = ha * x0 + hb * x2, ha * x1 + hb * x3, hc * x0 + hd * x2, hc * x1 + hd * x3
+                queue.append(((m0 * hd - m1 * hc) % p, (m1 * ha - m0 * hb) % p,
+                              (m2 * hd - m3 * hc) % p, (m3 * ha - m2 * hb) % p))
     return False
 
 

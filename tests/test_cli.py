@@ -574,10 +574,11 @@ def test_group_file_contract_names_the_file_exit_2(capsys, tmp_path, content, me
 def test_cap_flag_exceeded_exit_2(capsys, tmp_path):
     path = tmp_path / "gl2_8.json"
     save_group(gl2_group(8), str(path))
-    # the 48 exact-order vectors mod 8 are bounded by the cap like the group
+    # the exact-order vectors are bounded by the cap like the group: the 12
+    # mod 4, the level GL2(Z/8)'s generators prove, whose orbits are lifted
     code, out, err = run(capsys, ["orbits", "--in", str(path), "--cap", "10"])
     assert code == 2 and out == ""
-    assert "vector enumeration exceeded cap of 10 vectors (48 found)" in err
+    assert "vector enumeration exceeded cap of 10 vectors (12 found)" in err
     code, _, err = run(capsys, ["group", "--in", str(path), "--cap", "10"])
     assert code == 2
     assert "cap" in err

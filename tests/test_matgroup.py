@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from x1points.modarith import (
     divisors,
     euler_phi,
     gl2_order,
+    inv_raw,
     modulus,
     mul_raw,
     sl2_order,
@@ -321,35 +323,76 @@ def test_is_full_preimage_cases():
     assert not is_full_preimage(pre, 1)
 
 
+def conjugated(G, h=(2, 1, 1, 1)):
+    """G with every generator conjugated by h."""
+    n = G.modulus.n
+    h_inv = inv_raw(h, n)
+    return MatGroup(modulus(n), [mul_raw(mul_raw(h, g, n), h_inv, n) for g in G.raw_generators])
+
+
 def test_kernel_level_proves_the_level_of_full_preimages():
     # the kernel generators of a full preimage span the first layer, at
     # every prime, and conjugating every generator keeps them spanning it
     cases = [(borel_group(3), 9, 3), (borel_group(7), 7**5, 7), (borel_group(6), 36, 6), (gl2_group(2), 4, 2)]
+    # a preimage from above the first layer: its kernel generators are I mod 9
+    cases.append((borel_group(9), 27, 9))
     for base, n, d in cases:
         G = full_preimage(base, n)
         assert kernel_level(G) == d and is_full_preimage(G, d)
-        h = (2, 1, 1, 1)
-        h_inv = (1, n - 1, n - 1, 2)
-        conjugated = MatGroup(modulus(n), [mul_raw(mul_raw(h, g, n), h_inv, n) for g in G.raw_generators])
-        assert kernel_level(conjugated) == d
-    # a group proved at no d < n is its own level here
-    assert kernel_level(gl2_group(12)) == 12
+        assert kernel_level(conjugated(G)) == d
+    # powers of GL2's generators isolated at 2 span the layer mod 2 of K_2
+    # once conjugated by GL2 mod 2; a Borel group's span is upper
+    # triangular, so it is proved at no d < n and is its own level here
+    assert kernel_level(gl2_group(12)) == 6 and is_full_preimage(gl2_group(12), 6)
+    assert kernel_level(borel_group(12)) == 12
     assert kernel_level(MatGroup(modulus(1), [])) == 1
+
+
+def test_kernel_level_proves_the_level_of_few_generator_images():
+    # no generator of GL2 is I mod rad(n), but powers of them isolated at
+    # each p^e || n, with their conjugates, span the layer of K_p: conjugated
+    # GL2 is proved at the least admissible level, f = 2 at 2^e, e >= 3
+    for n, d in [(8, 4), (12, 6), (16, 4), (49, 7), (64, 4), (120, 60), (169, 13), (300, 30)]:
+        G = conjugated(gl2_group(n))
+        assert kernel_level(G) == d and is_full_preimage(G, d)
+    # the layers of Borel, Cartan and normalizer groups are conjugation
+    # invariant subspaces of dimension 3, 2 and 2, and SL2 has determinant 1
+    for n in (12, 36, 100, 120, 180):
+        cartan = split_cartan_group(n)
+        normalizer = MatGroup(modulus(n), [*cartan.raw_generators, (0, 1, 1, 0)])
+        for G in (borel_group(n), sl2_group(n), cartan, normalizer):
+            assert kernel_level(conjugated(G)) == n
+    # generators I + 2X mod 4 for X = E11, E12, E21, E22, each diag(-1, 1)
+    # mod 3: a power is isolated at 2 only once it is I mod 3, and squares
+    # are I mod 4, so the layer mod 2 gets no evidence (G has 16 elements)
+    G = MatGroup(modulus(12), [(11, 0, 0, 1), (5, 6, 0, 1), (5, 0, 6, 1), (5, 0, 0, 7)])
+    assert kernel_level(G) == 12 and not is_full_preimage(G, 6)
+
+
+def test_kernel_level_reads_orders_from_powers_alone():
+    # a prime square near 2^62: no search over the p^2 residues and no
+    # factorization finds the orders of the generators mod p
+    p = 2**31 - 1
+    G = gl2_group(p * p)
+    start = time.perf_counter()
+    assert kernel_level(G) == p
+    assert time.perf_counter() - start < 1
 
 
 def test_kernel_level_proves_nothing_outside_its_hypotheses():
     # p = 2, f = 1 < e - 1: the full preimage of the Borel group mod 2 at 16
-    # contains K_2, but squares of I + 2X leave the layer, so nothing is proved
+    # contains K_2, but squares of I + 2X leave the layer, so only f = 2 is
+    # proved, by the squares of its generators
     G = full_preimage(borel_group(2), 16)
-    assert kernel_level(G) == 16 and is_full_preimage(G, 2)
+    assert kernel_level(G) == 4 and is_full_preimage(G, 2)
     # four generators I mod 3 whose layer vectors E11, E12, E21, E11 + E12
     # span 3 dimensions: they generate 3^3 of the 3^4 elements of K_3 mod 9
     three_dims = MatGroup(modulus(9), [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (4, 3, 0, 1)])
     assert kernel_level(three_dims) == 9 and not is_full_preimage(three_dims, 3)
-    # three generators I mod 3 cannot span F_3^4, though with E12 they
-    # generate a group that contains K_3: the proof is sufficient, not exact
+    # three generators I mod 3 span 3 dimensions alone; conjugating E21 by
+    # (1, 1, 0, 1) adds the fourth, so the closed span proves K_3
     three_gens = MatGroup(modulus(9), [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (1, 1, 0, 1)])
-    assert kernel_level(three_gens) == 9 and is_full_preimage(three_gens, 3)
+    assert kernel_level(three_gens) == 3 and is_full_preimage(three_gens, 3)
 
 
 def test_congruence_kernel_generators_span_the_kernel():

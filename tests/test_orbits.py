@@ -280,10 +280,11 @@ def test_growth_field_degree_three():
         assert all(r.downstairs_degree % 3 == 0 for r in max_growth_check(G, 5, 3))
 
 
-@pytest.mark.parametrize("G", [gl2_group(120), borel_group(120)], ids=["gl2", "borel"])
-def test_growth_check_walks_the_lines_once(G, monkeypatch):
-    # the orbits mod 60 come from the line index mod 120: psi(120) = 288
-    # lines are walked in all, and G mod 60 is never built
+@pytest.mark.parametrize("G, lines", [(gl2_group(120), 144), (borel_group(120), 288)], ids=["gl2", "borel"])
+def test_growth_check_walks_the_lines_once(G, lines, monkeypatch):
+    # the orbits mod 60 come from the line index of the walk: psi(120) = 288
+    # lines for the Borel group, and psi(60) = 144 for GL2, whose generators
+    # prove its level 60; each line is walked once, and G mod 60 is never built
     walked = []
     walk = orbits.walk_lines
 
@@ -298,7 +299,7 @@ def test_growth_check_walks_the_lines_once(G, monkeypatch):
     monkeypatch.setattr(matgroup, "project", refuse)
     assert not hasattr(orbits, "project")
     assert max_growth_check(G, 2)
-    assert sum(walked) == 288
+    assert sum(walked) == lines
 
 
 @pytest.mark.parametrize("n", [300, 3**7, 16])
@@ -306,7 +307,8 @@ def test_scalar_pairs_leave_the_walk(n, monkeypatch):
     # borel_group(n) lists diag(u, 1) and diag(1, u) for each of its r unit
     # generators u; their product is uI, so the chain and the spectrum walk
     # 1 + r edges and take each u as a scalar.  GL2's generators have no
-    # scalar product, so all of them are walked
+    # scalar product, so all of them are walked when the walk is forced to
+    # stay at n (mod its proved level, some unit generators reduce to I)
     r = len(unit_group_generators(n))
     walks = []
     walk = matgroup.walk_lines
@@ -324,6 +326,7 @@ def test_scalar_pairs_leave_the_walk(n, monkeypatch):
     assert degree_spectrum(B).record_of((0, 1)).size == n * euler_phi(n)
     assert walks and set(walks) == {1 + r}
     walks.clear()
+    monkeypatch.setattr(orbits, "kernel_level", lambda G: G.modulus.n)
     G = gl2_group(n)
     assert G.order == gl2_order(n) and degree_spectrum(G).records
     assert walks and set(walks) == {len(G.raw_generators)}
@@ -425,6 +428,31 @@ def test_lifted_spectrum_walks_the_level_and_builds_no_chain(monkeypatch):
     assert spec.record_of((8, 7**5 - 7)) is spec.records[1]
 
 
+def test_few_generator_image_walks_its_proved_level(monkeypatch):
+    # a conjugated GL2(Z/300) on 5 generators proves its level 30 from
+    # isolated powers of them, so the spectrum walks the psi(30) = 72 lines
+    # mod 30, not the 720 mod 300, and builds no chain
+    walked = []
+    walk = orbits.walk_lines
+
+    def counted(*args):
+        walked.append(walk(*args))
+        return walked[-1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain or level asked for")
+
+    n = 300
+    h, h_inv = (2, 1, 1, 1), inv_raw((2, 1, 1, 1), n)
+    G = MatGroup(modulus(n), [mul_raw(mul_raw(h, g, n), h_inv, n) for g in gl2_group(n).raw_generators])
+    monkeypatch.setattr(orbits, "walk_lines", counted)
+    monkeypatch.setattr(matgroup, "_stabilizer_chain", refuse)
+    monkeypatch.setattr(levels, "minimize_level", refuse)
+    spec = degree_spectrum(G)
+    assert sum(walked) == 72
+    assert [(r.representative.entries, r.size) for r in spec.records] == [((0, 1), exact_order_vector_count(n, n))]
+
+
 def test_crt_product_of_preimages_is_lifted_from_the_product_of_levels():
     # the Borel preimages at 3^9 and 5^7, joined by CRT: each prime's layer
     # is spanned by its own kernel generators, so the level proved is 15 and
@@ -482,14 +510,17 @@ def test_walk_claims_only_the_first_column_of_each_gcd_class(monkeypatch):
     assert len(columns) < exact_order_vector_count(n, n)
 
 
-@pytest.mark.parametrize("n", [12, 49, 64, 169])
-def test_line_index_of_a_full_image_holds_psi_entries(n):
-    # one index entry per line of P^1(Z/nZ), none per vector: GL2 has one
-    # line orbit, and every entry names it
-    psi = n
-    for p, _ in factorize(n):
+@pytest.mark.parametrize("n, d", [(12, 6), (49, 7), (64, 4), (169, 13)], ids=["12", "49", "64", "169"])
+def test_line_index_of_a_full_image_holds_psi_entries(n, d):
+    # one index entry per line of P^1(Z/dZ), none per vector, at the level d
+    # that GL2's generators prove: GL2 has one line orbit, and every entry
+    # names it
+    G = gl2_group(n)
+    assert matgroup.kernel_level(G) == d
+    psi = d
+    for p, _ in factorize(d):
         psi = psi // p * (p + 1)
-    lines = degree_spectrum(gl2_group(n))._lines
+    lines = degree_spectrum(G)._lines
     assert len(lines) == psi
     assert len({entry[5] for entry in lines.values()}) == 1
     assert next(iter(lines.values()))[5].count == psi

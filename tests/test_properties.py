@@ -20,6 +20,7 @@ from conftest import (
     orbit_partition_oracle,
     pair_closure_oracle,
     sl2_gens,
+    split_cartan_group,
     unipotent_group,
     vectors_by_order_oracle,
 )
@@ -649,11 +650,44 @@ def test_growth_downstairs_matches_a_spectrum_mod_a(case, field_degree):
 # -- spectra lifted from the level the generators prove ------------------------
 
 
+# moduli whose proper divisors sharing their primes cover p = 2 at f = 1 and
+# e = 2, 3, 4, odd p at e <= 2f and e > 2f, and two primes at once
+SOUNDNESS_MODULI = [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 36, 45, 49, 50, 72, 81, 100]
+
+
+def family_generators(kind, n):
+    """The generators of GL2, SL2, Borel, split Cartan or its normalizer mod n."""
+    if kind in ("cartan", "normalizer"):
+        cartan = split_cartan_group(n).raw_generators
+        return [*cartan, (0, 1, 1, 0)] if kind == "normalizer" else list(cartan)
+    return list({"gl2": gl2_group, "sl2": sl2_group, "borel": borel_group}[kind](n).raw_generators)
+
+
+@st.composite
+def few_generator_gens(draw, families=("gl2", "sl2", "borel", "cartan", "normalizer")):
+    """A group mod n in SOUNDNESS_MODULI on few generators, none of them I
+    mod rad(n) as a rule: the generators of one of `families`, or 1..4
+    random matrices, each conjugated by one random matrix."""
+    n = draw(st.sampled_from(SOUNDNESS_MODULI))
+    kind = draw(st.sampled_from([*families, "random"]))
+    if kind == "random":
+        gens = draw(st.lists(invertible(n), min_size=1, max_size=4))
+    else:
+        gens = family_generators(kind, n)
+    h = draw(invertible(n))
+    h_inv = inv_raw(h, n)
+    return n, [matmul_oracle(matmul_oracle(h, g, n), h_inv, n) for g in gens]
+
+
 @st.composite
 def lifted_cases(draw):
-    """A full preimage at n = m k <= 400 of a random base mod m <= 12, k a
-    product of primes of m, with every generator conjugated by one random
-    matrix half of the time, and a field degree 1..3."""
+    """Half of the time a full preimage at n = m k <= 400 of a random base
+    mod m <= 12, k a product of primes of m, with every generator conjugated
+    by one random matrix half of the time; else a conjugated GL2 or random
+    group on few generators (`few_generator_gens`).  A field degree 1..3."""
+    if draw(st.booleans()):
+        n, gens = draw(few_generator_gens(("gl2",)))
+        return n, gens, draw(st.integers(1, 3))
     m = draw(st.integers(2, 12))
     n = m
     for p in draw(st.lists(st.sampled_from([p for p, _ in factorize(m)]), min_size=1, max_size=4)):
@@ -684,6 +718,7 @@ def spectrum_and_growth(G, field_degree, vectors):
 @given(lifted_cases(), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=20))
 @example((36, full_preimage(borel_group(6), 36).raw_generators, 2), [(7, 30)])
 @example((16, full_preimage(borel_group(4), 16).raw_generators, 1), [(3, 4)])
+@example((72, gl2_group(72).raw_generators, 3), [(5, 6)])
 def test_lifted_spectrum_matches_the_walk_at_n(case, vectors):
     # a group whose generators prove its level d < n is walked mod d and its
     # records lifted; forced to walk mod n it must report the same records,
@@ -697,11 +732,6 @@ def test_lifted_spectrum_matches_the_walk_at_n(case, vectors):
         patch.setattr(orbits, "kernel_level", lambda G: G.modulus.n)
         walked = spectrum_and_growth(G, field_degree, vectors)
     assert lifted == walked
-
-
-# moduli whose proper divisors sharing their primes cover p = 2 at f = 1 and
-# e = 2, 3, 4, odd p at e <= 2f and e > 2f, and two primes at once
-SOUNDNESS_MODULI = [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 36, 45, 49, 50, 72, 81, 100]
 
 
 @st.composite
@@ -718,15 +748,20 @@ def kernel_heavy_gens(draw):
 
 
 @PROPERTY_SETTINGS
-@given(kernel_heavy_gens())
+@given(st.one_of(kernel_heavy_gens(), few_generator_gens()))
 @example((27, [(4, 0, 0, 1), (1, 3, 0, 1), (1, 0, 3, 1), (1, 0, 0, 4)]))
 @example((36, [(1, 1, 0, 1), (7, 0, 0, 1), (1, 6, 0, 1), (1, 0, 6, 1), (1, 0, 0, 7)]))
 @example((8, [(3, 0, 0, 1), (1, 2, 0, 1), (1, 0, 2, 1), (1, 0, 0, 3)]))
+@example((72, [(25, 69, 26, 23), (7, 32, 2, 45)]))
+@example((12, [(11, 0, 0, 1), (5, 6, 0, 1), (5, 0, 6, 1), (5, 0, 0, 7)]))
 def test_kernel_level_is_sound(case):
-    # whatever d < n the generators prove, G is the full preimage of G mod d.
-    # In the last example I + 2X spans the layer mod 2 but generates 2^7 of
-    # the 2^8 elements of ker(GL2(Z/8) -> GL2(Z/2)): squares miss the layer
-    # mod 4, so nothing is proved at p = 2, f = 1 < e - 1
+    # whatever d < n the generators prove, from generators I mod rad(n) or
+    # from isolated powers of any, G is the full preimage of G mod d.  In the
+    # third example I + 2X spans the layer mod 2 but generates 2^7 of the 2^8
+    # elements of ker(GL2(Z/8) -> GL2(Z/2)): squares miss the layer mod 4, so
+    # nothing is proved at p = 2, f = 1 < e - 1.  In the last, each generator
+    # is I + 2X mod 4 but diag(-1, 1) mod 3, of order 2: its cube is no
+    # element I mod 3, and its layer no evidence until squared away
     n, gens = case
     G = MatGroup(modulus(n), gens)
     d = kernel_level(G)
